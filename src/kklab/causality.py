@@ -160,7 +160,8 @@ def check_bounded(s: ComplexIndexSpectrum, k0: float) -> tuple[bool, float]:
     return max_sq <= k0, max_sq
 
 
-def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> CausalityReport:
+def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
+          k0: float | None = None) -> CausalityReport:
     """Run the four sub-checks and classify the spectrum.
 
     Branch logic: superluminal_branch when the asymptote sits below 1 by
@@ -170,8 +171,9 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> CausalityRe
     inconclusive when the asymptote fit itself fails.
 
     The Im n asymptote is estimated and reported the same way but renders
-    no verdict. When ``opts.boundedness_constant`` is unset a generous
-    default bound of 1e6 is applied and recorded in the assumptions.
+    no verdict. ``k0`` is the |n|^2 bound K0; when it is unset a generous
+    default bound of 1e6 is applied and recorded in the assumptions. The
+    bound is checked before the round-trip transform, so a bad K0 fails fast.
     """
     assumptions: list[str] = []
     if opts.assume_im_odd:
@@ -198,14 +200,12 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> CausalityRe
     nu = s.grid.values
     bands = tuple((float(nu[i]), float(nu[j])) for i, j in band_nodes)
 
-    kk_res = roundtrip_residual(s, opts)
-
-    if opts.boundedness_constant is not None:
-        k0 = opts.boundedness_constant
-    else:
+    if k0 is None:
         k0 = _DEFAULT_K0
         assumptions.append("k0_defaulted")
     bounded_ok, max_sq = check_bounded(s, k0)
+
+    kk_res = roundtrip_residual(s, opts)
 
     has_bands = len(band_nodes) > 0
     if fit_failed:

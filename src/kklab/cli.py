@@ -42,13 +42,13 @@ from .scharnhorst import (
 from .spectra import (
     FrequencyGrid,
     GridUnit,
-    SpectrumFormatError,
     load_spectrum,
     save_spectrum,
 )
 
-_INPUT_ERRORS = (SpectrumFormatError, FileNotFoundError, IsADirectoryError,
-                 PermissionError)
+# ValueError covers SpectrumFormatError and bad flag values; main() catches
+# the numerical failures first because they are ValueErrors too
+_INPUT_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
 _NUMERICAL_ERRORS = (TailFitError, PoleLocationError, PoleCollisionError,
                      DegenerateClockError)
 
@@ -99,8 +99,7 @@ def _kk_options(args: argparse.Namespace, grid_top: float) -> KkOptions:
         if args.tail_exponent is None or args.tail_amplitude is None:
             raise ValueError("--tail-exponent and --tail-amplitude must be given together")
         tail = TailModel(args.tail_exponent, args.tail_amplitude, grid_top)
-    return KkOptions(assume_im_odd=args.assume_im_odd, tail=tail,
-                     boundedness_constant=args.k0)
+    return KkOptions(assume_im_odd=args.assume_im_odd, tail=tail)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
@@ -125,7 +124,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = load_spectrum(args.input, _file_format(args.input, args.format))
     opts = _kk_options(args, float(spec.grid.values[-1]))
-    report = audit(spec, opts)
+    report = audit(spec, opts, k0=args.k0)
     Path(args.output).write_text(report.to_json() + "\n")
     return 0 if report.dichotomy is Dichotomy.CONSISTENT_WITH_UNITY else 1
 
@@ -160,10 +159,7 @@ def _cmd_clock(args: argparse.Namespace) -> int:
         "L_m": scenario.L,
         "beta": scenario.beta,
         "orientation": scenario.orientation.value,
-        "tick_rest_s": comparison.tick_rest,
-        "tick_moving_direct_s": comparison.tick_moving_direct,
-        "tick_moving_sr_s": comparison.tick_moving_sr,
-        "inconsistency": comparison.inconsistency,
+        **comparison.to_dict(),
     }
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
@@ -190,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override fitted tail exponent p")
         p.add_argument("--tail-amplitude", type=float, default=None,
                        help="override fitted tail amplitude A")
-        p.add_argument("--k0", type=float, default=None,
-                       help="boundedness constant K0 for |n|^2")
 
     p = sub.add_parser("transform", help="apply a dispersion transform to a spectrum")
     add_io(p)
@@ -208,6 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="causality audit; JSON report")
     add_io(p)
     add_kk_flags(p)
+    p.add_argument("--k0", type=float, default=None,
+                   help="boundedness constant K0 for |n|^2")
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("model", help="synthesize an analytic model spectrum")
@@ -246,9 +242,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"kklab: numerical failure: {exc}", file=sys.stderr)
         return 3
     except _INPUT_ERRORS as exc:
-        print(f"kklab: input error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"kklab: input error: {exc}", file=sys.stderr)
         return 2
 

@@ -43,7 +43,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .pvquad import (
     PoleIntegrand,
@@ -51,6 +50,7 @@ from .pvquad import (
     fit_tail,
     local_cubic_slope,
     pv_integrate,
+    simpson_estimate,
     tail_integral,
 )
 from .spectra import ComplexIndexSpectrum
@@ -67,7 +67,6 @@ __all__ = [
     "roundtrip_residual",
 ]
 
-_EPS = np.finfo(float).eps
 _TOP_EXTENSION_FACTOR = 4.0
 _TOP_EXTENSION_NODES = 48
 
@@ -114,17 +113,11 @@ class KkOptions:
     """Transform options.
 
     ``assume_im_odd`` admits the odd extension the folded forms need.
-    ``tail`` overrides the fitted power-law tail. ``boundedness_constant``
-    is the |n|^2 bound K0 consumed by the causality audit.
+    ``tail`` overrides the fitted power-law tail.
     """
 
     assume_im_odd: bool = True
     tail: TailModel | None = None
-    boundedness_constant: float | None = None
-
-    def __post_init__(self):
-        if self.boundedness_constant is not None and self.boundedness_constant <= 0:
-            raise ValueError("boundedness constant K0 must be > 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,16 +135,13 @@ class TransformResult:
 # Grid extension
 # ---------------------------------------------------------------------------
 
-def _resolve_tail(nu: np.ndarray, f: np.ndarray, opts: KkOptions) -> TailModel:
-    if opts.tail is not None:
-        return opts.tail
-    sel = nu >= nu[-1] / 10.0
-    return fit_tail(nu[sel], f[sel])
-
-
 def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
-                 tail: TailModel) -> tuple[np.ndarray, np.ndarray, float]:
+                 opts: KkOptions) -> tuple[np.ndarray, np.ndarray, TailModel, TailModel]:
     """Extend sampled data to [0, 4*nu_max].
+
+    Returns the extended nodes and values, the tail model (``opts.tail``, or
+    a power law fitted to the top decade) and that tail restarted at the
+    extension cutoff, where the series completion takes over.
 
     Below the grid the integrand is modeled by its leading symmetry class:
     ``odd`` -> linear through the origin, ``even`` -> parabola with zero
@@ -160,6 +150,12 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
     completion takes over. The extension guarantees >= 2 nodes on each side
     of every original grid node, so all of them are admissible pv poles.
     """
+    if opts.tail is not None:
+        tail = opts.tail
+    else:
+        sel = nu >= nu[-1] / 10.0
+        tail = fit_tail(nu[sel], f[sel])
+
     if nu[0] > 0.0:
         lo_nodes = np.array([0.0, nu[0] / 4.0, nu[0] / 2.0])
         if kind == "odd":
@@ -190,42 +186,12 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
 
     nu_e = np.concatenate([head_nu, body_nu, hi_nodes])
     f_e = np.concatenate([head_f, body_f, hi_vals])
-    return nu_e, f_e, cutoff
-
-
-def _coarse(n: int) -> np.ndarray:
-    idx = np.arange(0, n, 2)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
+    return nu_e, f_e, tail, TailModel(tail.exponent, tail.amplitude, cutoff)
 
 
 # ---------------------------------------------------------------------------
 # Folded 0..infinity forms
 # ---------------------------------------------------------------------------
-
-def _re_dispersion_node(nu_e: np.ndarray, g_e: np.ndarray, cutoff: float,
-                        tail: TailModel, omega: float, g_inf: float) -> tuple[float, float]:
-    """One node of P int_0^inf [nu g - w g_inf]/(nu^2 - w^2) dnu (no 2/pi)."""
-    if omega == 0.0:
-        # kernel degenerates to g(nu)/nu, regular when g is odd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = g_e / nu_e
-        q[0] = local_cubic_slope(nu_e, g_e, 0.0)
-        i_full = float(simpson(q, x=nu_e))
-        ci = _coarse(nu_e.size)
-        i_half = float(simpson(q[ci], x=nu_e[ci]))
-        err = abs(i_full - i_half) + 4.0 * _EPS * float(np.trapezoid(np.abs(q), nu_e))
-        return i_full + tail_integral(tail, 0.0), err
-
-    fac = (nu_e * g_e - omega * g_inf) / (nu_e + omega)
-    res = pv_integrate(PoleIntegrand(nu_e, fac, omega))
-    s_even = 0.5 * (tail_integral(tail, omega) + tail_integral(tail, -omega))
-    value = res.value + s_even
-    if g_inf != 0.0:
-        value += 0.5 * g_inf * math.log((cutoff - omega) / (cutoff + omega))
-    return value, res.error_estimate
-
 
 def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
                               opts: KkOptions = KkOptions()) -> TransformResult:
@@ -243,19 +209,32 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
             "set assume_im_odd=True to accept that extension")
 
     nu = im.grid.values
-    g = im.im
-    tail = _resolve_tail(nu, g, opts)
-    nu_e, g_e, cutoff = _extend_axis(nu, g, "odd", tail)
-    # the sampled extension already covers [nu_max, cutoff]; the series
-    # completion starts at the extension cutoff
-    series_tail = TailModel(tail.exponent, tail.amplitude, cutoff)
+    nu_e, g_e, tail, series_tail = _extend_axis(nu, im.im, "odd", opts)
+    cutoff = series_tail.cutoff
+    g_inf = sub.constant_im
 
+    # per node: P int_0^inf [nu g - w g_inf]/(nu^2 - w^2) dnu (no 2/pi)
     n = nu.size
     out = np.empty(n)
     errs = np.empty(n)
     for j in range(n):
-        val, err = _re_dispersion_node(nu_e, g_e, cutoff, series_tail,
-                                       float(nu[j]), sub.constant_im)
+        w = float(nu[j])
+        if w == 0.0:
+            # kernel degenerates to g(nu)/nu, regular when g is odd
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = g_e / nu_e
+            q[0] = local_cubic_slope(nu_e, g_e, 0.0)
+            val, diff, floor = simpson_estimate(q, nu_e)
+            val += tail_integral(series_tail, 0.0)
+            err = diff + floor
+        else:
+            fac = (nu_e * g_e - w * g_inf) / (nu_e + w)
+            res = pv_integrate(PoleIntegrand(nu_e, fac, w))
+            val = res.value + 0.5 * (tail_integral(series_tail, w)
+                                     + tail_integral(series_tail, -w))
+            if g_inf != 0.0:
+                val += 0.5 * g_inf * math.log((cutoff - w) / (cutoff + w))
+            err = res.error_estimate
         out[j] = sub.constant_re + (2.0 / math.pi) * val
         errs[j] = (2.0 / math.pi) * err
 
@@ -287,10 +266,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
             "set assume_im_odd=True to accept that extension")
 
     nu = re.grid.values
-    h = re.re - 1.0
-    tail = _resolve_tail(nu, h, opts)
-    nu_e, h_e, cutoff = _extend_axis(nu, h, "even", tail)
-    series_tail = TailModel(tail.exponent, tail.amplitude, cutoff)
+    nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", opts)
 
     n = nu.size
     out = np.empty(n)
@@ -314,18 +290,17 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
 def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> float:
     """max_j |Re n_j - (KK of Im n)_j| over interior nodes.
 
-    Interior excludes the top and bottom half-decade, where finite-grid
-    truncation dominates any genuine causality violation.
+    Interior excludes the top half-decade and the half-decade above the
+    first positive node, where finite-grid truncation dominates any genuine
+    causality violation. The grid is checked before the transform runs.
     """
-    tr = kk_re_from_im(s, opts)
     nu = s.grid.values
-    if nu[0] == 0.0:
-        raise ValueError("interior-node residual needs a positive-frequency grid")
-    lo = nu[0] * math.sqrt(10.0)
+    lo = (nu[0] if nu[0] > 0.0 else nu[1]) * math.sqrt(10.0)
     hi = nu[-1] / math.sqrt(10.0)
     mask = (nu >= lo) & (nu <= hi)
     if not np.any(mask):
         raise ValueError("grid too narrow: no interior nodes outside the edge half-decades")
+    tr = kk_re_from_im(s, opts)
     return float(np.max(np.abs(s.re[mask] - tr.spectrum.re[mask])))
 
 
@@ -363,9 +338,8 @@ def kk_subtracted(g: ComplexIndexSpectrum, sub: SubtractionSpec,
         raise ValueError(f"omega0 = {w0!r} above the grid range")
     g0_re, g0_im = float(sub.constant_re), float(sub.constant_im)
 
-    tail = _resolve_tail(nu, g.im, opts)
-    nu_e, gi_e, cutoff = _extend_axis(nu, g.im, "odd", tail)
-    series_tail = TailModel(tail.exponent, tail.amplitude, cutoff)
+    nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", opts)
+    cutoff = series_tail.cutoff
 
     # full real axis by crossing: Im G(-nu) = -Im G(nu)
     nu_full = np.concatenate([-nu_e[:0:-1], nu_e])

@@ -182,6 +182,22 @@ def _coarse_indices(n: int) -> np.ndarray:
     return idx
 
 
+def simpson_estimate(q: np.ndarray, nu: np.ndarray,
+                     offset: float = 0.0) -> tuple[float, float, float]:
+    """Composite Simpson of q over nu, plus ``offset``, with its error terms.
+
+    Returns (value, |full - half|, floor): the full-grid value, its distance
+    to the every-other-node value (``offset`` is added to both before they
+    are differenced) and the rounding floor 4 eps int |q|. The error
+    estimate is the sum of the last two.
+    """
+    i_full = float(simpson(q, x=nu)) + offset
+    ci = _coarse_indices(nu.size)
+    i_half = float(simpson(q[ci], x=nu[ci])) + offset
+    floor = 4.0 * _EPS * float(np.trapezoid(np.abs(q), nu))
+    return i_full, abs(i_full - i_half), floor
+
+
 def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     """P int f(nu)/(nu - pole) dnu over the sampled domain.
 
@@ -224,18 +240,12 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
             q[idx] = local_cubic_slope(nu, fv, w)
 
         log_term = f_at * math.log(abs((b - w) / (a - w)))
-        i_full = float(simpson(q, x=nu)) + log_term
-        ci = _coarse_indices(nu.size)
-        i_half = float(simpson(q[ci], x=nu[ci])) + log_term
     else:
         q = fv / (nu - w)
-        i_full = float(simpson(q, x=nu))
-        ci = _coarse_indices(nu.size)
-        i_half = float(simpson(q[ci], x=nu[ci]))
+        log_term = 0.0
 
-    floor = 4.0 * _EPS * float(np.trapezoid(np.abs(q), nu))
-    err = abs(i_full - i_half) + floor
-    return QuadratureResult(i_full, err)
+    value, diff, floor = simpson_estimate(q, nu, log_term)
+    return QuadratureResult(value, diff + floor)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,9 @@ from kklab import (
     Dichotomy,
     FrequencyGrid,
     GridUnit,
-    KkOptions,
     LorentzOscillatorParams,
     audit,
+    causality,
     check_bounded,
     detect_amplification,
     estimate_asymptote,
@@ -179,10 +179,19 @@ def test_audit_does_not_mutate_input(std_lorentz):
 
 
 def test_audit_k0_override(std_lorentz):
-    rep = audit(std_lorentz, KkOptions(boundedness_constant=10.0))
+    rep = audit(std_lorentz, k0=10.0)
     assert not rep.bounded_ok
     assert rep.boundedness_constant == 10.0
     assert "k0_defaulted" not in rep.assumptions
+
+
+def test_audit_bad_k0_fails_before_transform(std_lorentz, monkeypatch):
+    def no_transform(*args, **kwargs):
+        raise AssertionError("round-trip transform ran before the K0 check")
+
+    monkeypatch.setattr(causality, "roundtrip_residual", no_transform)
+    with pytest.raises(ValueError, match="K0"):
+        audit(std_lorentz, k0=0.0)
 
 
 def test_audit_classification_stable_under_refinement(std_lorentz, std_grid):

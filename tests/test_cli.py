@@ -146,6 +146,33 @@ def test_validate_superluminal_spectrum(tmp_path):
     assert json.loads(report.read_text())["dichotomy"] == "superluminal_branch"
 
 
+def test_validate_k0(lorentz_csv, tmp_path):
+    report = tmp_path / "report.json"
+    assert run_cli(["validate", "--in", str(lorentz_csv), "--out", str(report),
+                    "--k0", "0"]) == 2
+    assert run_cli(["validate", "--in", str(lorentz_csv), "--out", str(report),
+                    "--k0", "10"]) == 0
+    assert '"k0": 10.0' in report.read_text()
+
+
+def test_transform_rejects_k0(lorentz_csv, tmp_path):
+    assert run_cli(["transform", "--direction", "re-from-im", "--k0", "1",
+                    "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")]) == 2
+
+
+def test_validate_grid_from_zero(tmp_path):
+    # a valid linear grid that starts at w = 0: the audit's interior starts
+    # half a decade above the first positive node
+    path = tmp_path / "lin.csv"
+    assert run_cli(["model", "lorentz", "--omega-p", "1", "--omega-res", "1",
+                    "--gamma", "0.1", "--grid", "lin:0:100:4096", "--out", str(path)]) == 0
+    report = tmp_path / "report.json"
+    assert run_cli(["validate", "--in", str(path), "--out", str(report)]) == 0
+    doc = json.loads(report.read_text())
+    assert doc["dichotomy"] == "consistent_with_unity"
+    assert np.isfinite(doc["kk_residual"])
+
+
 def test_scharnhorst_table(tmp_path):
     out = tmp_path / "table.csv"
     with pytest.warns(UserWarning):
@@ -195,9 +222,11 @@ def test_help_lists_all_flags(capsys):
     run_cli(["transform", "--help"])
     text = capsys.readouterr().out
     for flag in ["--direction", "--omega0", "--g0-re", "--g0-im", "--re-inf",
-                 "--im-inf", "--tail-exponent", "--tail-amplitude", "--k0",
+                 "--im-inf", "--tail-exponent", "--tail-amplitude",
                  "--assume-im-odd", "--in", "--out", "--format"]:
         assert flag in text
+    run_cli(["validate", "--help"])
+    assert "--k0" in capsys.readouterr().out
 
 
 def test_outputs_deterministic(lorentz_csv, tmp_path):
