@@ -24,6 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .kk import KkOptions, roundtrip_residual
+from .pvquad import noise_floor
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
@@ -171,9 +172,13 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     inconclusive when the asymptote fit itself fails.
 
     The Im n asymptote is estimated and reported the same way but renders
-    no verdict. ``k0`` is the |n|^2 bound K0; when it is unset a generous
-    default bound of 1e6 is applied and recorded in the assumptions. The
-    bound is checked before the round-trip transform, so a bad K0 fails fast.
+    no verdict. Amplification bands are sought below minus the noise floor
+    of Im n's top decade (:func:`~kklab.pvquad.noise_floor`), so measurement
+    noise around a vanishing Im n is not called amplification.
+
+    ``k0`` is the |n|^2 bound K0; when it is unset a generous default bound
+    of 1e6 is applied and recorded in the assumptions. The bound is checked
+    before the round-trip transform, so a bad K0 fails fast.
     """
     assumptions: list[str] = []
     if opts.assume_im_odd:
@@ -196,7 +201,7 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     except np.linalg.LinAlgError:
         pass
 
-    band_nodes = detect_amplification(s, floor=0.0)
+    band_nodes = detect_amplification(s, floor=noise_floor(s.grid.values, s.im))
     nu = s.grid.values
     bands = tuple((float(nu[i]), float(nu[j])) for i, j in band_nodes)
 

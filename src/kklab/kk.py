@@ -29,8 +29,9 @@ Numerically each kernel is factored to expose a single simple pole at +w,
 
     nu g / (nu^2 - w^2) = [nu g / (nu + w)] * 1/(nu - w),
 
-and handed to the pv engine; the -w partner pole never lies on the 0..inf
-path. Data grids are extended at both ends before integrating: down to
+and handed to the pv engine, every node of a transform at once
+(:func:`~kklab.pvquad.pv_at_nodes`); the -w partner pole never lies on the
+0..inf path. Data grids are extended at both ends before integrating: down to
 nu = 0 with the local odd (linear) or even (parabolic) model, and up to
 4x the top node with the fitted power-law tail, so every grid node is a
 strictly interior pole. Beyond the extension the tail is summed in closed
@@ -44,14 +45,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .pvquad import (
-    PoleIntegrand,
+# pv_integrate is not called here: it stays a kk attribute for tools that
+# wrap the quadrature entry points by name
+from .pvquad import (  # noqa: F401
     TailModel,
     fit_tail,
     local_cubic_slope,
+    noise_floor,
+    pv_at_nodes,
     pv_integrate,
     simpson_estimate,
     tail_integral,
+    tail_integrals,
 )
 from .spectra import ComplexIndexSpectrum
 
@@ -140,8 +145,9 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
     """Extend sampled data to [0, 4*nu_max].
 
     Returns the extended nodes and values, the tail model (``opts.tail``, or
-    a power law fitted to the top decade) and that tail restarted at the
-    extension cutoff, where the series completion takes over.
+    a power law fitted to the top decade above its noise floor) and that
+    tail restarted at the extension cutoff, where the series completion
+    takes over.
 
     Below the grid the integrand is modeled by its leading symmetry class:
     ``odd`` -> linear through the origin, ``even`` -> parabola with zero
@@ -154,7 +160,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
         tail = opts.tail
     else:
         sel = nu >= nu[-1] / 10.0
-        tail = fit_tail(nu[sel], f[sel])
+        tail = fit_tail(nu[sel], f[sel], noise_floor(nu, f))
 
     if nu[0] > 0.0:
         lo_nodes = np.array([0.0, nu[0] / 4.0, nu[0] / 2.0])
@@ -214,29 +220,27 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
     g_inf = sub.constant_im
 
     # per node: P int_0^inf [nu g - w g_inf]/(nu^2 - w^2) dnu (no 2/pi)
-    n = nu.size
-    out = np.empty(n)
-    errs = np.empty(n)
-    for j in range(n):
-        w = float(nu[j])
-        if w == 0.0:
-            # kernel degenerates to g(nu)/nu, regular when g is odd
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = g_e / nu_e
-            q[0] = local_cubic_slope(nu_e, g_e, 0.0)
-            val, diff, floor = simpson_estimate(q, nu_e)
-            val += tail_integral(series_tail, 0.0)
-            err = diff + floor
-        else:
-            fac = (nu_e * g_e - w * g_inf) / (nu_e + w)
-            res = pv_integrate(PoleIntegrand(nu_e, fac, w))
-            val = res.value + 0.5 * (tail_integral(series_tail, w)
-                                     + tail_integral(series_tail, -w))
-            if g_inf != 0.0:
-                val += 0.5 * g_inf * math.log((cutoff - w) / (cutoff + w))
-            err = res.error_estimate
-        out[j] = sub.constant_re + (2.0 / math.pi) * val
-        errs[j] = (2.0 / math.pi) * err
+    pos = nu > 0.0
+    w = nu[pos]
+    nu_g = nu_e * g_e
+    val, err = pv_at_nodes(
+        nu_e, lambda p: (nu_g - p[:, None] * g_inf) / (nu_e + p[:, None]),
+        np.searchsorted(nu_e, w))
+    val += 0.5 * (tail_integrals(series_tail, w) + tail_integrals(series_tail, -w))
+    if g_inf != 0.0:
+        val += 0.5 * g_inf * np.log((cutoff - w) / (cutoff + w))
+    out = np.empty(nu.size)
+    errs = np.empty(nu.size)
+    out[pos] = sub.constant_re + (2.0 / math.pi) * val
+    errs[pos] = (2.0 / math.pi) * err
+    if not pos[0]:
+        # kernel degenerates to g(nu)/nu, regular when g is odd
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = g_e / nu_e
+        q[0] = local_cubic_slope(nu_e, g_e, 0.0)
+        val0, diff, floor = simpson_estimate(q, nu_e)
+        out[0] = sub.constant_re + (2.0 / math.pi) * (val0 + tail_integral(series_tail, 0.0))
+        errs[0] = (2.0 / math.pi) * (diff + floor)
 
     spec = ComplexIndexSpectrum(im.grid, out, im.im)
     return TransformResult(spec, errs, tail, ("im_odd_assumed",))
@@ -268,20 +272,15 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     nu = re.grid.values
     nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", opts)
 
-    n = nu.size
-    out = np.empty(n)
-    errs = np.empty(n)
-    for j in range(n):
-        w = float(nu[j])
-        if w == 0.0:
-            out[j] = 0.0
-            errs[j] = 0.0
-            continue
-        fac = w * h_e / (nu_e + w)
-        res = pv_integrate(PoleIntegrand(nu_e, fac, w))
-        s_odd = 0.5 * (tail_integral(series_tail, w) - tail_integral(series_tail, -w))
-        out[j] = -(2.0 / math.pi) * (res.value + s_odd)
-        errs[j] = (2.0 / math.pi) * res.error_estimate
+    pos = nu > 0.0
+    w = nu[pos]
+    val, err = pv_at_nodes(nu_e, lambda p: p[:, None] * h_e / (nu_e + p[:, None]),
+                           np.searchsorted(nu_e, w))
+    s_odd = 0.5 * (tail_integrals(series_tail, w) - tail_integrals(series_tail, -w))
+    out = np.zeros(nu.size)
+    errs = np.zeros(nu.size)
+    out[pos] = -(2.0 / math.pi) * (val + s_odd)
+    errs[pos] = (2.0 / math.pi) * err
 
     spec = ComplexIndexSpectrum(re.grid, re.re, out)
     return TransformResult(spec, errs, tail, ("im_odd_assumed", "re_even_assumed"))
@@ -307,11 +306,6 @@ def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -
 # ---------------------------------------------------------------------------
 # Once-subtracted relation at a finite point
 # ---------------------------------------------------------------------------
-
-def _local_spacing(nu: np.ndarray, w: float) -> float:
-    j = int(np.clip(np.searchsorted(nu, w), 1, nu.size - 1))
-    return float(nu[j] - nu[j - 1])
-
 
 def kk_subtracted(g: ComplexIndexSpectrum, sub: SubtractionSpec,
                   opts: KkOptions = KkOptions(), *,
@@ -356,32 +350,29 @@ def kk_subtracted(g: ComplexIndexSpectrum, sub: SubtractionSpec,
     s_w0_pos = tail_integral(series_tail, w0)
     s_w0_neg = tail_integral(series_tail, -w0)
 
-    n = nu.size
-    out = np.empty(n)
-    errs = np.zeros(n)
-    for j in range(n):
-        w = float(nu[j])
-        dr = w - w0
-        if dr == 0.0:
-            out[j] = g0_re
-            continue
-        if abs(dr) < 2.0 * _local_spacing(nu, w):
-            if on_collision == "raise":
-                raise PoleCollisionError(
-                    f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
-            out[j] = g0_re
-            continue
-        res = pv_integrate(PoleIntegrand(nu_full, kern, w))
-        # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
-        # the power-law part reduces to simple-pole series at +-w and +-w0,
-        # the constant -Im G(w0) part to logarithms.
-        right = (tail_integral(series_tail, w) - s_w0_pos) / dr
-        left = (tail_integral(series_tail, -w) - s_w0_neg) / dr
-        if g0_im != 0.0:
-            right += g0_im * math.log((cutoff - w) / (cutoff - w0)) / dr
-            left -= g0_im * math.log((cutoff + w) / (cutoff + w0)) / dr
-        out[j] = g0_re + (dr / math.pi) * (res.value + right + left)
-        errs[j] = (abs(dr) / math.pi) * res.error_estimate
+    dr = nu - w0
+    gaps = np.diff(nu)  # local spacing: to the node below (above, for the first)
+    collide = (dr != 0.0) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))
+    if on_collision == "raise" and np.any(collide):
+        w = float(nu[np.argmax(collide)])
+        raise PoleCollisionError(
+            f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
+    ev = (dr != 0.0) & ~collide
+    w, dr = nu[ev], dr[ev]
+    val, err = pv_at_nodes(nu_full, lambda p: np.broadcast_to(kern, (p.size, kern.size)),
+                           np.searchsorted(nu_full, w))
+    # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
+    # the power-law part reduces to simple-pole series at +-w and +-w0,
+    # the constant -Im G(w0) part to logarithms.
+    right = (tail_integrals(series_tail, w) - s_w0_pos) / dr
+    left = (tail_integrals(series_tail, -w) - s_w0_neg) / dr
+    if g0_im != 0.0:
+        right += g0_im * np.log((cutoff - w) / (cutoff - w0)) / dr
+        left -= g0_im * np.log((cutoff + w) / (cutoff + w0)) / dr
+    out = np.full(nu.size, g0_re)
+    errs = np.zeros(nu.size)
+    out[ev] = g0_re + (dr / math.pi) * (val + right + left)
+    errs[ev] = (np.abs(dr) / math.pi) * err
 
     spec = ComplexIndexSpectrum(g.grid, out, g.im)
     return TransformResult(spec, errs, tail, ("crossing_conjugate_symmetry",))

@@ -9,6 +9,12 @@ which works on arbitrary non-uniform grids (log grids included) and leaves a
 smooth integrand for composite Simpson quadrature. Semi-infinite integrals
 are completed by a single power-law tail model fitted to the last decade of
 data; the tail piece is summed as a series in (pole/cutoff).
+
+:func:`pv_integrate` evaluates one pole. :func:`pv_at_nodes` evaluates the
+same rule for many poles that sit on grid nodes, a block of rows at a time;
+the transforms in :mod:`kklab.kk` use it, and the scalar path stays as its
+reference. Simpson weights are closed-form numpy, so the module needs no
+scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 __all__ = [
     "PoleIntegrand",
@@ -28,12 +33,20 @@ __all__ = [
     "TailFitError",
     "NonIntegrableTailError",
     "pv_integrate",
+    "pv_at_nodes",
+    "simpson_weights",
+    "noise_floor",
     "fit_tail",
     "tail_integral",
+    "tail_integrals",
     "pv_semi_infinite",
 ]
 
 _EPS = np.finfo(float).eps
+# elements per temporary of the blocked operator: bounds its memory at any
+# grid size, while each block stays large enough for numpy to run at speed
+_BLOCK_ELEMENTS = 1 << 16
+_NOISE_SIGMAS = 5.0
 
 
 class PoleLocationError(ValueError):
@@ -182,6 +195,54 @@ def _coarse_indices(n: int) -> np.ndarray:
     return idx
 
 
+def simpson_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w with w @ y equal to composite Simpson of y over the nodes x.
+
+    Non-uniform spacing is allowed. For an even node count the last
+    interval takes Cartwright's three-point correction, as
+    ``scipy.integrate.simpson`` does. Needs >= 3 nodes.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 3:
+        raise ValueError("Simpson weights need >= 3 nodes")
+    h = np.diff(x)
+    m = n if n % 2 else n - 1  # nodes covered by whole parabolic panels
+    h0, h1 = h[0:m - 1:2], h[1:m - 1:2]
+    hsum = h0 + h1
+    w = np.zeros(n)
+    w[0:m - 2:2] += hsum / 6.0 * (2.0 - h1 / h0)
+    w[1:m - 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    w[2:m:2] += hsum / 6.0 * (2.0 - h0 / h1)
+    if n % 2 == 0:
+        a, b = h[-2], h[-1]
+        w[-1] += (2.0 * b * b + 3.0 * a * b) / (6.0 * (a + b))
+        w[-2] += (b * b + 3.0 * a * b) / (6.0 * a)
+        w[-3] -= b ** 3 / (6.0 * a * (a + b))
+    return w
+
+
+def _estimator_weights(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(M, 2) Simpson weights of the full grid and of the every-other-node
+    grid (zero off its nodes), and the trapezoid weights for the floor."""
+    ci = _coarse_indices(nu.size)
+    simpson_fh = np.zeros((nu.size, 2))
+    simpson_fh[:, 0] = simpson_weights(nu)
+    simpson_fh[ci, 1] = simpson_weights(nu[ci])
+    h = np.diff(nu)
+    trap = 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))
+    return simpson_fh, trap
+
+
+def _estimate(q: np.ndarray, weights: tuple[np.ndarray, np.ndarray], offset):
+    """Value, |full - half| and floor of every row of q (see simpson_estimate)."""
+    simpson_fh, trap = weights
+    fh = q @ simpson_fh
+    full = fh[..., 0] + offset
+    half = fh[..., 1] + offset
+    return full, np.abs(full - half), 4.0 * _EPS * (np.abs(q) @ trap)
+
+
 def simpson_estimate(q: np.ndarray, nu: np.ndarray,
                      offset: float = 0.0) -> tuple[float, float, float]:
     """Composite Simpson of q over nu, plus ``offset``, with its error terms.
@@ -191,11 +252,8 @@ def simpson_estimate(q: np.ndarray, nu: np.ndarray,
     are differenced) and the rounding floor 4 eps int |q|. The error
     estimate is the sum of the last two.
     """
-    i_full = float(simpson(q, x=nu)) + offset
-    ci = _coarse_indices(nu.size)
-    i_half = float(simpson(q[ci], x=nu[ci])) + offset
-    floor = 4.0 * _EPS * float(np.trapezoid(np.abs(q), nu))
-    return i_full, abs(i_full - i_half), floor
+    full, diff, floor = _estimate(q, _estimator_weights(nu), offset)
+    return float(full), float(diff), float(floor)
 
 
 def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
@@ -248,17 +306,92 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     return QuadratureResult(value, diff + floor)
 
 
+def _slope_weights(nu: np.ndarray, hits: np.ndarray) -> np.ndarray:
+    """(N, 4) derivative weights of the cubic through nodes hit-2 .. hit+1
+    at each node ``hit``: the stencil and formula of local_cubic_slope."""
+    xs = nu[hits[:, None] + np.arange(-2, 2)]
+    x = nu[hits]
+    wts = np.zeros(xs.shape)
+    for j in range(4):
+        for m in range(4):
+            if m == j:
+                continue
+            term = 1.0 / (xs[:, j] - xs[:, m])
+            for k in range(4):
+                if k != j and k != m:
+                    term = term * (x - xs[:, k]) / (xs[:, j] - xs[:, k])
+            wts[:, j] += term
+    return wts
+
+
+def pv_at_nodes(nu: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray],
+                hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P int f_k(nu)/(nu - nu[hits[k]]) dnu for every pole at a grid node.
+
+    ``integrand(poles)`` returns the numerators for a block of poles as a
+    (B, M) array, one sampled row per pole (a broadcast view will do).
+    Every pole needs >= 2 nodes on each side. Row k gets the value and error
+    estimate of ``pv_integrate(PoleIntegrand(nu, f_k, nu[hits[k]]))``, up to
+    rounding. Rows are evaluated a block at a time, so each temporary holds
+    about _BLOCK_ELEMENTS elements whatever the number of poles. Returns
+    (values, error estimates).
+    """
+    nu = np.asarray(nu, dtype=float)
+    hits = np.asarray(hits, dtype=np.intp)
+    values, errors = np.empty(hits.size), np.empty(hits.size)
+    if hits.size == 0:
+        return values, errors
+    if hits.min() < 2 or hits.max() > nu.size - 3:
+        raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
+    weights = _estimator_weights(nu)
+    poles = nu[hits]
+    logs = np.log(np.abs((nu[-1] - poles) / (nu[0] - poles)))
+    slope_w = _slope_weights(nu, hits)
+    step = max(1, _BLOCK_ELEMENTS // nu.size)
+    for start in range(0, hits.size, step):
+        blk = slice(start, start + step)
+        h, w = hits[blk], poles[blk]
+        rows = np.arange(h.size)
+        f = integrand(w)
+        f_at = f[rows, h]
+        stencil = f[rows[:, None], h[:, None] + np.arange(-2, 2)]
+        q = f - f_at[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q /= nu - w[:, None]
+        q[rows, h] = np.sum(stencil * slope_w[blk], axis=1)
+        full, diff, floor = _estimate(q, weights, f_at * logs[blk])
+        values[blk], errors[blk] = full, diff + floor
+    return values, errors
+
+
 # ---------------------------------------------------------------------------
 # Power-law tail: fit and semi-infinite completion
 # ---------------------------------------------------------------------------
+
+def noise_floor(nu: np.ndarray, f: np.ndarray) -> float:
+    """Noise allowance 5 sigma for the samples f(nu), from the top decade.
+
+    sigma = 1.4826 median|second difference of f| / sqrt(6) is a robust
+    estimate of white noise: a smooth tail contributes little curvature
+    there, and the median ignores isolated outliers. Only nu >= nu_max/10
+    enters, because resonance curvature lower down would inflate it.
+    """
+    top = np.asarray(f, dtype=float)[np.asarray(nu) >= nu[-1] / 10.0]
+    if top.size < 3:
+        return 0.0
+    d2 = top[2:] - 2.0 * top[1:-1] + top[:-2]
+    return _NOISE_SIGMAS * 1.4826 * float(np.median(np.abs(d2))) / math.sqrt(6.0)
+
 
 def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailModel:
     """Least-squares power law |f| ~ A * nu**(-p) from log-log samples.
 
     Callers pass the last decade of their data. Requires >= 8 samples
-    spanning at least a factor 4 in nu, all of one sign (exact zeros are
-    dropped). When every |f| is at or below ``floor`` the tail is declared
-    empty (A = 0). A fitted p <= 1 raises :class:`NonIntegrableTailError`.
+    spanning at least a factor 4 in nu. ``floor`` is a noise allowance
+    (see :func:`noise_floor`): samples with |f| <= floor are dropped (at the
+    default 0 only exact zeros), and the rest must be all of one sign. When
+    every |f| is at or below ``floor`` the tail is declared empty (A = 0).
+    A fitted p <= 1 raises :class:`NonIntegrableTailError`.
     """
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(values, dtype=float)
@@ -274,9 +407,9 @@ def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailMode
     if np.max(np.abs(f)) <= floor:
         return TailModel(exponent=2.0, amplitude=0.0, cutoff=float(nu[-1]))
 
-    nz = f != 0.0
+    nz = np.abs(f) > floor
     if np.count_nonzero(nz) < 2:
-        raise TailFitError("too few nonzero samples for a power-law fit")
+        raise TailFitError("too few samples above the floor for a power-law fit")
     signs = np.sign(f[nz])
     if signs.max() != signs.min():
         raise TailFitError("sign-alternating tail: power-law model invalid")
@@ -320,6 +453,27 @@ def tail_integral(t: TailModel, pole: float) -> float:
         rpow *= ratio
     raise ValueError(
         f"tail series failed to converge: pole {pole!r} too close to cutoff {t.cutoff!r}")
+
+
+def tail_integrals(t: TailModel, poles: np.ndarray) -> np.ndarray:
+    """:func:`tail_integral` at every pole of an array, by one fixed-length
+    series with enough terms for the largest |pole|/cutoff, summed by
+    Horner's rule."""
+    x = np.asarray(poles, dtype=float) / t.cutoff
+    r = float(np.max(np.abs(x))) if x.size else 0.0
+    if r >= 1.0:
+        raise ValueError(
+            f"tail series does not converge: |pole| / cutoff = {r!r} >= 1")
+    if t.amplitude == 0.0:
+        return np.zeros_like(x)
+    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / math.log(r)) + 1
+    if terms > 100_000:
+        raise ValueError(
+            f"tail series failed to converge: |pole| / cutoff = {r!r} too close to 1")
+    acc = np.zeros_like(x)
+    for j in range(terms - 1, -1, -1):
+        acc = acc * x + 1.0 / (t.exponent + j)
+    return (t.amplitude / (t.cutoff ** t.exponent)) * acc
 
 
 def pv_semi_infinite(f: PoleIntegrand, tail: TailModel) -> QuadratureResult:

@@ -14,7 +14,6 @@ from enum import Enum
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 __all__ = [
     "GridUnit",
@@ -307,6 +306,9 @@ def resample(s: ComplexIndexSpectrum, target: FrequencyGrid) -> ComplexIndexSpec
     src = s.grid.values
     if target.values[0] < src[0] or target.values[-1] > src[-1]:
         raise ValueError("target grid extends outside the source grid (extrapolation)")
+    # imported here so that `import kklab` needs only numpy
+    from scipy.interpolate import PchipInterpolator
+
     re = PchipInterpolator(src, s.re)(target.values)
     im = PchipInterpolator(src, s.im)(target.values)
     return ComplexIndexSpectrum(target, re, im, s.re_is_placeholder)

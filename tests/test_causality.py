@@ -137,6 +137,18 @@ def test_audit_lorentz(std_lorentz):
     assert "im_odd_assumed" in rep.assumptions
 
 
+def test_audit_noisy_lorentz_is_consistent():
+    # white noise of 1e-6 swamps Im n's top decade (5e-8 .. 5e-5): neither
+    # the tail fit nor the band search may read it as sign changes
+    g = FrequencyGrid.log_spaced(1e-2, 1e2, 1024, GridUnit.NORMALIZED)
+    s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), g)
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        noisy = ComplexIndexSpectrum(g, s.re + 1e-6 * rng.standard_normal(g.size),
+                                     s.im + 1e-6 * rng.standard_normal(g.size))
+        assert audit(noisy).dichotomy == Dichotomy.CONSISTENT_WITH_UNITY
+
+
 def test_audit_constant_09(std_grid):
     rep = audit(_const(std_grid, 0.9))
     assert rep.dichotomy is Dichotomy.SUPERLUMINAL_BRANCH

@@ -1,0 +1,223 @@
+"""The blocked dispersion operator against the scalar reference path.
+
+Every transform is recomputed by a per-node loop over the scalar reference
+path, ``pv_integrate`` and ``tail_integral``, on the same extended grid.
+Values must agree to rounding and error estimates to 1e-4 relative: the
+full-minus-half Simpson difference they carry cancels most digits, so
+summation order shows there.
+"""
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import simpson
+
+import kklab
+from kklab import (
+    ComplexIndexSpectrum,
+    FrequencyGrid,
+    GridUnit,
+    KkOptions,
+    LorentzOscillatorParams,
+    PoleCollisionError,
+    PoleIntegrand,
+    SubtractionSpec,
+    TailModel,
+    kk_im_from_re,
+    kk_re_from_im,
+    kk_subtracted,
+    kk_subtracted_at_infinity,
+    lorentz_index,
+    pv_integrate,
+    tail_integral,
+)
+from kklab.kk import _extend_axis
+from kklab.pvquad import pv_at_nodes, simpson_weights, tail_integrals
+from conftest import lorentz_closed_form
+
+VALUE_ATOL = 1e-12
+ERROR_RTOL = 1e-4
+
+
+# --- scalar reference loops ---------------------------------------------------
+
+def _ref_at_infinity(s, re_inf, im_inf):
+    nu = s.grid.values
+    nu_e, g_e, _, st_ = _extend_axis(nu, s.im, "odd", KkOptions())
+    out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
+    for j, w in enumerate(nu):
+        if w == 0.0:
+            continue
+        res = pv_integrate(PoleIntegrand(nu_e, (nu_e * g_e - w * im_inf) / (nu_e + w), w))
+        val = res.value + 0.5 * (tail_integral(st_, w) + tail_integral(st_, -w))
+        val += 0.5 * im_inf * math.log((st_.cutoff - w) / (st_.cutoff + w))
+        out[j] = re_inf + (2.0 / math.pi) * val
+        errs[j] = (2.0 / math.pi) * res.error_estimate
+    return out, errs
+
+
+def _ref_im_from_re(s):
+    nu = s.grid.values
+    nu_e, h_e, _, st_ = _extend_axis(nu, s.re - 1.0, "even", KkOptions())
+    out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
+    for j, w in enumerate(nu):
+        if w == 0.0:
+            continue
+        res = pv_integrate(PoleIntegrand(nu_e, w * h_e / (nu_e + w), w))
+        s_odd = 0.5 * (tail_integral(st_, w) - tail_integral(st_, -w))
+        out[j] = -(2.0 / math.pi) * (res.value + s_odd)
+        errs[j] = (2.0 / math.pi) * res.error_estimate
+    return out, errs
+
+
+def _ref_subtracted(s, w0, g0_re, g0_im):
+    """Nodes outside the two-spacing collision zone only (NaN inside)."""
+    nu = s.grid.values
+    nu_e, gi_e, _, st_ = _extend_axis(nu, s.im, "odd", KkOptions())
+    cutoff = st_.cutoff
+    nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
+    gi_full = np.concatenate([-gi_e[:0:-1], gi_e])
+    dist0 = nu_full - w0
+    hit0 = np.abs(dist0) <= 1e-13 * cutoff
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kern = (gi_full - g0_im) / dist0
+    kern[hit0] = kklab.pvquad.local_cubic_slope(nu_full, gi_full, w0)
+    out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
+    for j, w in enumerate(nu):
+        dr = w - w0
+        spacing = nu[max(j, 1)] - nu[max(j, 1) - 1]
+        if dr == 0.0 or abs(dr) < 2.0 * spacing:
+            continue
+        res = pv_integrate(PoleIntegrand(nu_full, kern, w))
+        right = (tail_integral(st_, w) - tail_integral(st_, w0)) / dr
+        left = (tail_integral(st_, -w) - tail_integral(st_, -w0)) / dr
+        right += g0_im * math.log((cutoff - w) / (cutoff - w0)) / dr
+        left -= g0_im * math.log((cutoff + w) / (cutoff + w0)) / dr
+        out[j] = g0_re + (dr / math.pi) * (res.value + right + left)
+        errs[j] = (abs(dr) / math.pi) * res.error_estimate
+    return out, errs
+
+
+def _assert_matches(result, values, ref):
+    ref_val, ref_err = ref
+    done = np.isfinite(ref_val)
+    assert np.count_nonzero(done) > 0.9 * ref_val.size
+    np.testing.assert_allclose(values[done], ref_val[done], rtol=0.0, atol=VALUE_ATOL)
+    np.testing.assert_allclose(result.error_estimate[done], ref_err[done], rtol=ERROR_RTOL)
+
+
+GRIDS = {
+    "log": FrequencyGrid.log_spaced(1e-2, 1e2, 512, GridUnit.NORMALIZED),
+    "lin0": FrequencyGrid.linear(0.0, 100.0, 512, GridUnit.NORMALIZED),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(GRIDS))
+def lorentz(request):
+    return lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), GRIDS[request.param])
+
+
+def test_re_from_im_matches_reference(lorentz):
+    r = kk_re_from_im(lorentz)
+    _assert_matches(r, r.spectrum.re, _ref_at_infinity(lorentz, 1.0, 0.0))
+
+
+def test_at_infinity_with_im_inf_matches_reference(lorentz):
+    r = kk_subtracted_at_infinity(lorentz, SubtractionSpec.at_infinity(1.02, 1e-3))
+    _assert_matches(r, r.spectrum.re, _ref_at_infinity(lorentz, 1.02, 1e-3))
+
+
+def test_im_from_re_matches_reference(lorentz):
+    r = kk_im_from_re(lorentz)
+    _assert_matches(r, r.spectrum.im, _ref_im_from_re(lorentz))
+    if lorentz.grid.values[0] == 0.0:
+        assert r.spectrum.im[0] == 0.0 and r.error_estimate[0] == 0.0
+
+
+@pytest.mark.parametrize("w0", [0.0, 0.5, 2.0])
+def test_subtracted_matches_reference(lorentz, w0):
+    gspec = ComplexIndexSpectrum(lorentz.grid, lorentz.re - 1.0, lorentz.im)
+    G0 = lorentz_closed_form(w0) - 1.0
+    r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
+                      on_collision="continuity")
+    ref = _ref_subtracted(gspec, w0, G0.real, G0.imag)
+    _assert_matches(r, r.spectrum.re, ref)
+    skipped = ~np.isfinite(ref[0])
+    np.testing.assert_array_equal(r.spectrum.re[skipped], G0.real)
+    np.testing.assert_array_equal(r.error_estimate[skipped], 0.0)
+
+
+def test_subtracted_collision_names_first_node():
+    nu = np.geomspace(1e-2, 1e2, 512)
+    g = FrequencyGrid(nu, GridUnit.NORMALIZED)
+    w0 = float(0.5 * (nu[300] + nu[301]))  # nodes 299 .. 302 lie within two spacings
+    gc = ComplexIndexSpectrum(g, np.full(nu.size, 0.7), np.zeros(nu.size))
+    with pytest.raises(PoleCollisionError) as exc:
+        kk_subtracted(gc, SubtractionSpec.at_point(w0, 0.7, 0.0))
+    assert str(exc.value) == (f"evaluation point {float(nu[299])!r} within two grid "
+                              f"spacings of omega0 = {w0!r}")
+
+
+def test_pv_at_nodes_needs_bracketed_poles():
+    nu = np.linspace(0.0, 1.0, 16)
+    with pytest.raises(kklab.PoleLocationError):
+        pv_at_nodes(nu, lambda p: np.ones((p.size, nu.size)), np.array([1]))
+
+
+# --- closed-form pieces -----------------------------------------------------------
+
+@pytest.mark.parametrize("n", [3, 4, 5, 8, 9, 64, 65, 1001, 1024])
+def test_simpson_weights_match_scipy(n):
+    rng = np.random.default_rng(n)
+    x = np.cumsum(rng.uniform(0.01, 1.0, n))
+    for _ in range(3):
+        y = rng.uniform(0.5, 2.0, n)
+        assert simpson_weights(x) @ y == pytest.approx(simpson(y, x=x), rel=1e-14)
+
+
+def test_tail_integrals_match_scalar_series():
+    t = TailModel(3.0065, 0.05, 400.0)
+    poles = np.concatenate([-np.geomspace(1e-2, 100.0, 50), [0.0], np.geomspace(1e-2, 100.0, 50)])
+    ref = np.array([tail_integral(t, p) for p in poles])
+    np.testing.assert_allclose(tail_integrals(t, poles), ref, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(tail_integrals(TailModel(2.0, 0.0, 10.0), poles[:3]), 0.0)
+    for bad in (400.0, 400.0 * (1.0 - 1e-15)):
+        with pytest.raises(ValueError, match="converge"):
+            tail_integrals(t, np.array([1.0, bad]))
+
+
+@settings(max_examples=25, deadline=None)
+@given(a=st.floats(-3.0, 3.0), b=st.floats(-3.0, 3.0),
+       centers=st.tuples(st.floats(0.05, 5.0), st.floats(0.05, 5.0)),
+       widths=st.tuples(st.floats(0.05, 1.0), st.floats(0.05, 1.0)))
+def test_re_from_im_is_linear_in_im(a, b, centers, widths):
+    # a fixed tail keeps the transform linear; with a fitted one the tail
+    # parameters depend on the data
+    g = GRIDS["log"]
+    nu = g.values
+    opts = KkOptions(tail=TailModel(3.0, 0.0, nu[-1]))
+    one = np.ones_like(nu)
+    f1, f2 = (np.exp(-(((nu - c) / (w * c)) ** 2)) for c, w in zip(centers, widths))
+
+    def re(im):
+        return kk_re_from_im(ComplexIndexSpectrum(g, one, im), opts).spectrum.re - 1.0
+
+    r1, r2 = re(f1), re(f2)
+    r12 = re(a * f1 + b * f2)
+    scale = abs(a) * np.max(np.abs(r1)) + abs(b) * np.max(np.abs(r2)) + 1.0
+    assert np.max(np.abs(r12 - (a * r1 + b * r2))) <= 1e-12 * scale
+
+
+def test_import_needs_no_scipy():
+    env = dict(os.environ, PYTHONPATH=str(Path(kklab.__file__).parents[1]))
+    code = "import sys, kklab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

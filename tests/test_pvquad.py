@@ -15,6 +15,7 @@ from kklab import (
     pv_semi_infinite,
     tail_integral,
 )
+from kklab.pvquad import noise_floor
 
 
 def pv_oracle(f, a, b, pole):
@@ -180,6 +181,32 @@ def test_fit_rejects_sign_alternation():
     f = nu ** -3.0 * np.cos(nu)
     with pytest.raises(TailFitError, match="sign"):
         fit_tail(nu, f)
+
+
+def test_noise_floor_estimates_white_noise():
+    nu = np.geomspace(1e-2, 1e2, 4096)
+    rng = np.random.default_rng(7)
+    floor = noise_floor(nu, 3e-7 * rng.standard_normal(nu.size))
+    assert floor == pytest.approx(5 * 3e-7, rel=0.1)
+
+
+def test_noise_floor_leaves_clean_fit_unchanged(std_lorentz):
+    nu = std_lorentz.grid.values
+    sel = nu >= nu[-1] / 10.0
+    floor = noise_floor(nu, std_lorentz.im)
+    assert 0.0 < floor < 0.05 * np.min(np.abs(std_lorentz.im[sel]))
+    assert fit_tail(nu[sel], std_lorentz.im[sel], floor) == fit_tail(nu[sel], std_lorentz.im[sel])
+
+
+def test_fit_drops_samples_under_the_floor():
+    nu = np.geomspace(10.0, 100.0, 64)
+    f = 2.0 * nu ** -3.0
+    f[-10:] = 1e-9 * (-1.0) ** np.arange(10)  # noise where the tail vanishes
+    with pytest.raises(TailFitError, match="sign"):
+        fit_tail(nu, f)
+    t = fit_tail(nu, f, floor=1e-8)
+    assert t.exponent == pytest.approx(3.0, rel=1e-9)
+    assert t.amplitude == pytest.approx(2.0, rel=1e-9)
 
 
 def test_fit_rejects_shallow_exponent():
