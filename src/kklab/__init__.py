@@ -14,7 +14,6 @@ from .causality import (
 from .kk import (
     KkOptions,
     PoleCollisionError,
-    SubtractionSpec,
     TransformResult,
     kk_im_from_re,
     kk_re_from_im,

@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .kk import KkOptions, roundtrip_residual
-from .pvquad import noise_floor
+from .pvquad import noise_floor, top_decade
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
@@ -49,7 +49,8 @@ class Dichotomy(str, Enum):
 
 
 class AsymptoteFitError(ValueError):
-    """Top-decade 1/w^2 model misfit: the asymptote estimate is unreliable."""
+    """Top-decade 1/w^2 model misfit, or too few top-decade nodes: the
+    asymptote estimate is unreliable."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,24 +93,34 @@ class CausalityReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
-def _top_decade_fit(nu: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
-    """Fit y ~ a + b/nu^2 over nu >= nu_max/10.
+def _top_decade_fit(nu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Fit y ~ a + b/nu^2 over the :func:`~kklab.pvquad.top_decade`.
 
-    Returns (a, uncertainty, max_abs_residual). The uncertainty is the
-    larger of the parameter standard error and the regression standard
-    error, so deterministic model structure is not mistaken for precision.
+    Returns (a, uncertainty). The uncertainty is the larger of the parameter
+    standard error and the regression standard error, so deterministic model
+    structure is not mistaken for precision. Raises
+    :class:`AsymptoteFitError` when fewer than 3 top-decade nodes remain
+    (two fit exactly and leave no uncertainty) or when the residuals exceed
+    10x the uncertainty (the 1/w^2 model does not describe the data, so no
+    asymptote claim should be made).
     """
-    sel = nu >= nu[-1] / 10.0
+    sel = top_decade(nu)
     x = 1.0 / nu[sel] ** 2
+    if x.size < 3:
+        raise AsymptoteFitError(f"top-decade 1/w^2 fit needs >= 3 nodes, got {x.size}")
     yy = y[sel]
     design = np.column_stack([np.ones_like(x), x])
     coef, *_ = np.linalg.lstsq(design, yy, rcond=None)
     resid = yy - design @ coef
-    dof = max(x.size - 2, 1)
-    s_reg = math.sqrt(float(resid @ resid) / dof)
+    s_reg = math.sqrt(float(resid @ resid) / (x.size - 2))
     cov = np.linalg.inv(design.T @ design)
-    se_a = s_reg * math.sqrt(float(cov[0, 0]))
-    return float(coef[0]), max(se_a, s_reg), float(np.max(np.abs(resid))) if resid.size else 0.0
+    unc = max(s_reg * math.sqrt(float(cov[0, 0])), s_reg)
+    max_resid = float(np.max(np.abs(resid)))
+    if max_resid > 10.0 * unc:
+        raise AsymptoteFitError(
+            f"top-decade 1/w^2 fit misfit: max residual {max_resid:.3g} "
+            f"exceeds 10 x uncertainty {unc:.3g}")
+    return float(coef[0]), unc
 
 
 def estimate_asymptote(s: ComplexIndexSpectrum) -> tuple[float, float]:
@@ -117,17 +128,11 @@ def estimate_asymptote(s: ComplexIndexSpectrum) -> tuple[float, float]:
 
     Requires a grid spanning >= 3 decades so that a "top decade" is
     meaningfully asymptotic. Raises :class:`AsymptoteFitError` when the
-    residuals exceed 10x the reported uncertainty (the 1/w^2 model does not
-    describe the data, so no asymptote claim should be made).
+    top-decade fit is unreliable (see :func:`_top_decade_fit`).
     """
     if s.grid.span_decades() < 3.0:
         raise ValueError("asymptote estimate needs a grid spanning >= 3 decades")
-    value, unc, max_resid = _top_decade_fit(s.grid.values, s.re)
-    if max_resid > 10.0 * unc:
-        raise AsymptoteFitError(
-            f"top-decade 1/w^2 fit misfit: max residual {max_resid:.3g} "
-            f"exceeds 10 x uncertainty {unc:.3g}")
-    return value, unc
+    return _top_decade_fit(s.grid.values, s.re)
 
 
 def detect_amplification(s: ComplexIndexSpectrum, floor: float = 0.0) -> list[tuple[int, int]]:
@@ -195,10 +200,8 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     asym_im: float | None = None
     asym_im_unc: float | None = None
     try:
-        asym_im, asym_im_unc, im_max_resid = _top_decade_fit(s.grid.values, s.im)
-        if im_max_resid > 10.0 * asym_im_unc:
-            asym_im = asym_im_unc = None
-    except np.linalg.LinAlgError:
+        asym_im, asym_im_unc = _top_decade_fit(s.grid.values, s.im)
+    except AsymptoteFitError:
         pass
 
     band_nodes = detect_amplification(s, floor=noise_floor(s.grid.values, s.im))

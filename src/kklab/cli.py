@@ -5,7 +5,7 @@ files, diagnostics to stderr. Exit codes are a stable contract:
 
     0  success (validate: spectrum consistent with a unity asymptote)
     1  validate found a non-unity causality branch
-    2  input error (missing/malformed file, bad flags)
+    2  input error (missing/malformed file, bad flags, unwritable output)
     3  numerical failure (tail fit, pole collision, degenerate clock)
 
 Outputs are deterministic byte-for-byte for identical flags and inputs:
@@ -23,7 +23,6 @@ from .causality import Dichotomy, audit
 from .kk import (
     KkOptions,
     PoleCollisionError,
-    SubtractionSpec,
     kk_im_from_re,
     kk_re_from_im,
     kk_subtracted,
@@ -46,9 +45,10 @@ from .spectra import (
     save_spectrum,
 )
 
-# ValueError covers SpectrumFormatError and bad flag values; main() catches
-# the numerical failures first because they are ValueErrors too
-_INPUT_ERRORS = (ValueError, FileNotFoundError, IsADirectoryError, PermissionError)
+# ValueError covers SpectrumFormatError and bad flag values, OSError unreadable
+# inputs and failed writes; main() catches the numerical failures first
+# because they are ValueErrors too
+_INPUT_ERRORS = (ValueError, OSError)
 _NUMERICAL_ERRORS = (TailFitError, PoleLocationError, PoleCollisionError,
                      DegenerateClockError)
 
@@ -112,11 +112,9 @@ def _cmd_transform(args: argparse.Namespace) -> int:
     elif args.direction == "subtracted":
         if args.omega0 is None:
             raise ValueError("--omega0 is required for --direction subtracted")
-        sub = SubtractionSpec.at_point(args.omega0, args.g0_re, args.g0_im)
-        result = kk_subtracted(spec, sub, opts)
+        result = kk_subtracted(spec, args.omega0, args.g0_re, args.g0_im, opts)
     else:  # subtracted-at-infinity
-        sub = SubtractionSpec.at_infinity(args.re_inf, args.im_inf)
-        result = kk_subtracted_at_infinity(spec, sub, opts)
+        result = kk_subtracted_at_infinity(spec, args.re_inf, args.im_inf, opts)
     save_spectrum(result.spectrum, args.output, _file_format(args.output, args.format))
     return 0
 

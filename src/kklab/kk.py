@@ -57,11 +57,11 @@ from .pvquad import (  # noqa: F401
     simpson_estimate,
     tail_integral,
     tail_integrals,
+    top_decade,
 )
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
-    "SubtractionSpec",
     "KkOptions",
     "TransformResult",
     "PoleCollisionError",
@@ -79,38 +79,6 @@ _TOP_EXTENSION_NODES = 48
 class PoleCollisionError(ValueError):
     """Evaluation frequency within two grid spacings of the subtraction
     point: the double subtraction is ill-conditioned there."""
-
-
-@dataclass(frozen=True)
-class SubtractionSpec:
-    """Subtraction point and constant G(w0).
-
-    ``omega0 = None`` selects the infinite-frequency subtraction, in which
-    case ``constant_re``/``constant_im`` hold Re n(inf) and Im n(inf).
-    """
-
-    omega0: float | None
-    constant_re: float
-    constant_im: float
-
-    def __post_init__(self):
-        if self.omega0 is not None:
-            if not math.isfinite(self.omega0) or self.omega0 < 0:
-                raise ValueError("omega0 must be finite and >= 0")
-        if not (math.isfinite(self.constant_re) and math.isfinite(self.constant_im)):
-            raise ValueError("subtraction constants must be finite")
-
-    @classmethod
-    def at_infinity(cls, re_inf: float = 1.0, im_inf: float = 0.0) -> "SubtractionSpec":
-        return cls(None, re_inf, im_inf)
-
-    @classmethod
-    def at_point(cls, omega0: float, g_re: float, g_im: float) -> "SubtractionSpec":
-        return cls(float(omega0), g_re, g_im)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.omega0 is None
 
 
 @dataclass(frozen=True)
@@ -159,7 +127,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
     if opts.tail is not None:
         tail = opts.tail
     else:
-        sel = nu >= nu[-1] / 10.0
+        sel = top_decade(nu)
         tail = fit_tail(nu[sel], f[sel], noise_floor(nu, f))
 
     if nu[0] > 0.0:
@@ -199,16 +167,17 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
 # Folded 0..infinity forms
 # ---------------------------------------------------------------------------
 
-def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
+def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
+                              im_inf: float = 0.0,
                               opts: KkOptions = KkOptions()) -> TransformResult:
     """Real part from the imaginary part with the subtraction at infinity.
 
-    ``sub`` supplies Re n(inf) and Im n(inf). With Re n(inf) = 1 and
-    Im n(inf) = 0 this reduces exactly to the unsubtracted transform; see
+    ``re_inf`` and ``im_inf`` are Re n(inf) and Im n(inf). At their defaults
+    1 and 0 this reduces exactly to the unsubtracted transform; see
     :func:`kk_re_from_im`, which is literally that special case.
     """
-    if not sub.is_infinite:
-        raise ValueError("subtraction point must be infinity for this transform")
+    if not (math.isfinite(re_inf) and math.isfinite(im_inf)):
+        raise ValueError("subtraction constants must be finite")
     if not opts.assume_im_odd:
         raise ValueError(
             "the folded 0..inf transform presupposes an odd Im n; "
@@ -217,21 +186,20 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
     nu = im.grid.values
     nu_e, g_e, tail, series_tail = _extend_axis(nu, im.im, "odd", opts)
     cutoff = series_tail.cutoff
-    g_inf = sub.constant_im
 
-    # per node: P int_0^inf [nu g - w g_inf]/(nu^2 - w^2) dnu (no 2/pi)
+    # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
     pos = nu > 0.0
     w = nu[pos]
     nu_g = nu_e * g_e
     val, err = pv_at_nodes(
-        nu_e, lambda p: (nu_g - p[:, None] * g_inf) / (nu_e + p[:, None]),
+        nu_e, lambda p: (nu_g - p[:, None] * im_inf) / (nu_e + p[:, None]),
         np.searchsorted(nu_e, w))
     val += 0.5 * (tail_integrals(series_tail, w) + tail_integrals(series_tail, -w))
-    if g_inf != 0.0:
-        val += 0.5 * g_inf * np.log((cutoff - w) / (cutoff + w))
+    if im_inf != 0.0:
+        val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
     out = np.empty(nu.size)
     errs = np.empty(nu.size)
-    out[pos] = sub.constant_re + (2.0 / math.pi) * val
+    out[pos] = re_inf + (2.0 / math.pi) * val
     errs[pos] = (2.0 / math.pi) * err
     if not pos[0]:
         # kernel degenerates to g(nu)/nu, regular when g is odd
@@ -239,7 +207,7 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, sub: SubtractionSpec,
             q = g_e / nu_e
         q[0] = local_cubic_slope(nu_e, g_e, 0.0)
         val0, diff, floor = simpson_estimate(q, nu_e)
-        out[0] = sub.constant_re + (2.0 / math.pi) * (val0 + tail_integral(series_tail, 0.0))
+        out[0] = re_inf + (2.0 / math.pi) * (val0 + tail_integral(series_tail, 0.0))
         errs[0] = (2.0 / math.pi) * (diff + floor)
 
     spec = ComplexIndexSpectrum(im.grid, out, im.im)
@@ -252,7 +220,7 @@ def kk_re_from_im(im: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     Implemented as the infinite-subtraction relation with Re n(inf) = 1 and
     Im n(inf) = 0, which it equals identically.
     """
-    return kk_subtracted_at_infinity(im, SubtractionSpec.at_infinity(1.0, 0.0), opts)
+    return kk_subtracted_at_infinity(im, opts=opts)
 
 
 def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> TransformResult:
@@ -307,30 +275,31 @@ def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -
 # Once-subtracted relation at a finite point
 # ---------------------------------------------------------------------------
 
-def kk_subtracted(g: ComplexIndexSpectrum, sub: SubtractionSpec,
+def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: float,
                   opts: KkOptions = KkOptions(), *,
                   on_collision: str = "raise") -> TransformResult:
-    """Once-subtracted dispersion relation for G at finite w0.
+    """Once-subtracted dispersion relation for G at finite w0 = ``omega0``.
 
     The input spectrum is interpreted as samples of G(w) for w >= 0 (only
-    the imaginary part enters the integrand); G(w0) comes from ``sub`` and
-    is never inferred from the samples. The negative-frequency half is
-    synthesized from G(-nu) = conj(G(nu)).
+    the imaginary part enters the integrand); G(w0) = ``g0_re`` + i ``g0_im``
+    is supplied by the caller and never inferred from the samples. The
+    negative-frequency half is synthesized from G(-nu) = conj(G(nu)).
 
     Per node: w == w0 returns Re G(w0) by continuity; 0 < |w - w0| below
     two local grid spacings is the ill-conditioned collision zone, which
     raises :class:`PoleCollisionError` by default or, with
     ``on_collision="continuity"``, is filled with Re G(w0).
     """
-    if sub.is_infinite:
-        raise ValueError("use kk_subtracted_at_infinity for the infinite point")
+    w0, g0_re, g0_im = float(omega0), float(g0_re), float(g0_im)
+    if not math.isfinite(w0) or w0 < 0:
+        raise ValueError("omega0 must be finite and >= 0")
+    if not (math.isfinite(g0_re) and math.isfinite(g0_im)):
+        raise ValueError("subtraction constants must be finite")
     if on_collision not in ("raise", "continuity"):
         raise ValueError("on_collision must be 'raise' or 'continuity'")
     nu = g.grid.values
-    w0 = float(sub.omega0)
     if w0 > nu[-1]:
         raise ValueError(f"omega0 = {w0!r} above the grid range")
-    g0_re, g0_im = float(sub.constant_re), float(sub.constant_im)
 
     nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", opts)
     cutoff = series_tail.cutoff

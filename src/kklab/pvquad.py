@@ -35,6 +35,7 @@ __all__ = [
     "pv_integrate",
     "pv_at_nodes",
     "simpson_weights",
+    "top_decade",
     "noise_floor",
     "fit_tail",
     "tail_integral",
@@ -368,15 +369,24 @@ def pv_at_nodes(nu: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray],
 # Power-law tail: fit and semi-infinite completion
 # ---------------------------------------------------------------------------
 
+def top_decade(nu: np.ndarray) -> np.ndarray:
+    """Mask of the nodes nu >= nu_max/10, the decade that the tail fit, the
+    noise floor and the audit's asymptote fits read as the approach to
+    infinity."""
+    nu = np.asarray(nu)
+    return nu >= nu[-1] / 10.0
+
+
 def noise_floor(nu: np.ndarray, f: np.ndarray) -> float:
     """Noise allowance 5 sigma for the samples f(nu), from the top decade.
 
     sigma = 1.4826 median|second difference of f| / sqrt(6) is a robust
     estimate of white noise: a smooth tail contributes little curvature
-    there, and the median ignores isolated outliers. Only nu >= nu_max/10
-    enters, because resonance curvature lower down would inflate it.
+    there, and the median ignores isolated outliers. Only the
+    :func:`top_decade` enters, because resonance curvature lower down would
+    inflate it.
     """
-    top = np.asarray(f, dtype=float)[np.asarray(nu) >= nu[-1] / 10.0]
+    top = np.asarray(f, dtype=float)[top_decade(nu)]
     if top.size < 3:
         return 0.0
     d2 = top[2:] - 2.0 * top[1:-1] + top[:-2]
@@ -386,7 +396,7 @@ def noise_floor(nu: np.ndarray, f: np.ndarray) -> float:
 def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailModel:
     """Least-squares power law |f| ~ A * nu**(-p) from log-log samples.
 
-    Callers pass the last decade of their data. Requires >= 8 samples
+    Callers pass the :func:`top_decade` of their data. Requires >= 8 samples
     spanning at least a factor 4 in nu. ``floor`` is a noise allowance
     (see :func:`noise_floor`): samples with |f| <= floor are dropped (at the
     default 0 only exact zeros), and the rest must be all of one sign. When

@@ -21,7 +21,6 @@ from kklab import (
     PhysicalConstants,
     PoleIntegrand,
     ScharnhorstScenario,
-    SubtractionSpec,
     TailModel,
     audit,
     delta_c_over_c,
@@ -75,7 +74,7 @@ def test_criterion_01_kk_oracle_equivalence(oracle_setup):
 
 def test_criterion_02_subtraction_reduction(oracle_setup):
     _, spectrum, forward, _, _ = oracle_setup
-    reduced = kk_subtracted_at_infinity(spectrum, SubtractionSpec.at_infinity(1.0, 0.0))
+    reduced = kk_subtracted_at_infinity(spectrum, 1.0, 0.0)
     diff = float(np.max(np.abs(reduced.spectrum.re - forward.spectrum.re)))
     ok = diff <= 1e-12
     report(2, "infinite-point subtraction reduces to the plain transform", ok,
@@ -90,8 +89,7 @@ def test_criterion_03_subtraction_point_independence(oracle_setup):
     excluded = np.zeros(nu.size, dtype=bool)
     for w0 in (0.0, 0.5, 2.0):
         G0 = lorentz_closed_form(w0) - 1.0
-        r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
-                          on_collision="continuity")
+        r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
         outputs.append(r.spectrum.re)
         excluded |= np.abs(nu - w0) < 4.0 * np.gradient(nu)
     mask = interior_mask(grid) & ~excluded

@@ -9,7 +9,9 @@ from kklab import (
     Dichotomy,
     FrequencyGrid,
     GridUnit,
+    KkOptions,
     LorentzOscillatorParams,
+    TailModel,
     audit,
     causality,
     check_bounded,
@@ -18,6 +20,14 @@ from kklab import (
     lorentz_index,
     resample,
 )
+
+
+def _sparse_top(extra):
+    # a 200-node grid to 5 plus the top nodes ``extra``: only those lie in
+    # the top decade
+    nu = np.concatenate([np.geomspace(1e-2, 5.0, 200), extra])
+    return lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1),
+                         FrequencyGrid(nu, GridUnit.NORMALIZED))
 
 
 def _const(grid, re, im=0.0):
@@ -57,6 +67,13 @@ def test_asymptote_misfit_raises(std_grid):
     re[-40] = 2.0
     with pytest.raises(AsymptoteFitError, match="misfit"):
         estimate_asymptote(ComplexIndexSpectrum(std_grid, re, np.zeros_like(re)))
+
+
+@pytest.mark.parametrize("extra", [[100.0], [50.0, 100.0]])
+def test_asymptote_needs_three_top_decade_nodes(extra):
+    # one node made the normal equations singular, two fit with zero spread
+    with pytest.raises(AsymptoteFitError, match=">= 3 nodes"):
+        estimate_asymptote(_sparse_top(extra))
 
 
 # --- amplification bands ---------------------------------------------------------
@@ -176,6 +193,12 @@ def test_audit_inconclusive_on_misfit(std_grid):
     rep = audit(ComplexIndexSpectrum(std_grid, re, np.zeros_like(re)))
     assert rep.dichotomy is Dichotomy.INCONCLUSIVE
     assert rep.asymptote_re is None
+
+
+def test_audit_inconclusive_on_single_top_decade_node():
+    rep = audit(_sparse_top([100.0]), KkOptions(tail=TailModel(3.0, 0.05, 100.0)))
+    assert rep.dichotomy is Dichotomy.INCONCLUSIVE
+    assert rep.asymptote_re is None and rep.asymptote_im is None
 
 
 def test_audit_deterministic(std_lorentz):

@@ -1,4 +1,6 @@
+import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -118,6 +120,39 @@ def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--direction", "subtracted", "--omega0", "-1"], "omega0 must be finite and >= 0"),
+    (["--direction", "subtracted-at-infinity", "--im-inf", "nan"],
+     "subtraction constants must be finite"),
+])
+def test_transform_rejects_bad_subtraction(lorentz_csv, tmp_path, capsys, flags, message):
+    code = run_cli(["transform", *flags,
+                    "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_transform_tail_override(lorentz_csv, tmp_path):
+    out = tmp_path / "re.csv"
+    assert run_cli(["transform", "--direction", "re-from-im",
+                    "--tail-exponent", "3", "--tail-amplitude", "0.05",
+                    "--in", str(lorentz_csv), "--out", str(out)]) == 0
+    spec = kklab.load_spectrum(lorentz_csv, "csv")
+    tail = kklab.TailModel(3.0, 0.05, float(spec.grid.values[-1]))
+    expected = kklab.kk_re_from_im(spec, kklab.KkOptions(tail=tail))
+    np.testing.assert_array_equal(kklab.load_spectrum(out, "csv").re, expected.spectrum.re)
+
+
+@pytest.mark.parametrize("flags", [
+    ["--tail-exponent", "3"],
+    ["--tail-amplitude", "0.05"],
+    ["--tail-exponent", "-1", "--tail-amplitude", "0.05"],
+])
+def test_transform_tail_override_rejected(lorentz_csv, tmp_path, flags):
+    assert run_cli(["transform", "--direction", "re-from-im", *flags,
+                    "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")]) == 2
+
+
 def test_transform_subtracted_requires_omega0(lorentz_csv, tmp_path):
     code = run_cli(["transform", "--direction", "subtracted",
                     "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")])
@@ -171,6 +206,28 @@ def test_validate_grid_from_zero(tmp_path):
     doc = json.loads(report.read_text())
     assert doc["dichotomy"] == "consistent_with_unity"
     assert np.isfinite(doc["kk_residual"])
+
+
+def test_validate_single_top_decade_node(tmp_path, capsys):
+    # the asymptote fits report inconclusive; the round trip's tail fit then
+    # fails with a numerical diagnostic, not numpy's "Singular matrix"
+    nu = np.concatenate([np.geomspace(1e-2, 5.0, 200), [100.0]])
+    s = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1),
+                            kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED))
+    path = tmp_path / "sparse.csv"
+    kklab.save_spectrum(s, path, "csv")
+    assert run_cli(["validate", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    assert "need >= 8 tail samples, got 1" in capsys.readouterr().err
+
+
+def test_write_failure_is_input_error(tmp_path, monkeypatch, capsys):
+    def full(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", full)
+    code = run_cli(["scharnhorst", "--L", "1e-6", "--out", str(tmp_path / "t.csv")])
+    assert code == 2
+    assert "No space left on device" in capsys.readouterr().err
 
 
 def test_scharnhorst_table(tmp_path):

@@ -11,7 +11,6 @@ from kklab import (
     LorentzOscillatorParams,
     NonIntegrableTailError,
     PoleCollisionError,
-    SubtractionSpec,
     TailFitError,
     kk_im_from_re,
     kk_re_from_im,
@@ -190,15 +189,13 @@ def test_random_passive_spectra_stay_finite():
 # --- subtraction at infinity --------------------------------------------------
 
 def test_reduction_to_unsubtracted(std_lorentz, std_transform):
-    sub = SubtractionSpec.at_infinity(1.0, 0.0)
-    r = kk_subtracted_at_infinity(std_lorentz, sub)
+    r = kk_subtracted_at_infinity(std_lorentz, 1.0, 0.0)
     diff = np.abs(r.spectrum.re - std_transform.spectrum.re)
     assert np.max(diff) <= 1e-12
 
 
 def test_constant_asymptote_shift(std_grid):
-    sub = SubtractionSpec.at_infinity(0.9, 0.0)
-    r = kk_subtracted_at_infinity(_flat(std_grid), sub)
+    r = kk_subtracted_at_infinity(_flat(std_grid), 0.9, 0.0)
     np.testing.assert_array_equal(r.spectrum.re, 0.9)
 
 
@@ -211,7 +208,7 @@ def test_nonzero_im_infinity_term():
     g = FrequencyGrid.log_spaced(1e-2, 1e2, 1024, GridUnit.NORMALIZED)
     s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), g)
     g_inf = 0.25
-    r = kk_subtracted_at_infinity(s, SubtractionSpec.at_infinity(1.0, g_inf))
+    r = kk_subtracted_at_infinity(s, 1.0, g_inf)
 
     w = float(g.values[600])
     im_fn = lambda x: 0.5 * 0.1 * x / ((1 - x ** 2) ** 2 + 0.01 * x ** 2)
@@ -223,17 +220,17 @@ def test_nonzero_im_infinity_term():
     assert r.spectrum.re[600] == pytest.approx(truth, abs=5e-4)
 
 
-def test_at_infinity_requires_infinite_point(std_lorentz):
-    with pytest.raises(ValueError, match="infinity"):
-        kk_subtracted_at_infinity(std_lorentz, SubtractionSpec.at_point(1.0, 0.5, 0.0))
+@pytest.mark.parametrize("re_inf, im_inf", [(np.inf, 0.0), (1.0, np.nan)])
+def test_at_infinity_rejects_non_finite_constants(std_lorentz, re_inf, im_inf):
+    with pytest.raises(ValueError, match="constants must be finite"):
+        kk_subtracted_at_infinity(std_lorentz, re_inf, im_inf)
 
 
 # --- finite-point subtraction ---------------------------------------------------
 
 def test_constant_g_returns_constant(std_grid):
     gc = _flat(std_grid, re=0.7, im=0.0)
-    sub = SubtractionSpec.at_point(0.5, 0.7, 0.0)
-    r = kk_subtracted(gc, sub, on_collision="continuity")
+    r = kk_subtracted(gc, 0.5, 0.7, 0.0, on_collision="continuity")
     np.testing.assert_array_equal(r.spectrum.re, 0.7)
 
 
@@ -244,22 +241,21 @@ def test_subtracted_degenerate_point_by_continuity():
     gspec = ComplexIndexSpectrum(g, s.re - 1.0, s.im)
     w0 = float(nu[200])
     G0 = lorentz_closed_form(w0) - 1.0
-    r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
-                      on_collision="continuity")
+    r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
     assert r.spectrum.re[200] == G0.real
 
 
 def test_collision_zone_raises_by_default(std_grid):
     gc = _flat(std_grid, re=0.7)
     with pytest.raises(PoleCollisionError, match="two grid spacings"):
-        kk_subtracted(gc, SubtractionSpec.at_point(0.5, 0.7, 0.0))
+        kk_subtracted(gc, 0.5, 0.7, 0.0)
 
 
 def test_subtracted_at_zero_matches_unsubtracted(std_lorentz, std_transform):
     gspec = ComplexIndexSpectrum(std_lorentz.grid, std_lorentz.re - 1.0, std_lorentz.im)
     G0 = lorentz_closed_form(0.0) - 1.0
     assert abs(G0.imag) < 1e-15
-    r = kk_subtracted(gspec, SubtractionSpec.at_point(0.0, G0.real, 0.0))
+    r = kk_subtracted(gspec, 0.0, G0.real, 0.0)
     mask = interior_mask(std_lorentz.grid)
     diff = np.abs((r.spectrum.re + 1.0) - std_transform.spectrum.re)
     assert np.max(diff[mask]) < 1e-3
@@ -272,8 +268,7 @@ def test_subtraction_point_independence(std_lorentz):
     excluded = np.zeros(nu.size, dtype=bool)
     for w0 in (0.0, 0.5, 2.0):
         G0 = lorentz_closed_form(w0) - 1.0
-        r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
-                          on_collision="continuity")
+        r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
         results.append(r.spectrum.re)
         excluded |= np.abs(nu - w0) < 4.0 * np.gradient(nu)
     mask = interior_mask(std_lorentz.grid) & ~excluded
@@ -298,8 +293,7 @@ def test_subtracted_matches_full_axis_quadrature():
 
     w0 = 1.0
     G0 = (params[0] ** 2 / 2) / (params[1] ** 2 - w0 ** 2 - 1j * params[2] * w0)
-    r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
-                      on_collision="continuity")
+    r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
 
     for idx in (300, 800):
         w = float(g.values[idx])
@@ -315,7 +309,18 @@ def test_subtracted_matches_full_axis_quadrature():
 
 def test_omega0_above_grid_rejected(std_lorentz):
     with pytest.raises(ValueError, match="grid range"):
-        kk_subtracted(std_lorentz, SubtractionSpec.at_point(1e3, 0.0, 0.0))
+        kk_subtracted(std_lorentz, 1e3, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("omega0, g0_re, g0_im, message", [
+    (-1.0, 0.0, 0.0, "omega0 must be finite"),
+    (np.nan, 0.0, 0.0, "omega0 must be finite"),
+    (0.0, np.inf, 0.0, "constants must be finite"),
+    (0.0, 0.0, np.nan, "constants must be finite"),
+])
+def test_subtracted_rejects_bad_point_or_constants(std_lorentz, omega0, g0_re, g0_im, message):
+    with pytest.raises(ValueError, match=message):
+        kk_subtracted(std_lorentz, omega0, g0_re, g0_im)
 
 
 # --- residual ---------------------------------------------------------------

@@ -28,7 +28,6 @@ from kklab import (
     LorentzOscillatorParams,
     PoleCollisionError,
     PoleIntegrand,
-    SubtractionSpec,
     TailModel,
     kk_im_from_re,
     kk_re_from_im,
@@ -130,7 +129,7 @@ def test_re_from_im_matches_reference(lorentz):
 
 
 def test_at_infinity_with_im_inf_matches_reference(lorentz):
-    r = kk_subtracted_at_infinity(lorentz, SubtractionSpec.at_infinity(1.02, 1e-3))
+    r = kk_subtracted_at_infinity(lorentz, 1.02, 1e-3)
     _assert_matches(r, r.spectrum.re, _ref_at_infinity(lorentz, 1.02, 1e-3))
 
 
@@ -145,8 +144,7 @@ def test_im_from_re_matches_reference(lorentz):
 def test_subtracted_matches_reference(lorentz, w0):
     gspec = ComplexIndexSpectrum(lorentz.grid, lorentz.re - 1.0, lorentz.im)
     G0 = lorentz_closed_form(w0) - 1.0
-    r = kk_subtracted(gspec, SubtractionSpec.at_point(w0, G0.real, G0.imag),
-                      on_collision="continuity")
+    r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
     ref = _ref_subtracted(gspec, w0, G0.real, G0.imag)
     _assert_matches(r, r.spectrum.re, ref)
     skipped = ~np.isfinite(ref[0])
@@ -160,7 +158,7 @@ def test_subtracted_collision_names_first_node():
     w0 = float(0.5 * (nu[300] + nu[301]))  # nodes 299 .. 302 lie within two spacings
     gc = ComplexIndexSpectrum(g, np.full(nu.size, 0.7), np.zeros(nu.size))
     with pytest.raises(PoleCollisionError) as exc:
-        kk_subtracted(gc, SubtractionSpec.at_point(w0, 0.7, 0.0))
+        kk_subtracted(gc, w0, 0.7, 0.0)
     assert str(exc.value) == (f"evaluation point {float(nu[299])!r} within two grid "
                               f"spacings of omega0 = {w0!r}")
 
