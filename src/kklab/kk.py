@@ -192,7 +192,8 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
     w = nu[pos]
     nu_g = nu_e * g_e
     val, err = pv_at_nodes(
-        nu_e, lambda p: (nu_g - p[:, None] * im_inf) / (nu_e + p[:, None]),
+        nu_e, lambda p, out, work: np.divide(np.subtract(nu_g, p[:, None] * im_inf, out=out),
+                                             np.add(nu_e, p[:, None], out=work), out=out),
         np.searchsorted(nu_e, w))
     val += 0.5 * (tail_integrals(series_tail, w) + tail_integrals(series_tail, -w))
     if im_inf != 0.0:
@@ -242,7 +243,9 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
 
     pos = nu > 0.0
     w = nu[pos]
-    val, err = pv_at_nodes(nu_e, lambda p: p[:, None] * h_e / (nu_e + p[:, None]),
+    val, err = pv_at_nodes(nu_e, lambda p, out, work: np.divide(np.multiply(p[:, None], h_e, out=out),
+                                                           np.add(nu_e, p[:, None], out=work),
+                                                           out=out),
                            np.searchsorted(nu_e, w))
     s_odd = 0.5 * (tail_integrals(series_tail, w) - tail_integrals(series_tail, -w))
     out = np.zeros(nu.size)
@@ -328,7 +331,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
     ev = (dr != 0.0) & ~collide
     w, dr = nu[ev], dr[ev]
-    val, err = pv_at_nodes(nu_full, lambda p: np.broadcast_to(kern, (p.size, kern.size)),
+    val, err = pv_at_nodes(nu_full, lambda p, out, work: np.broadcast_to(kern, out.shape),
                            np.searchsorted(nu_full, w))
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
     # the power-law part reduces to simple-pole series at +-w and +-w0,

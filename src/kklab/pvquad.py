@@ -235,13 +235,16 @@ def _estimator_weights(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return simpson_fh, trap
 
 
-def _estimate(q: np.ndarray, weights: tuple[np.ndarray, np.ndarray], offset):
-    """Value, |full - half| and floor of every row of q (see simpson_estimate)."""
+def _estimate(q: np.ndarray, weights: tuple[np.ndarray, np.ndarray], offset,
+              work: np.ndarray | None = None):
+    """Value, |full - half| and floor of every row of q (see simpson_estimate).
+
+    ``work``, an array of q's shape, receives |q| in place of a new one."""
     simpson_fh, trap = weights
     fh = q @ simpson_fh
     full = fh[..., 0] + offset
     half = fh[..., 1] + offset
-    return full, np.abs(full - half), 4.0 * _EPS * (np.abs(q) @ trap)
+    return full, np.abs(full - half), 4.0 * _EPS * (np.abs(q, out=work) @ trap)
 
 
 def simpson_estimate(q: np.ndarray, nu: np.ndarray,
@@ -325,17 +328,20 @@ def _slope_weights(nu: np.ndarray, hits: np.ndarray) -> np.ndarray:
     return wts
 
 
-def pv_at_nodes(nu: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray],
+def pv_at_nodes(nu: np.ndarray,
+                integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                 hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P int f_k(nu)/(nu - nu[hits[k]]) dnu for every pole at a grid node.
 
-    ``integrand(poles)`` returns the numerators for a block of poles as a
-    (B, M) array, one sampled row per pole (a broadcast view will do).
-    Every pole needs >= 2 nodes on each side. Row k gets the value and error
-    estimate of ``pv_integrate(PoleIntegrand(nu, f_k, nu[hits[k]]))``, up to
-    rounding. Rows are evaluated a block at a time, so each temporary holds
-    about _BLOCK_ELEMENTS elements whatever the number of poles. Returns
-    (values, error estimates).
+    ``integrand(poles, out, work)`` returns the numerators for a block of
+    poles as a (B, M) array, one sampled row per pole. It may compute them
+    into ``out``, a (B, M) buffer, with ``work``, another, as scratch, or
+    return any other array (a broadcast view will do). Every pole needs >= 2
+    nodes on each side. Row k gets the value and error estimate of
+    ``pv_integrate(PoleIntegrand(nu, f_k, nu[hits[k]]))``, up to rounding.
+    Rows are evaluated a block at a time in the same two buffers, so the
+    operator holds about 2 * _BLOCK_ELEMENTS elements whatever the number of
+    poles. Returns (values, error estimates).
     """
     nu = np.asarray(nu, dtype=float)
     hits = np.asarray(hits, dtype=np.intp)
@@ -349,18 +355,23 @@ def pv_at_nodes(nu: np.ndarray, integrand: Callable[[np.ndarray], np.ndarray],
     logs = np.log(np.abs((nu[-1] - poles) / (nu[0] - poles)))
     slope_w = _slope_weights(nu, hits)
     step = max(1, _BLOCK_ELEMENTS // nu.size)
+    # two block buffers, reused by every block: fresh temporaries of this
+    # size go back to the OS and fault in again, block after block
+    q_buf = np.empty((min(step, hits.size), nu.size))
+    work_buf = np.empty_like(q_buf)
     for start in range(0, hits.size, step):
         blk = slice(start, start + step)
         h, w = hits[blk], poles[blk]
         rows = np.arange(h.size)
-        f = integrand(w)
+        q, work = q_buf[:h.size], work_buf[:h.size]
+        f = integrand(w, q, work)
         f_at = f[rows, h]
         stencil = f[rows[:, None], h[:, None] + np.arange(-2, 2)]
-        q = f - f_at[:, None]
+        np.subtract(f, f_at[:, None], out=q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q /= nu - w[:, None]
+            q /= np.subtract(nu, w[:, None], out=work)
         q[rows, h] = np.sum(stencil * slope_w[blk], axis=1)
-        full, diff, floor = _estimate(q, weights, f_at * logs[blk])
+        full, diff, floor = _estimate(q, weights, f_at * logs[blk], work)
         values[blk], errors[blk] = full, diff + floor
     return values, errors
 

@@ -166,7 +166,26 @@ def test_subtracted_collision_names_first_node():
 def test_pv_at_nodes_needs_bracketed_poles():
     nu = np.linspace(0.0, 1.0, 16)
     with pytest.raises(kklab.PoleLocationError):
-        pv_at_nodes(nu, lambda p: np.ones((p.size, nu.size)), np.array([1]))
+        pv_at_nodes(nu, lambda p, out, work: np.ones(out.shape), np.array([1]))
+
+
+def test_pv_at_nodes_same_in_buffers_or_fresh_rows(monkeypatch):
+    # 7-row blocks over 596 poles: the last block is a 1-row slice of the buffers
+    nu = np.geomspace(1e-2, 1e2, 600)
+    monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 7 * nu.size)
+    g = np.sin(nu) * np.exp(-0.1 * nu)
+    hits = np.arange(2, nu.size - 2)
+
+    def fresh(p, out, work):
+        work.fill(np.nan)  # the operator must not read work before it writes it
+        return p[:, None] * g / (nu + p[:, None])
+
+    def in_buffers(p, out, work):
+        return np.divide(np.multiply(p[:, None], g, out=out),
+                         np.add(nu, p[:, None], out=work), out=out)
+
+    for a, b in zip(pv_at_nodes(nu, fresh, hits), pv_at_nodes(nu, in_buffers, hits)):
+        np.testing.assert_array_equal(a, b)
 
 
 # --- closed-form pieces -----------------------------------------------------------
