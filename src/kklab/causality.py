@@ -144,24 +144,14 @@ def detect_amplification(s: ComplexIndexSpectrum, floor: float = 0.0) -> list[tu
     """
     if floor < 0:
         raise ValueError("floor must be >= 0")
-    neg = s.im < -floor
-    bands: list[tuple[int, int]] = []
-    start = None
-    for i, flag in enumerate(neg):
-        if flag and start is None:
-            start = i
-        elif not flag and start is not None:
-            bands.append((start, i - 1))
-            start = None
-    if start is not None:
-        bands.append((start, int(neg.size - 1)))
-    return bands
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], s.im < -floor, [False]])))
+    return [(int(start), int(stop) - 1) for start, stop in zip(edges[::2], edges[1::2])]
 
 
 def check_bounded(s: ComplexIndexSpectrum, k0: float) -> tuple[bool, float]:
     """Test the boundedness condition |n(w)|^2 <= K0 on the grid."""
-    if k0 <= 0:
-        raise ValueError("K0 must be > 0")
+    if not 0.0 < k0 < math.inf:
+        raise ValueError("K0 must be finite and > 0")
     max_sq = float(np.max(s.re ** 2 + s.im ** 2))
     return max_sq <= k0, max_sq
 

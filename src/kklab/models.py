@@ -11,6 +11,7 @@ underlying perturbative result holds only far below the electron mass).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ __all__ = [
     "PhysicalConstants",
     "LorentzOscillatorParams",
     "lorentz_index",
+    "delta_c_over_c",
     "scharnhorst_index_perp",
     "scharnhorst_index_parallel",
 ]
@@ -41,10 +43,11 @@ class PhysicalConstants:
     k_coeff: float = 1e-2
 
     def __post_init__(self):
-        if self.c <= 0 or self.alpha <= 0 or self.lambda_c <= 0:
-            raise ValueError("c, alpha and lambda_c must be > 0")
-        if self.k_coeff < 0:
-            raise ValueError("k_coeff must be >= 0")
+        for name in ("c", "alpha", "lambda_c"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
+        if not 0.0 <= self.k_coeff < math.inf:
+            raise ValueError("k_coeff must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,22 @@ def lorentz_index(p: LorentzOscillatorParams, grid: FrequencyGrid) -> ComplexInd
     return ComplexIndexSpectrum(grid, n.real, n.imag)
 
 
+def delta_c_over_c(L: float, constants: PhysicalConstants) -> float:
+    """Fractional perpendicular velocity shift k*alpha^2*(lambda_c/L)^4.
+
+    L must be finite and > 0, and the shift must not overflow a float.
+    """
+    if not 0.0 < L < math.inf:
+        raise ValueError("plate separation L must be finite and > 0")
+    try:
+        shift = constants.k_coeff * constants.alpha ** 2 * (constants.lambda_c / L) ** 4
+    except OverflowError:
+        shift = math.inf
+    if not math.isfinite(shift):
+        raise ValueError(f"the shift k*alpha^2*(lambda_c/L)^4 overflows at L = {L!r} m")
+    return shift
+
+
 def scharnhorst_index_perp(L: float, constants: PhysicalConstants) -> float:
     """Static vacuum index perpendicular to the mirrors:
 
@@ -88,9 +107,7 @@ def scharnhorst_index_perp(L: float, constants: PhysicalConstants) -> float:
     warning, never clamped, since it is exactly where the effect would be
     large.
     """
-    if L <= 0:
-        raise ValueError("plate separation L must be > 0")
-    n = 1.0 - constants.k_coeff * constants.alpha ** 2 * (constants.lambda_c / L) ** 4
+    n = 1.0 - delta_c_over_c(L, constants)
     if n <= 0.0:
         warnings.warn(
             f"n_perp = {n:.3g} <= 0 at L = {L:.3g} m: outside the weak-shift regime",

@@ -13,8 +13,9 @@ data; the tail piece is summed as a series in (pole/cutoff).
 :func:`pv_integrate` evaluates one pole. :func:`pv_at_nodes` evaluates the
 same rule for many poles that sit on grid nodes, a block of rows at a time;
 the transforms in :mod:`kklab.kk` use it, and the scalar path stays as its
-reference. Simpson weights are closed-form numpy, so the module needs no
-scipy.
+reference. Both take f(w) and f'(w) at the pole from one cubic rule, the
+Lagrange value and slope weights of its four nearest nodes. Simpson weights
+are closed-form numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -152,37 +153,34 @@ def _stencil(nu: np.ndarray, x: float) -> slice:
     lo = max(0, min(i - 2, nu.size - 4))
     return slice(lo, lo + 4)
 
-def _lagrange_weights(xs: np.ndarray, x: float) -> np.ndarray:
-    w = np.ones_like(xs)
-    for j in range(xs.size):
-        for m in range(xs.size):
-            if m != j:
-                w[j] *= (x - xs[m]) / (xs[j] - xs[m])
-    return w
+def _cubic_weights(xs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value and derivative weights, each (N, 4), at the points x (N,) of the
+    cubic through each row of the stencils xs (N, 4): the Lagrange basis
+    l_j(x) and its slope l_j'(x) = sum_{m != j} 1/(xs_j - xs_m) prod_{k != j, m}
+    (x - xs_k)/(xs_j - xs_k)."""
+    value, slope = np.ones(xs.shape), np.zeros(xs.shape)
+    for j in range(4):
+        for m in range(4):
+            if m == j:
+                continue
+            value[:, j] *= (x - xs[:, m]) / (xs[:, j] - xs[:, m])
+            term = 1.0 / (xs[:, j] - xs[:, m])
+            for k in range(4):
+                if k != j and k != m:
+                    term = term * (x - xs[:, k]) / (xs[:, j] - xs[:, k])
+            slope[:, j] += term
+    return value, slope
 
 def local_cubic_value(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     """Cubic Lagrange interpolation of f at x through the 4 nearest nodes."""
     sl = _stencil(nu, x)
-    return float(_lagrange_weights(nu[sl], x) @ f[sl])
+    return float(_cubic_weights(nu[None, sl], np.array([x]))[0][0] @ f[sl])
 
 def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
-    """Derivative at x of the cubic through the 4 nearest nodes."""
+    """Derivative at x of the cubic through the 4 nearest nodes, summed in
+    the order :func:`pv_at_nodes` sums its pole rows."""
     sl = _stencil(nu, x)
-    xs, ys = nu[sl], f[sl]
-    # derivative of the Lagrange form
-    total = 0.0
-    for j in range(4):
-        dl = 0.0
-        for m in range(4):
-            if m == j:
-                continue
-            term = 1.0 / (xs[j] - xs[m])
-            for k in range(4):
-                if k != j and k != m:
-                    term *= (x - xs[k]) / (xs[j] - xs[k])
-            dl += term
-        total += ys[j] * dl
-    return float(total)
+    return float(np.sum(_cubic_weights(nu[None, sl], np.array([x]))[1][0] * f[sl]))
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +308,6 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     return QuadratureResult(value, diff + floor)
 
 
-def _slope_weights(nu: np.ndarray, hits: np.ndarray) -> np.ndarray:
-    """(N, 4) derivative weights of the cubic through nodes hit-2 .. hit+1
-    at each node ``hit``: the stencil and formula of local_cubic_slope."""
-    xs = nu[hits[:, None] + np.arange(-2, 2)]
-    x = nu[hits]
-    wts = np.zeros(xs.shape)
-    for j in range(4):
-        for m in range(4):
-            if m == j:
-                continue
-            term = 1.0 / (xs[:, j] - xs[:, m])
-            for k in range(4):
-                if k != j and k != m:
-                    term = term * (x - xs[:, k]) / (xs[:, j] - xs[:, k])
-            wts[:, j] += term
-    return wts
-
-
 def pv_at_nodes(nu: np.ndarray,
                 integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
                 hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -353,7 +333,7 @@ def pv_at_nodes(nu: np.ndarray,
     weights = _estimator_weights(nu)
     poles = nu[hits]
     logs = np.log(np.abs((nu[-1] - poles) / (nu[0] - poles)))
-    slope_w = _slope_weights(nu, hits)
+    slope_w = _cubic_weights(nu[hits[:, None] + np.arange(-2, 2)], poles)[1]
     step = max(1, _BLOCK_ELEMENTS // nu.size)
     # two block buffers, reused by every block: fresh temporaries of this
     # size go back to the OS and fault in again, block after block

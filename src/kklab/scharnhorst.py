@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from .models import PhysicalConstants, scharnhorst_index_perp
+from .models import PhysicalConstants, delta_c_over_c, scharnhorst_index_perp
 
 __all__ = [
     "Orientation",
@@ -77,8 +77,9 @@ class ScharnhorstScenario:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if self.L <= 0 or self.probe_wavelength <= 0:
-            raise ValueError("L and probe_wavelength must be > 0")
+        for name in ("L", "probe_wavelength"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,8 @@ class LightClockScenario:
     constants: PhysicalConstants = field(default_factory=PhysicalConstants)
 
     def __post_init__(self):
-        if self.L <= 0:
-            raise ValueError("L must be > 0")
+        if not 0.0 < self.L < math.inf:
+            raise ValueError("L must be finite and > 0")
         if not 0.0 <= self.beta < 1.0:
             raise ValueError("beta must lie in [0, 1)")
         object.__setattr__(self, "orientation", Orientation(self.orientation))
@@ -130,17 +131,10 @@ class LengthScaleRow:
     n_perp: float
 
 
-def delta_c_over_c(L: float, constants: PhysicalConstants) -> float:
-    """Fractional perpendicular velocity shift k*alpha^2*(lambda_c/L)^4."""
-    if L <= 0:
-        raise ValueError("plate separation L must be > 0")
-    return constants.k_coeff * constants.alpha ** 2 * (constants.lambda_c / L) ** 4
-
-
 def delta_v(L: float, wavelength: float, constants: PhysicalConstants) -> float:
     """Minimum velocity-measurement uncertainty c*lambda/L in m/s."""
-    if L <= 0 or wavelength <= 0:
-        raise ValueError("L and wavelength must be > 0")
+    if not (0.0 < L < math.inf and 0.0 < wavelength < math.inf):
+        raise ValueError("L and wavelength must be finite and > 0")
     return constants.c * wavelength / L
 
 
@@ -150,11 +144,13 @@ def measurability_ratio(s: ScharnhorstScenario) -> float:
     Equals (lambda/lambda_c) / (k alpha^2) * (L/lambda_c)^3; at
     lambda = lambda_c the coefficient is 1/(k alpha^2) ~ 1.88e6 (published
     companion value of the bound: 1.5e6). Ratios >> 1 mean the shift is
-    buried under the measurement floor.
+    buried under the measurement floor. The ratio is inf when the shift is
+    0: with k_coeff = 0, or at a separation so large that (lambda_c/L)^4
+    underflows, there is nothing to measure.
     """
     dv = delta_v(s.L, s.probe_wavelength, s.constants)
     dc = s.constants.c * delta_c_over_c(s.L, s.constants)
-    return dv / dc
+    return math.inf if dc == 0.0 else dv / dc
 
 
 def invariant_length(target_ratio: float, constants: PhysicalConstants) -> float:

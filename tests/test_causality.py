@@ -111,6 +111,31 @@ def test_bands_cover_and_are_maximal(std_grid):
         assert b0 > a1 + 1  # adjacent runs would have merged
 
 
+def _bands_by_loop(neg):
+    bands, start = [], None
+    for i, flag in enumerate(neg):
+        if flag and start is None:
+            start = i
+        elif not flag and start is not None:
+            bands.append((start, i - 1))
+            start = None
+    if start is not None:
+        bands.append((start, neg.size - 1))
+    return bands
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bands_match_node_loop(std_grid, seed):
+    # runs of every length, at both grid edges too, against a per-node scan
+    rng = np.random.default_rng(seed)
+    im = np.repeat(rng.choice([-1.0, 1.0], std_grid.size), rng.integers(1, 4, std_grid.size))
+    im = im[:std_grid.size]
+    s = ComplexIndexSpectrum(std_grid, np.ones_like(im), im)
+    bands = detect_amplification(s)
+    assert bands == _bands_by_loop(im < 0.0)
+    assert all(type(i) is int and type(j) is int for i, j in bands)
+
+
 def test_band_at_grid_edges(std_grid):
     im = np.full(std_grid.size, -0.5)
     s = ComplexIndexSpectrum(std_grid, np.ones_like(im), im)
@@ -142,6 +167,12 @@ def test_bounded_lorentz_resonance(std_lorentz):
 def test_bounded_rejects_bad_k0(std_lorentz):
     with pytest.raises(ValueError):
         check_bounded(std_lorentz, 0.0)
+
+
+@pytest.mark.parametrize("k0", [float("nan"), float("inf")])
+def test_bounded_rejects_non_finite_k0(std_lorentz, k0):
+    with pytest.raises(ValueError, match="K0 must be finite"):
+        check_bounded(std_lorentz, k0)
 
 
 # --- audit -----------------------------------------------------------------------

@@ -190,6 +190,15 @@ def test_validate_k0(lorentz_csv, tmp_path):
     assert '"k0": 10.0' in report.read_text()
 
 
+@pytest.mark.parametrize("k0", ["nan", "inf"])
+def test_validate_rejects_non_finite_k0(lorentz_csv, tmp_path, capsys, k0):
+    report = tmp_path / "report.json"
+    assert run_cli(["validate", "--in", str(lorentz_csv), "--out", str(report),
+                    "--k0", k0]) == 2
+    assert "K0 must be finite" in capsys.readouterr().err
+    assert not report.exists()
+
+
 def test_transform_rejects_k0(lorentz_csv, tmp_path):
     assert run_cli(["transform", "--direction", "re-from-im", "--k0", "1",
                     "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")]) == 2
@@ -239,6 +248,33 @@ def test_scharnhorst_table(tmp_path):
     data = [ln for ln in lines if not ln.startswith("#")]
     assert data[0] == "L_m,delta_c_over_c,measurability_ratio,n_perp"
     assert len(data) == 3
+
+
+@pytest.mark.parametrize("flags", [["--k-coeff", "0"], ["--L", "1e100"]],
+                         ids=["k_coeff 0", "shift underflows"])
+def test_scharnhorst_table_without_shift(tmp_path, flags):
+    out = tmp_path / "table.csv"
+    assert run_cli(["scharnhorst", "--L", "1e-6", *flags, "--out", str(out)]) == 0
+    row = out.read_text().splitlines()[-1].split(",")
+    assert row[1:] == ["0", "inf", "1"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["scharnhorst", "--L", "1e-300"], "L = 1e-300"),
+    (["clock", "--L", "1e-300", "--beta", "0.3", "--orientation", "parallel"], "L = 1e-300"),
+    (["scharnhorst", "--L", "nan"], "L must be finite"),
+    (["scharnhorst", "--L", "1e-6", "--lambda-probe", "inf"], "probe_wavelength must be finite"),
+    (["scharnhorst", "--L", "1e-6", "--c-light", "nan"], "c must be finite"),
+    (["clock", "--L", "inf", "--beta", "0.3", "--orientation", "parallel"], "L must be finite"),
+    (["clock", "--L", "1e-6", "--beta", "0.3", "--orientation", "parallel",
+      "--k-coeff", "inf"], "k_coeff must be finite"),
+], ids=["scharnhorst L tiny", "clock L tiny", "scharnhorst L nan",
+        "scharnhorst probe inf", "scharnhorst c nan", "clock L inf", "clock k inf"])
+def test_calculators_reject_unrepresentable_input(tmp_path, capsys, args, message):
+    out = tmp_path / "out.txt"
+    assert run_cli([*args, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_clock_json(tmp_path):

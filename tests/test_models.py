@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,13 @@ def test_constants_validation():
         PhysicalConstants(k_coeff=-1e-3)
     # k_coeff = 0 switches the vacuum shift off and must be constructible
     assert PhysicalConstants(k_coeff=0.0).k_coeff == 0.0
+
+
+@pytest.mark.parametrize("field", ["c", "alpha", "lambda_c", "k_coeff"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_constants_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        PhysicalConstants(**{field: value})
 
 
 def test_lorentz_param_validation():
@@ -148,6 +157,12 @@ def test_perp_index_flags_nonpositive():
 def test_perp_index_rejects_nonpositive_length():
     with pytest.raises(ValueError):
         scharnhorst_index_perp(0.0, PhysicalConstants())
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf])
+def test_perp_index_rejects_non_finite_length(L):
+    with pytest.raises(ValueError, match="finite"):
+        scharnhorst_index_perp(L, PhysicalConstants())
 
 
 def test_parallel_index_is_unity():

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kklab import (
@@ -15,7 +17,7 @@ from kklab import (
     pv_semi_infinite,
     tail_integral,
 )
-from kklab.pvquad import noise_floor
+from kklab.pvquad import _cubic_weights, local_cubic_slope, local_cubic_value, noise_floor
 
 
 def pv_oracle(f, a, b, pole):
@@ -292,3 +294,31 @@ def test_semi_infinite_identity():
     res = pv_semi_infinite(f, TailModel(exponent=1.0, amplitude=1.0, cutoff=2000.0))
     assert abs(res.value) < 1e-6
     assert res.tail_contribution > 0.0
+
+
+# --- local cubic rule -----------------------------------------------------------
+
+_gap = st.floats(0.2, 1.0)
+
+
+@given(st.floats(-10.0, 10.0), st.tuples(_gap, _gap, _gap), st.floats(1e-3, 1e3),
+       st.floats(0.0, 1.0), st.tuples(*[st.floats(-2.0, 2.0)] * 4))
+def test_cubic_rule_reproduces_cubics(x0, gaps, scale, t, coef):
+    # a strictly increasing 4-node stencil, any point between its ends or
+    # on one of its nodes, and any cubic: the value and slope weights
+    # reproduce it and its derivative to rounding
+    xs = x0 + scale * np.concatenate([[0.0], np.cumsum(gaps)])
+    h = xs[-1] - xs[0]
+    # the cubic in the stencil's own coordinate, so that the reference
+    # values carry no cancellation of their own
+    cubic = np.polynomial.Polynomial(coef)
+    f = cubic((xs - xs[0]) / h)
+    for x in [*xs, xs[0] + t * h]:
+        value, slope = (w[0] for w in _cubic_weights(xs[None, :], np.array([x])))
+        assert local_cubic_value(xs, f, x) == pytest.approx(
+            cubic((x - xs[0]) / h), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
+        assert local_cubic_slope(xs, f, x) == pytest.approx(
+            cubic.deriv()((x - xs[0]) / h) / h, rel=0,
+            abs=1e-13 * np.sum(np.abs(slope * f)) + 1e-300)
+        assert abs(np.sum(value) - 1.0) <= 1e-13 * np.sum(np.abs(value))
+        assert abs(np.sum(slope)) <= 1e-13 * np.sum(np.abs(slope))

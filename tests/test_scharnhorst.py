@@ -43,6 +43,30 @@ def test_shift_rejects_nonpositive_L():
         delta_c_over_c(0.0, C)
 
 
+def test_shift_overflow_is_value_error():
+    # (lambda_c/L)^4 overflows a float: a diagnostic naming L, not OverflowError
+    with pytest.raises(ValueError, match="L = 1e-300"):
+        delta_c_over_c(1e-300, C)
+    with pytest.raises(ValueError, match="L = 1e-300"):
+        light_clock_tick(LightClockScenario(1e-300, 0.3, Orientation.PARALLEL, C))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: delta_c_over_c(math.nan, C),
+    lambda: delta_c_over_c(math.inf, C),
+    lambda: delta_v(math.nan, 1e-6, C),
+    lambda: delta_v(1e-6, math.inf, C),
+    lambda: ScharnhorstScenario(math.nan, C.lambda_c, C),
+    lambda: ScharnhorstScenario(1e-6, math.inf, C),
+    lambda: LightClockScenario(math.inf, 0.3, Orientation.PARALLEL, C),
+    lambda: LightClockScenario(math.nan, 0.3, Orientation.PARALLEL, C),
+], ids=["shift L nan", "shift L inf", "delta_v L nan", "delta_v wavelength inf",
+        "scenario L nan", "scenario probe inf", "clock L inf", "clock L nan"])
+def test_non_finite_inputs_rejected(call):
+    with pytest.raises(ValueError, match="finite"):
+        call()
+
+
 # --- measurement floor ----------------------------------------------------------
 
 def test_uncertainty_equals_c_at_equal_scales():
@@ -77,6 +101,14 @@ def test_ratio_monotone_and_unmeasurable():
     ratios = [measurability_ratio(ScharnhorstScenario(L, C.lambda_c, C)) for L in Ls]
     assert all(np.diff(ratios) > 0)
     assert all(r > 1e6 for r in ratios)
+
+
+@pytest.mark.parametrize("L, constants", [
+    (1e-6, PhysicalConstants(k_coeff=0.0)),  # the vacuum effect switched off
+    (1e100, C),  # (lambda_c/L)^4 underflows to 0
+], ids=["k_coeff 0", "shift underflows"])
+def test_ratio_infinite_without_shift(L, constants):
+    assert measurability_ratio(ScharnhorstScenario(L, constants.lambda_c, constants)) == math.inf
 
 
 # --- invariant length ---------------------------------------------------------------

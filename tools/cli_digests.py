@@ -1,0 +1,99 @@
+"""Digest a fixed matrix of kklab CLI requests, for byte-for-byte comparison.
+
+Usage, from the root of a kklab checkout:
+
+    python3 tools/cli_digests.py DIR
+
+Writes dilute Lorentz (omega_p 1, omega_res 1, gamma 0.1) inputs on three
+grids into DIR, then runs every transform direction and ``validate`` on
+each, plus the ``scharnhorst`` table and both ``clock`` orientations. Every
+request goes through ``kklab.cli.main`` in this process, with DIR as the
+working directory, so no path outside DIR enters an output. The program
+runs from this checkout's ``src/``.
+
+Prints one line per request:
+
+    EXIT SHA256(output file) SHA256(stderr) NAME
+
+An output the request did not write is hashed as ``-``. Warnings count as
+stderr by their category and message alone: their source line moves with
+any edit. Run it in two checkouts and ``diff`` the two printouts to show
+that a change keeps every output, exit code and diagnostic.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import warnings
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from kklab.cli import main  # noqa: E402
+
+GRIDS = ("log:0.01:100:2048", "lin:0:100:1024", "log:0.001:1000:4096")
+TRANSFORMS = {
+    "re-from-im": [],
+    "im-from-re": [],
+    "subtracted": ["--omega0", "0", "--g0-re", "0.5", "--g0-im", "0.01"],
+    "subtracted-at-infinity": ["--re-inf", "1.01", "--im-inf", "0.001"],
+}
+
+
+def requests() -> list[tuple[str, str, list[str]]]:
+    """(name, output file, argv) of every request, inputs first."""
+    reqs = []
+    for i, grid in enumerate(GRIDS):
+        src = f"lorentz{i}.csv"
+        reqs.append((f"{grid} model", src,
+                     ["model", "lorentz", "--omega-p", "1", "--omega-res", "1",
+                      "--gamma", "0.1", "--grid", grid, "--out", src]))
+        for direction, flags in TRANSFORMS.items():
+            out = f"g{i}-{direction}.csv"
+            reqs.append((f"{grid} transform {direction}", out,
+                         ["transform", "--direction", direction, *flags,
+                          "--in", src, "--out", out]))
+        out = f"g{i}-validate.json"
+        reqs.append((f"{grid} validate", out, ["validate", "--in", src, "--out", out]))
+    reqs.append(("scharnhorst", "scharnhorst.csv",
+                 ["scharnhorst", "--L", "1e-6,1e-15", "--out", "scharnhorst.csv"]))
+    for orientation in ("parallel", "perpendicular"):
+        out = f"clock-{orientation}.json"
+        reqs.append((f"clock {orientation}", out,
+                     ["clock", "--L", "1e-14", "--beta", "0.3",
+                      "--orientation", orientation, "--out", out]))
+    return reqs
+
+
+def run(argv: list[str], out: Path) -> tuple[int, str, str]:
+    """Exit code, output digest and stderr digest of one request."""
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+    for w in caught:
+        err.write(f"{w.category.__name__}: {w.message}\n")
+    out_digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
+    return code, out_digest, hashlib.sha256(err.getvalue().encode()).hexdigest()
+
+
+def print_digests(directory: str) -> None:
+    os.makedirs(directory, exist_ok=True)
+    os.chdir(directory)
+    for name, out, argv in requests():
+        code, out_digest, err_digest = run(argv, Path(out))
+        print(code, out_digest, err_digest, name, flush=True)
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_digests.py DIR")
+    print_digests(sys.argv[1])
