@@ -29,13 +29,16 @@ Numerically each kernel is factored to expose a single simple pole at +w,
 
     nu g / (nu^2 - w^2) = [nu g / (nu + w)] * 1/(nu - w),
 
-and handed to the pv engine, every node of a transform at once
-(:func:`~kklab.pvquad.pv_at_nodes`); the -w partner pole never lies on the
-0..inf path. Data grids are extended at both ends before integrating: down to
-nu = 0 with the local odd (linear) or even (parabolic) model, and up to
-4x the top node with the fitted power-law tail, so every grid node is a
-strictly interior pole. Beyond the extension the tail is summed in closed
-form.
+and handed to the pv engine, every node of a transform at once; the -w
+partner pole never lies on the 0..inf path. The folded forms, numerators
+nu a + w b with a = Im n, b = -Im n(inf) or a = 0, b = Re n - 1, go through
+:func:`~kklab.pvquad.pv_folded_at_nodes`, which takes the far part of its
+sums by FFT on a log grid; the subtracted relation goes through
+:func:`~kklab.pvquad.pv_at_nodes`. Data grids are extended at both ends
+before integrating: down to nu = 0 with the local odd (linear) or even
+(parabolic) model, and up to 4x the top node with the fitted power-law
+tail, so every grid node is a strictly interior pole. Beyond the extension
+the tail is summed in closed form.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .pvquad import (  # noqa: F401
     local_cubic_slope,
     noise_floor,
     pv_at_nodes,
+    pv_folded_at_nodes,
     pv_integrate,
     simpson_estimate,
     tail_integral,
@@ -190,11 +194,8 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
     pos = nu > 0.0
     w = nu[pos]
-    nu_g = nu_e * g_e
-    val, err = pv_at_nodes(
-        nu_e, lambda p, out, work: np.divide(np.subtract(nu_g, p[:, None] * im_inf, out=out),
-                                             np.add(nu_e, p[:, None], out=work), out=out),
-        np.searchsorted(nu_e, w))
+    lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
+    val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, lo, lo + w.size)
     val += 0.5 * (tail_integrals(series_tail, w) + tail_integrals(series_tail, -w))
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
@@ -243,10 +244,8 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
 
     pos = nu > 0.0
     w = nu[pos]
-    val, err = pv_at_nodes(nu_e, lambda p, out, work: np.divide(np.multiply(p[:, None], h_e, out=out),
-                                                           np.add(nu_e, p[:, None], out=work),
-                                                           out=out),
-                           np.searchsorted(nu_e, w))
+    lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
+    val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, lo, lo + w.size)
     s_odd = 0.5 * (tail_integrals(series_tail, w) - tail_integrals(series_tail, -w))
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)

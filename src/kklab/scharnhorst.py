@@ -235,6 +235,8 @@ def light_clock_tick(sc: LightClockScenario) -> ClockComparison:
     gamma = 1.0 / math.sqrt(1.0 - sc.beta ** 2)
     tick_sr = gamma * tick_rest
 
+    # w v / c^2 and the tilted path's speed are taken in units of c: c ** 2
+    # overflows for c above about 1.3e154
     if sc.beta == 0.0:
         direct = tick_rest
     elif sc.orientation is Orientation.PERPENDICULAR:
@@ -245,12 +247,11 @@ def light_clock_tick(sc: LightClockScenario) -> ClockComparison:
                 f"leg speed {1.0 + d:.6g} c >= 1/beta = {1.0 / sc.beta:.6g} c: "
                 "bounce ordering degenerates in the moving frame")
         w = c * (1.0 + d)
-        u_fwd = (w + v) / (1.0 + w * v / c ** 2)
-        u_bwd = (w - v) / (1.0 - w * v / c ** 2)
+        u_fwd = (w + v) / (1.0 + (1.0 + d) * sc.beta)
+        u_bwd = (w - v) / (1.0 - (1.0 + d) * sc.beta)
         direct = L_moving / (u_fwd - v) + L_moving / (u_bwd + v)
     else:
-        s = c * (1.0 + d_rest)
-        direct = 2.0 * sc.L / math.sqrt(s ** 2 - v ** 2)
+        direct = 2.0 * sc.L / c / math.sqrt((1.0 + d_rest) ** 2 - sc.beta ** 2)
 
     inconsistency = abs(direct - tick_sr) / tick_sr
     return ClockComparison(tick_rest, direct, tick_sr, inconsistency)

@@ -301,6 +301,22 @@ def test_clock_constants_override(tmp_path):
     assert json.loads(out.read_text())["inconsistency"] < 1e-12
 
 
+@pytest.mark.parametrize("L", ["1e-6", "1e-14"])
+@pytest.mark.parametrize("orientation", ["parallel", "perpendicular"])
+def test_clock_at_huge_light_speed(tmp_path, orientation, L):
+    # the shift law does not depend on c, so every tick scales as 1/c
+    scaled = []
+    for c in (kklab.PhysicalConstants().c, 1e200):
+        out = tmp_path / "clock.json"
+        code = run_cli(["clock", "--L", L, "--beta", "0.3", "--orientation", orientation,
+                        "--c-light", repr(c), "--out", str(out)])
+        assert code == 0
+        doc = json.loads(out.read_text())
+        scaled.append([doc[k] * c for k in
+                       ("tick_rest_s", "tick_moving_direct_s", "tick_moving_sr_s")])
+    np.testing.assert_allclose(scaled[1], scaled[0], rtol=1e-12, atol=0.0)
+
+
 def test_unknown_flag_exits_two(tmp_path):
     assert run_cli(["clock", "--L", "1", "--beta", "0", "--orientation", "parallel",
                     "--out", str(tmp_path / "c.json"), "--bogus"]) == 2

@@ -1,0 +1,120 @@
+"""The FFT path of the folded operator against the blocked operator.
+
+``pv_folded_at_nodes`` takes the far part of its sums by FFT when its poles
+form a geometric block and calls ``pv_at_nodes`` otherwise. Both run here on
+the extended grids of log-spaced Lorentz spectra that went through a CSV
+file, for both folded integrands. 2896 and 5793 nodes give an odd and an
+even extended node count, 2897 an even one, so Simpson's Cartwright last
+interval is covered. Values must agree to 1e-12 absolute. Error estimates
+must agree to 1e-3 relative where the blocked estimate is at least 1e-12 of
+the largest |value|: below that both are rounding noise, and the FFT path
+takes |full - half| as one convolution where the blocked operator subtracts
+two sums.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import kklab
+from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
+from kklab.kk import _extend_axis
+from kklab.pvquad import pv_at_nodes, pv_folded_at_nodes
+from conftest import lorentz_closed_form
+
+VALUE_ATOL = 1e-12
+ERROR_RTOL = 1e-3
+ERROR_LEVEL = 1e-12  # relative to max |value|: estimates below are rounding noise
+IM_INF = 1e-3
+
+
+def _folded(spec, direction):
+    """Extended nodes, a, b and the pole block of a folded transform."""
+    nu = spec.grid.values
+    if direction == "re-from-im":
+        nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", KkOptions())
+        a, b = g_e, -IM_INF
+    else:
+        nu_e, g_e, _, _ = _extend_axis(nu, spec.re - 1.0, "even", KkOptions())
+        a, b = 0.0, g_e
+    lo = int(np.searchsorted(nu_e, nu[0]))
+    return nu_e, a, b, lo, lo + nu.size
+
+
+def _blocked(nu_e, a, b, lo, hi):
+    def integrand(p, out, work):
+        return (nu_e * a + p[:, None] * b) / (nu_e + p[:, None])
+
+    return pv_at_nodes(nu_e, integrand, np.arange(lo, hi))
+
+
+@pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
+                                        (2896, 3e-7), (2897, 3e-7), (5793, 3e-7)],
+                ids=lambda p: f"{p[0]}-sigma{p[1]:g}")
+def csv_lorentz(request, tmp_path_factory):
+    n, sigma = request.param
+    nu = np.geomspace(1e-2, 1e2, n)
+    rng = np.random.default_rng(n)
+    idx = lorentz_closed_form(nu)
+    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED),
+                                idx.real + sigma * rng.standard_normal(n),
+                                idx.imag + sigma * rng.standard_normal(n))
+    path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
+    kklab.save_spectrum(spec, path)
+    return kklab.load_spectrum(path)
+
+
+@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
+def test_fft_path_matches_blocked_operator(csv_lorentz, direction):
+    args = _folded(csv_lorentz, direction)
+    values, errors = pv_folded_at_nodes(*args)
+    ref_values, ref_errors = _blocked(*args)
+    np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
+    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
+    resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
+    assert np.count_nonzero(resolved) > 0.5 * resolved.size
+    np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+
+
+@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
+def test_grid_off_geometric_runs_blocked_operator(direction):
+    nu = np.geomspace(1e-2, 1e2, 2896)
+    nu[1::2] *= 1.0 + 1e-9
+    idx = lorentz_closed_form(nu)
+    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
+    args = _folded(spec, direction)
+    for got, want in zip(pv_folded_at_nodes(*args), _blocked(*args)):
+        np.testing.assert_array_equal(got, want)
+
+
+def _refuse(*args):
+    raise AssertionError("blocked operator called")
+
+
+@pytest.mark.parametrize("grid, fast", [
+    (FrequencyGrid.log_spaced(1e-2, 1e2, 128, GridUnit.NORMALIZED), True),
+    (FrequencyGrid.log_spaced(1e-2, 1e2, 127, GridUnit.NORMALIZED), False),
+    (FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED), False),
+], ids=["log 128", "log 127", "lin 512"])
+def test_path_follows_the_grid(monkeypatch, grid, fast):
+    # the FFT path needs a geometric block of at least four bands of poles
+    spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
+    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
+    for transform in (kklab.kk_re_from_im, kklab.kk_im_from_re):
+        if fast:
+            assert np.all(np.isfinite(transform(spec).spectrum.re))
+        else:
+            with pytest.raises(AssertionError, match="blocked operator"):
+                transform(spec)
+
+
+def test_import_leaves_fft_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(kklab.__file__).parents[1]))
+    code = "import sys, kklab; print('numpy.fft' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"

@@ -1,0 +1,102 @@
+"""Replay many cycles of the benchmark's requests through its own gates.
+
+Usage, from the root of a kklab checkout:
+
+    python3 tools/gate_sweep.py
+
+Replays every slot of ``audit_batch`` for seeds 0-9 over 20 cycles, and
+every slot of ``cli_large`` for seeds 0-4 over 10 cycles, in this process and
+without timing. Requests come from ``perfbench/schedule.py``. An
+``audit_batch`` request runs the library calls of ``perfbench/worker.py`` and
+its ``gate``. A ``cli_large`` request writes the benchmark's input CSV, runs
+``kklab.cli.main`` on the benchmark's arguments and passes the exit code and
+the output file to ``checks.check_cli``. Nothing under ``perfbench/`` is
+edited. The program runs from this checkout's ``src/``.
+
+A benchmark run stops at the first cycle boundary after its deadline, so a
+faster program runs more cycles and meets more of the seeded inputs. The
+sweep gates those inputs, for several seeds, before a benchmark run does.
+
+Prints every failed request and one total line per workload, and exits 1 if
+any request failed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import sys
+import tempfile
+import traceback
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import checks  # noqa: E402
+import schedule  # noqa: E402
+import worker  # noqa: E402
+from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit  # noqa: E402
+from kklab.cli import main  # noqa: E402
+
+# workload -> (seeds, cycles)
+SWEEPS = {"audit_batch": (range(10), 20), "cli_large": (range(5), 10)}
+
+
+def audit_outcome(req: dict, tmp: Path) -> dict:
+    grid = FrequencyGrid(req["nu"], GridUnit.NORMALIZED)
+    results, error = worker.run_request(ComplexIndexSpectrum(grid, req["re"], req["im"]))
+    return worker.gate(req, results, error)
+
+
+def cli_outcome(req: dict, tmp: Path) -> dict:
+    in_path, out_path = tmp / "in.csv", tmp / "out"
+    out_path.unlink(missing_ok=True)
+    if "nu" in req:
+        in_path.write_text(schedule.spectrum_csv(req))
+    with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        try:
+            code = main(schedule.cli_args(req, str(in_path), str(out_path)))
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else 2
+        except Exception as exc:  # the console script would exit 1 with a traceback
+            detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+            return checks.outcome("wrong", f"uncaught {detail}")
+    out_text = out_path.read_text() if out_path.exists() else None
+    return checks.check_cli(req, code, out_text)
+
+
+OUTCOME = {"audit_batch": audit_outcome, "cli_large": cli_outcome}
+
+
+def sweep(workload: str, tmp: Path) -> tuple[int, int]:
+    """(failed, attempted) over the workload's seeds and cycles."""
+    seeds, cycles = SWEEPS[workload]
+    failed = attempted = 0
+    for seed in seeds:
+        for i in range(cycles * len(schedule.WORKLOADS[workload])):
+            req = schedule.request(workload, seed, i)
+            got = OUTCOME[workload](req, tmp)
+            attempted += 1
+            if got["outcome"] != "ok":
+                failed += 1
+                what = req["direction"] or req["kind"]
+                print(f"{workload} seed {seed} request {i} ({what}, {req['cls']}, "
+                      f"n {req['n']}): {got['outcome']}: {got['reason']}", flush=True)
+    return failed, attempted
+
+
+def run() -> int:
+    failures = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload in SWEEPS:
+            failed, attempted = sweep(workload, Path(tmp))
+            print(f"{workload}: {failed} failed of {attempted} requests", flush=True)
+            failures += failed
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(run())
