@@ -18,39 +18,51 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .causality import Dichotomy, audit
-from .kk import (
-    KkOptions,
-    PoleCollisionError,
-    kk_im_from_re,
-    kk_re_from_im,
-    kk_subtracted,
-    kk_subtracted_at_infinity,
-)
+from . import _EXPORTS, _ORIGIN
 from .models import LorentzOscillatorParams, PhysicalConstants, lorentz_index
-from .pvquad import PoleLocationError, TailFitError, TailModel
-from .scharnhorst import (
-    DegenerateClockError,
-    LightClockScenario,
-    Orientation,
-    format_length_scale_table,
-    length_scale_table,
-    light_clock_tick,
-)
-from .spectra import (
-    FrequencyGrid,
-    GridUnit,
-    load_spectrum,
-    save_spectrum,
-)
 
-# ValueError covers SpectrumFormatError and bad flag values, OSError unreadable
-# inputs and failed writes; main() catches the numerical failures first
-# because they are ValueErrors too
+if TYPE_CHECKING:  # bound at run time by _load
+    from .causality import Dichotomy, audit
+    from .kk import (KkOptions, kk_im_from_re, kk_re_from_im, kk_subtracted,
+                     kk_subtracted_at_infinity)
+    from .pvquad import TailModel
+    from .scharnhorst import (LightClockScenario, Orientation, format_length_scale_table,
+                              length_scale_table, light_clock_tick)
+    from .spectra import FrequencyGrid, GridUnit, load_spectrum, save_spectrum
+
+# ValueError covers SpectrumFormatError, bad flag values and the numerical
+# failures, which main() tells apart by class; OSError unreadable inputs and failed writes
 _INPUT_ERRORS = (ValueError, OSError)
-_NUMERICAL_ERRORS = (TailFitError, PoleLocationError, PoleCollisionError,
-                     DegenerateClockError)
+_NUMERICAL_ERRORS = ("TailFitError", "PoleLocationError", "PoleCollisionError", "DegenerateClockError")
+
+
+def _load(*modules: str) -> None:
+    """Bind the public names of ``modules`` here. main() loads only those its
+    subcommand runs, so the calculators never import numpy; a name bound
+    beforehand, such as a wrapper set on ``kklab.cli`` to trace it, stays."""
+    g = globals()
+    for name in modules:
+        module = __import__(f"{__package__}.{name}", fromlist=["_"])  # timed by -X importtime
+        for attr in _EXPORTS[name]:
+            g.setdefault(attr, getattr(module, attr))
+
+
+def __getattr__(name: str):
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _load(_ORIGIN[name])
+    return globals()[name]
+
+
+def _is_numerical(exc: Exception) -> bool:
+    # a module that was never imported raised none of its errors
+    for name in _NUMERICAL_ERRORS:
+        loaded = sys.modules.get(f"{__package__}.{_ORIGIN[name]}")
+        if loaded is not None and isinstance(exc, getattr(loaded, name)):
+            return True
+    return False
 
 
 def _file_format(path: str, override: str | None) -> str:
@@ -195,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g0-im", type=float, default=0.0, help="Im G(omega0)")
     p.add_argument("--re-inf", type=float, default=1.0, help="Re n(inf)")
     p.add_argument("--im-inf", type=float, default=0.0, help="Im n(inf)")
-    p.set_defaults(func=_cmd_transform)
+    p.set_defaults(func=_cmd_transform, modules=("spectra", "pvquad", "kk"))
 
     p = sub.add_parser("validate", help="causality audit; JSON report")
     add_io(p)
     add_kk_flags(p)
     p.add_argument("--k0", type=float, default=None,
                    help="boundedness constant K0 for |n|^2")
-    p.set_defaults(func=_cmd_validate)
+    p.set_defaults(func=_cmd_validate, modules=("spectra", "pvquad", "kk", "causality"))
 
     p = sub.add_parser("model", help="synthesize an analytic model spectrum")
     p.add_argument("kind", choices=["lorentz"])
@@ -211,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-res", type=float, required=True, help="resonance frequency")
     p.add_argument("--gamma", type=float, required=True, help="damping rate")
     p.add_argument("--grid", required=True, help="log:MIN:MAX:COUNT or lin:MIN:MAX:COUNT")
-    p.set_defaults(func=_cmd_model)
+    p.set_defaults(func=_cmd_model, modules=("spectra",))
 
     p = sub.add_parser("scharnhorst", help="length-scale table (CSV)")
     add_io(p, need_input=False)
@@ -219,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-probe", type=float, default=None,
                    help="probe wavelength in m (default: Compton wavelength)")
     _add_constants_flags(p)
-    p.set_defaults(func=_cmd_scharnhorst)
+    p.set_defaults(func=_cmd_scharnhorst, modules=("scharnhorst",))
 
     p = sub.add_parser("clock", help="light-clock frame comparison (JSON)")
     add_io(p, need_input=False)
@@ -227,19 +239,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True, help="boost as a fraction of c")
     p.add_argument("--orientation", required=True, choices=["parallel", "perpendicular"])
     _add_constants_flags(p)
-    p.set_defaults(func=_cmd_clock)
+    p.set_defaults(func=_cmd_clock, modules=("scharnhorst",))
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _load(*args.modules)
     try:
         return args.func(args)
-    except _NUMERICAL_ERRORS as exc:
-        print(f"kklab: numerical failure: {exc}", file=sys.stderr)
-        return 3
     except _INPUT_ERRORS as exc:
+        if _is_numerical(exc):
+            print(f"kklab: numerical failure: {exc}", file=sys.stderr)
+            return 3
         print(f"kklab: input error: {exc}", file=sys.stderr)
         return 2
 

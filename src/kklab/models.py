@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .spectra import ComplexIndexSpectrum, FrequencyGrid
+if TYPE_CHECKING:  # imported on use: the calculators need no numpy
+    from .spectra import ComplexIndexSpectrum, FrequencyGrid
 
 __all__ = [
     "PhysicalConstants",
@@ -76,6 +78,8 @@ def lorentz_index(p: LorentzOscillatorParams, grid: FrequencyGrid) -> ComplexInd
     limit is reached by passing a tiny ``omega_res``. The large-w tail is
     Im n ~ gamma_d * omega_p**2 / (2 w**3).
     """
+    from .spectra import ComplexIndexSpectrum
+
     w = grid.values
     n = 1.0 + (p.omega_p ** 2 / 2.0) / (p.omega_res ** 2 - w ** 2 - 1j * p.gamma_d * w)
     return ComplexIndexSpectrum(grid, n.real, n.imag)

@@ -55,8 +55,9 @@ _EPS = np.finfo(float).eps
 _BLOCK_ELEMENTS = 1 << 16
 _NOISE_SIGMAS = 5.0
 # A pole block is geometric when every node lies within this relative
-# distance of nu_0 r^j. Grids read back from CSV deviate by about 2e-15.
-_GEOMETRIC_RTOL = 1e-13
+# distance of nu_0 r^j. Log grids, read back from CSV or not, deviate by up to
+# 3.5e-15; nodes 5e-14 off left 16384-node sums 5.5e-12 off pv_at_nodes'.
+_GEOMETRIC_RTOL = 1e-14
 # Node pairs with |j - k| up to this band are summed directly on a geometric
 # block. Near the diagonal the kernels are largest, and they magnify a
 # node's deviation from the ideal progression by about 1/(|j - k| ln r). On

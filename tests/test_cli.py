@@ -8,6 +8,8 @@ import pytest
 import kklab
 from kklab.cli import main
 
+NUMERICAL = "kklab: numerical failure: "
+
 
 def run_cli(args):
     try:
@@ -110,14 +112,17 @@ def test_transform_non_integrable_tail(tmp_path, capsys):
     code = run_cli(["transform", "--direction", "re-from-im",
                     "--in", str(path), "--out", str(tmp_path / "o.csv")])
     assert code == 3
-    assert "0.5" in capsys.readouterr().err  # names the fitted exponent
+    err = capsys.readouterr().err
+    assert err.startswith(NUMERICAL)
+    assert "0.5" in err  # names the fitted exponent
 
 
-def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path):
+def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path, capsys):
     code = run_cli(["transform", "--direction", "subtracted", "--omega0", "0.5",
                     "--g0-re", "0.6", "--g0-im", "0.04",
                     "--in", str(lorentz_csv), "--out", str(tmp_path / "o.csv")])
     assert code == 3
+    assert capsys.readouterr().err.startswith(NUMERICAL)
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -226,7 +231,9 @@ def test_validate_single_top_decade_node(tmp_path, capsys):
     path = tmp_path / "sparse.csv"
     kklab.save_spectrum(s, path, "csv")
     assert run_cli(["validate", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 3
-    assert "need >= 8 tail samples, got 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(NUMERICAL)
+    assert "need >= 8 tail samples, got 1" in err
 
 
 def test_write_failure_is_input_error(tmp_path, monkeypatch, capsys):
@@ -287,10 +294,11 @@ def test_clock_json(tmp_path):
     assert doc["orientation"] == "perpendicular"
 
 
-def test_clock_degenerate_regime(tmp_path):
+def test_clock_degenerate_regime(tmp_path, capsys):
     code = run_cli(["clock", "--L", "1e-14", "--beta", "0.6",
                     "--orientation", "perpendicular", "--out", str(tmp_path / "c.json")])
     assert code == 3
+    assert capsys.readouterr().err.startswith(NUMERICAL)
 
 
 def test_clock_constants_override(tmp_path):

@@ -30,6 +30,7 @@ VALUE_ATOL = 1e-12
 ERROR_RTOL = 1e-3
 ERROR_LEVEL = 1e-12  # relative to max |value|: estimates below are rounding noise
 IM_INF = 1e-3
+FLOOR_SLACK = 8.0
 
 
 def _folded(spec, direction):
@@ -91,25 +92,68 @@ def test_grid_off_geometric_runs_blocked_operator(direction):
         np.testing.assert_array_equal(got, want)
 
 
+def test_grid_near_geometric_agrees_with_blocked_operator():
+    # nodes up to 5e-14 off the progression: the FFT path would be 5.5e-12
+    # off here, so such a grid must not count as geometric
+    nu = np.geomspace(1e-2, 1e2, 16384)
+    nu *= 1.0 + 5e-14 * np.random.default_rng(16384).uniform(-1.0, 1.0, nu.size)
+    idx = lorentz_closed_form(nu)
+    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
+    args = _folded(spec, "re-from-im")
+    np.testing.assert_allclose(pv_folded_at_nodes(*args)[0], _blocked(*args)[0],
+                               rtol=0.0, atol=VALUE_ATOL)
+
+
+def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
+    # with a rounding unit of 1 the error estimate is nearly all floor; the
+    # FFT path's floor bounds the blocked operator's exact one from above
+    # (the |kernels| against |a| and |b|), row by row, and stays within a
+    # small factor of it
+    monkeypatch.setattr(kklab.pvquad, "_EPS", 1.0)
+    for direction in ("re-from-im", "im-from-re"):
+        args = _folded(csv_lorentz, direction)
+        errors, ref_errors = pv_folded_at_nodes(*args)[1], _blocked(*args)[1]
+        assert np.all(errors >= ref_errors * (1.0 - 1e-9))
+        assert np.all(errors <= FLOOR_SLACK * ref_errors)
+
+
 def _refuse(*args):
     raise AssertionError("blocked operator called")
 
 
-@pytest.mark.parametrize("grid, fast", [
-    (FrequencyGrid.log_spaced(1e-2, 1e2, 128, GridUnit.NORMALIZED), True),
-    (FrequencyGrid.log_spaced(1e-2, 1e2, 127, GridUnit.NORMALIZED), False),
-    (FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED), False),
-], ids=["log 128", "log 127", "lin 512"])
-def test_path_follows_the_grid(monkeypatch, grid, fast):
+def _log_grids(sizes, lo=1e-2, hi=1e2):
+    return [FrequencyGrid.log_spaced(lo, hi, n, GridUnit.NORMALIZED) for n in sizes]
+
+
+# the node counts of the benchmark's log grids: cli_large's and audit_batch's
+# 2048-16384 ladder, and audit_batch's one-off grids of 2896 nodes +- 2 %
+LADDER = (2048, 2896, 4096, 5793, 8192, 11585, 16384)
+ONE_OFF = range(2839, 2956)
+
+
+@pytest.mark.parametrize("grids, fast, via_csv", [
+    (_log_grids([128]), True, False),
+    (_log_grids([127]), False, False),
+    ([FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)], False, False),
+    (_log_grids(LADDER), True, False),
+    (_log_grids(LADDER), True, True),
+    (_log_grids(ONE_OFF), True, False),
+    (_log_grids([4096], 1e-3, 1e3), True, True),
+], ids=["log 128", "log 127", "lin 512", "ladder", "ladder csv", "one-off", "log 1e-3 csv"])
+def test_path_follows_the_grid(monkeypatch, tmp_path, grids, fast, via_csv):
     # the FFT path needs a geometric block of at least four bands of poles
-    spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
     monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
-    for transform in (kklab.kk_re_from_im, kklab.kk_im_from_re):
-        if fast:
-            assert np.all(np.isfinite(transform(spec).spectrum.re))
-        else:
-            with pytest.raises(AssertionError, match="blocked operator"):
-                transform(spec)
+    for grid in grids:
+        spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
+        if via_csv:
+            kklab.save_spectrum(spec, tmp_path / "s.csv")
+            spec = kklab.load_spectrum(tmp_path / "s.csv")
+        for transform in (kklab.kk_re_from_im, kklab.kk_im_from_re):
+            if fast:
+                assert np.all(np.isfinite(transform(spec).spectrum.re))
+            else:
+                with pytest.raises(AssertionError, match="blocked operator"):
+                    transform(spec)
 
 
 def test_import_leaves_fft_unloaded():

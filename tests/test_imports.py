@@ -1,0 +1,117 @@
+"""What a kklab process imports.
+
+``import kklab`` loads no submodule, and each CLI subcommand loads only the
+modules it runs: the calculators never load numpy. Each check runs in a
+fresh interpreter, because this one has imported everything already.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kklab
+
+# the public names of the package, its submodules included
+PUBLIC = {
+    "AbsorptionSpectrum", "AsymptoteFitError", "CausalityReport", "ClockComparison",
+    "ComplexIndexSpectrum", "DegenerateClockError", "Dichotomy", "FrequencyGrid", "GridUnit",
+    "KkOptions", "LengthScaleRow", "LightClockScenario", "LorentzOscillatorParams",
+    "NonIntegrableTailError", "Orientation", "PhysicalConstants", "PoleCollisionError",
+    "PoleIntegrand", "PoleLocationError", "QuadratureResult", "ScharnhorstScenario",
+    "SpectrumFormatError", "TailFitError", "TailModel", "TransformResult",
+    "absorption_from_im", "audit", "check_bounded", "delta_c_over_c", "delta_v",
+    "detect_amplification", "estimate_asymptote", "fit_tail", "format_length_scale_table",
+    "im_from_absorption", "invariant_length", "kk_im_from_re", "kk_re_from_im",
+    "kk_subtracted", "kk_subtracted_at_infinity", "length_scale_table", "light_clock_tick",
+    "load_spectrum", "lorentz_index", "measurability_ratio", "pv_integrate",
+    "pv_semi_infinite", "resample", "roundtrip_residual", "save_spectrum",
+    "scharnhorst_index_parallel", "scharnhorst_index_perp", "tail_integral",
+}
+SUBMODULES = {"causality", "kk", "models", "pvquad", "scharnhorst", "spectra"}
+
+# prints the numpy and kklab modules loaded after running the CLI on argv
+CLI = """
+import json, sys
+from kklab.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m == "numpy" or m.startswith("kklab"))]))
+"""
+
+
+def _python(code: str, *args: str, cwd=None) -> str:
+    env = dict(os.environ, PYTHONPATH=str(Path(kklab.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True, timeout=120).stdout
+
+
+def _cli(argv: list[str], cwd) -> tuple[int, set[str]]:
+    code, modules = json.loads(_python(CLI, json.dumps(argv), cwd=cwd))
+    return code, set(modules)
+
+
+def test_import_loads_no_submodule():
+    out = _python("import sys, kklab; print(sorted(m for m in sys.modules "
+                  "if m == 'numpy' or m.startswith('kklab')))")
+    assert out.strip() == "['kklab']"
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["scharnhorst", "--L", "1e-6,1e-15", "--out", "t.csv"], 0),
+    (["clock", "--L", "1e-6", "--beta", "0.3", "--orientation", "parallel",
+      "--out", "c.json"], 0),
+    # the degenerate clock: main classifies it as numerical without numpy
+    (["clock", "--L", "1e-14", "--beta", "0.6", "--orientation", "perpendicular",
+      "--out", "c.json"], 3),
+], ids=["scharnhorst", "clock", "clock degenerate"])
+def test_calculators_leave_numpy_unloaded(tmp_path, argv, exit_code):
+    code, modules = _cli(argv, tmp_path)
+    assert code == exit_code
+    assert modules == {"kklab", "kklab.cli", "kklab.models", "kklab.scharnhorst"}
+
+
+def test_spectrum_commands_load_only_their_modules(tmp_path):
+    model = ["model", "lorentz", "--omega-p", "1", "--omega-res", "1", "--gamma", "0.1",
+             "--grid", "log:1e-2:1e2:256", "--out", "in.csv"]
+    assert _cli(model, tmp_path) == (0, {"numpy", "kklab", "kklab.cli", "kklab.models",
+                                         "kklab.spectra"})
+    for direction in ("re-from-im", "im-from-re", "subtracted-at-infinity"):
+        code, modules = _cli(["transform", "--direction", direction, "--in", "in.csv",
+                              "--out", "out.csv"], tmp_path)
+        assert code == 0
+        assert "kklab.kk" in modules
+        assert not modules & {"kklab.causality", "kklab.scharnhorst"}
+    code, modules = _cli(["validate", "--in", "in.csv", "--out", "r.json"], tmp_path)
+    assert code == 0
+    assert "kklab.causality" in modules and "kklab.scharnhorst" not in modules
+
+
+def test_every_public_name_resolves():
+    check = """
+import importlib, json, sys, kklab
+public, submodules = json.loads(sys.argv[1])
+got = {n: getattr(kklab, n) for n in submodules + public}
+mods = {m: importlib.import_module("kklab." + m) for m in submodules}
+bad = [m for m in submodules if got[m] is not mods[m]]
+bad += [n for n in public if not any(got[n] is getattr(m, n, None) for m in mods.values())]
+print(json.dumps([kklab.__version__, bad]))
+"""
+    out = _python(check, json.dumps([sorted(PUBLIC), sorted(SUBMODULES)]))
+    assert json.loads(out) == ["0.1.0", []]
+
+
+def test_star_import_and_dir_list_the_public_names():
+    out = _python("import json, kklab\n"
+                  "ns = {}\n"
+                  "exec('from kklab import *', ns)\n"
+                  "print(json.dumps([sorted(n for n in ns if n != '__builtins__'), dir(kklab)]))")
+    star, listed = json.loads(out)
+    assert set(star) == PUBLIC | SUBMODULES
+    assert {n for n in listed if not n.startswith("_")} == PUBLIC | SUBMODULES
+    assert "__version__" in listed
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        kklab.no_such_name
