@@ -167,6 +167,12 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
     return nu_e, f_e, tail, TailModel(tail.exponent, tail.amplitude, cutoff)
 
 
+def _tail_pair(tail: TailModel, w: np.ndarray) -> list[np.ndarray]:
+    """:func:`~kklab.pvquad.tail_integrals` at +w and at -w by one series,
+    the same terms for both: they share the largest |pole|."""
+    return np.split(tail_integrals(tail, np.concatenate([w, -w])), 2)
+
+
 # ---------------------------------------------------------------------------
 # Folded 0..infinity forms
 # ---------------------------------------------------------------------------
@@ -196,7 +202,7 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
     w = nu[pos]
     lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
     val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, lo, lo + w.size)
-    val += 0.5 * (tail_integrals(series_tail, w) + tail_integrals(series_tail, -w))
+    val += 0.5 * np.add(*_tail_pair(series_tail, w))
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
     out = np.empty(nu.size)
@@ -246,7 +252,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     w = nu[pos]
     lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
     val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, lo, lo + w.size)
-    s_odd = 0.5 * (tail_integrals(series_tail, w) - tail_integrals(series_tail, -w))
+    s_odd = 0.5 * np.subtract(*_tail_pair(series_tail, w))
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)
     out[pos] = -(2.0 / math.pi) * (val + s_odd)
@@ -335,8 +341,9 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
     # the power-law part reduces to simple-pole series at +-w and +-w0,
     # the constant -Im G(w0) part to logarithms.
-    right = (tail_integrals(series_tail, w) - s_w0_pos) / dr
-    left = (tail_integrals(series_tail, -w) - s_w0_neg) / dr
+    s_pos, s_neg = _tail_pair(series_tail, w)
+    right = (s_pos - s_w0_pos) / dr
+    left = (s_neg - s_w0_neg) / dr
     if g0_im != 0.0:
         right += g0_im * np.log((cutoff - w) / (cutoff - w0)) / dr
         left -= g0_im * np.log((cutoff + w) / (cutoff + w0)) / dr

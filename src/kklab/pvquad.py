@@ -16,7 +16,8 @@ and the scalar path stays as its reference. :func:`pv_folded_at_nodes` gives
 the same sums for the folded integrands (nu a + w b)/(nu + w) of
 :mod:`kklab.kk`: on a geometric block of poles it takes the far part of each
 sum as an FFT convolution, in O(M log M) instead of O(N M), and on any other
-grid it calls :func:`pv_at_nodes`. All of them take f(w) and f'(w) at the
+grid it calls :func:`pv_at_nodes`; its grid-only setup is built once per grid
+and cached. All of them take f(w) and f'(w) at the
 pole from one cubic rule, the Lagrange value and slope weights of its four
 nearest nodes. Simpson weights are closed-form numpy, so the module needs no
 scipy.
@@ -24,6 +25,7 @@ scipy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -65,6 +67,9 @@ _GEOMETRIC_RTOL = 1e-14
 # blocked operator's (error estimates 1.4e-5 relative), a band of 32 3.4e-14
 # (3.1e-6).
 _FFT_BAND = 32
+# grid plans of the FFT path kept at once (0.72 MB each at 4096 nodes): a
+# batch alternating between two grids keeps both while a third comes and goes
+_PLAN_CACHE_SIZE = 3
 
 
 class PoleLocationError(ValueError):
@@ -383,6 +388,43 @@ def _geometric_log_ratio(x: np.ndarray) -> float | None:
     return log_r if np.max(np.abs(x - ideal) / ideal) <= _GEOMETRIC_RTOL else None
 
 
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _folded_plan(nu_bytes: bytes, lo: int, hi: int) -> tuple | None:
+    """Read-only grid-only part of pv_folded_at_nodes' FFT path on the block
+    nu[lo:hi], None off a geometric block: FFT size, (3, M) weights, slope
+    weights, a, b, |a|, |b| kernel spectra, (3, n) weights / w, their
+    1/(nu - w) convolutions and the log terms."""
+    nu = np.frombuffer(nu_bytes)
+    log_r = _geometric_log_ratio(nu[lo:hi])
+    if log_r is None:
+        return None
+    from numpy import fft  # on first use: ``import kklab`` stays without it
+
+    n, w = hi - lo, nu[lo:hi]
+    simpson_fh, trap = _estimator_weights(nu)
+    weights = np.stack([simpson_fh[:, 0], simpson_fh[:, 0] - simpson_fh[:, 1], trap])
+    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
+    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
+    m = np.arange(size)
+    m[n:] -= size
+    far = (np.abs(m) > _FFT_BAND) & (np.abs(m) < n)
+    x = log_r * m[far]
+    kernels = np.zeros((6, size))
+    with np.errstate(over="ignore"):
+        kernels[0, far] = -1.0 / np.expm1(2.0 * x)
+        kernels[1, far] = -0.5 / np.sinh(x)
+        kernels[2, far] = -1.0 / np.expm1(x)
+    kernels[3:] = np.abs(kernels[:3])
+    kernels = fft.rfft(kernels)
+    over_nu = weights[:, lo:hi] / w
+    plan = (weights, _cubic_weights(nu[stencil], w)[1], kernels[[0, 1, 3, 4]], over_nu,
+            fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)[:, :n].copy(),
+            np.log(np.abs((nu[-1] - w) / (nu[0] - w))))
+    for arr in plan:
+        arr.flags.writeable = False
+    return size, *plan
+
+
 def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
                        hi: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pv_at_nodes` for the folded integrands
@@ -408,6 +450,9 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     |b| and the |kernels|, clipped at 0. The band, the pole rows and the
     nodes outside the block are summed directly, a column of rows at a
     time. Any other block goes to pv_at_nodes with the same integrand.
+
+    What depends on the grid alone is a plan, cached by nu's bytes and (lo,
+    hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
     """
     nu = np.asarray(nu, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
@@ -415,9 +460,9 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     if lo < hi and (lo < 2 or hi > nu.size - 2):
         raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
     nu_a = nu * a
-    log_r = _geometric_log_ratio(nu[lo:hi])
-    if log_r is None:
-        has_a = np.any(a)
+    has_a, has_b = np.any(a), np.any(b)
+    plan = _folded_plan(nu.tobytes(), lo, hi)
+    if plan is None:
 
         def integrand(p, out, work):
             np.multiply(p[:, None], b, out=out)
@@ -427,58 +472,44 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
 
         return pv_at_nodes(nu, integrand, np.arange(lo, hi))
 
-    from numpy import fft  # on first use: ``import kklab`` stays without it
+    from numpy import fft
 
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs = plan
     n, w = hi - lo, nu[lo:hi]
-    simpson_fh, trap = _estimator_weights(nu)
-    # rows: full Simpson, full minus half, trapezoid (the floor's weights)
-    weights = np.stack([simpson_fh[:, 0], simpson_fh[:, 0] - simpson_fh[:, 1], trap])
+
+    def numerator(j, k):  # nu a + w b at the nodes j, rows k, less a zero term
+        if not has_b:
+            return nu_a[j]
+        return nu_a[j] + w[k] * b[j] if has_a else w[k] * b[j]
 
     stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    f_stencil = (nu_a[stencil] + w[:, None] * b[stencil]) / (nu[stencil] + w[:, None])
+    f_stencil = numerator(stencil, (slice(None), None)) / (nu[stencil] + w[:, None])
     f_at = f_stencil[:, 2]
-    slope = np.sum(f_stencil * _cubic_weights(nu[stencil], w)[1], axis=1)
+    slope = np.sum(f_stencil * slope_w, axis=1)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 
     def add(j, k):
-        """Add the terms of node(s) j to the rows k."""
-        q = ((nu_a[j] + w[k] * b[j]) / (nu[j] + w[k]) - f_at[k]) / (nu[j] - w[k])
-        sums[0, k] += weights[0, j] * q
-        sums[1, k] += weights[1, j] * q
+        """Add the terms of the nodes j to the rows k."""
+        q = (numerator(j, k) / (nu[j] + w[k]) - f_at[k]) / (nu[j] - w[k])
+        sums[:2, k] += weights[:2, j] * q
         sums[2, k] += weights[2, j] * np.abs(q)
 
     for m in range(1, _FFT_BAND + 1):
         add(slice(lo + m, hi), slice(0, n - m))
         add(slice(lo, hi - m), slice(m, n))
     for j in (*range(lo), *range(hi, nu.size)):
-        add(j, slice(None))
+        add(slice(j, j + 1), slice(None))
 
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
-    m = np.arange(size)
-    m[n:] -= size
-    far = (np.abs(m) > _FFT_BAND) & (np.abs(m) < n)
-    x = log_r * m[far]
-    kernels = np.zeros((6, size))
-    with np.errstate(over="ignore"):
-        kernels[0, far] = -1.0 / np.expm1(2.0 * x)
-        kernels[1, far] = -0.5 / np.sinh(x)
-        kernels[2, far] = -1.0 / np.expm1(x)
-    kernels[3:] = np.abs(kernels[:3])
-    kernels = fft.rfft(kernels)
-    over_nu = weights[:, lo:hi] / w
-    # rows 0-2: the a and b terms of the three sums; rows 3-5: their 1/(nu - w)
-    # terms, which every row k multiplies by its own f_k(w)
-    products = np.zeros((6, kernels.shape[1]), dtype=complex)
-    products[3:] = fft.rfft(over_nu, size) * kernels[[2, 2, 5]]
+    # the a and b terms of the three sums; the 1/(nu - w) terms, which every
+    # row k multiplies by its own f_k(w), are the plan's
+    products = np.zeros((3, kernels.shape[1]), dtype=complex)
     for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
         if np.any(d):
             rows = over_nu * np.stack([d, d, np.abs(d)])
-            products[:3] += fft.rfft(rows, size) * kernels[[kind, kind, kind + 3]]
+            products += fft.rfft(rows, size) * kernels[[kind, kind, kind + 2]]
     conv = fft.irfft(products, size)[:, :n]
-    sums[:2] += conv[:2] - f_at * conv[3:5]
-    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv[5], 0.0)
-
-    logs = np.log(np.abs((nu[-1] - w) / (nu[0] - w)))
+    sums[:2] += conv[:2] - f_at * conv_nu[:2]
+    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
     return sums[0] + f_at * logs, np.abs(sums[1]) + 4.0 * _EPS * sums[2]
 
 
@@ -501,13 +532,17 @@ def noise_floor(nu: np.ndarray, f: np.ndarray) -> float:
     estimate of white noise: a smooth tail contributes little curvature
     there, and the median ignores isolated outliers. Only the
     :func:`top_decade` enters, because resonance curvature lower down would
-    inflate it.
+    inflate it. The median is np.median's, bit for bit, taken by
+    np.partition: np.median would import numpy.ma.
     """
     top = np.asarray(f, dtype=float)[top_decade(nu)]
     if top.size < 3:
         return 0.0
-    d2 = top[2:] - 2.0 * top[1:-1] + top[:-2]
-    return _NOISE_SIGMAS * 1.4826 * float(np.median(np.abs(d2))) / math.sqrt(6.0)
+    d2 = np.abs(top[2:] - 2.0 * top[1:-1] + top[:-2])
+    mid = d2.size // 2
+    part = np.partition(d2, mid if d2.size % 2 else [mid - 1, mid])
+    median = part[mid] if d2.size % 2 else 0.5 * (part[mid - 1] + part[mid])
+    return _NOISE_SIGMAS * 1.4826 * float(median) / math.sqrt(6.0)
 
 
 def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailModel:

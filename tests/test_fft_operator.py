@@ -9,7 +9,9 @@ interval is covered. Values must agree to 1e-12 absolute. Error estimates
 must agree to 1e-3 relative where the blocked estimate is at least 1e-12 of
 the largest |value|: below that both are rounding noise, and the FFT path
 takes |full - half| as one convolution where the blocked operator subtracts
-two sums.
+two sums. The FFT path's per-grid plan cache must give warm calls the bits
+of cold ones, share one plan between the odd and the even transform of a
+spectrum, key on the grid's exact bytes and stay within its bound.
 """
 
 import os
@@ -23,7 +25,7 @@ import pytest
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
 from kklab.kk import _extend_axis
-from kklab.pvquad import pv_at_nodes, pv_folded_at_nodes
+from kklab.pvquad import _PLAN_CACHE_SIZE, _folded_plan, pv_at_nodes, pv_folded_at_nodes
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -117,6 +119,69 @@ def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
         assert np.all(errors <= FLOOR_SLACK * ref_errors)
 
 
+@pytest.fixture
+def fresh_plans():
+    """An empty plan cache before and after the test. A plan keeps the
+    geometric decision and the band in force when it was built, so a test
+    that patches _GEOMETRIC_RTOL, _FFT_BAND or pv_at_nodes must not see, or
+    leave, one built under other rules."""
+    _folded_plan.cache_clear()
+    yield _folded_plan
+    _folded_plan.cache_clear()
+
+
+def _bits(arrays):
+    return [x.tobytes() for x in arrays]
+
+
+@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
+def test_warm_plan_gives_the_bits_of_a_cold_one(csv_lorentz, fresh_plans, direction):
+    nu_e, *rest = _folded(csv_lorentz, direction)
+    pv_folded_at_nodes(nu_e, *rest)
+    # another array with the same values finds the plan
+    warm = pv_folded_at_nodes(nu_e.copy(), *rest)
+    assert fresh_plans.cache_info()[:2] == (1, 1)  # (hits, misses)
+    fresh_plans.cache_clear()
+    assert _bits(warm) == _bits(pv_folded_at_nodes(nu_e.copy(), *rest))
+
+
+def test_odd_and_even_transforms_share_a_plan(std_lorentz, fresh_plans):
+    kklab.kk_re_from_im(std_lorentz)
+    assert fresh_plans.cache_info()[:2] == (0, 1)
+    kklab.kk_im_from_re(std_lorentz)
+    assert fresh_plans.cache_info()[:2] == (1, 1)
+
+
+def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
+    nu_e, _, _, lo, hi = _folded(std_lorentz, "re-from-im")
+    size, *arrays = fresh_plans(nu_e.tobytes(), lo, hi)
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+
+
+def test_grid_one_ulp_off_builds_its_own_plan(std_lorentz, fresh_plans):
+    nu_e, a, b, lo, hi = _folded(std_lorentz, "re-from-im")
+    pv_folded_at_nodes(nu_e, a, b, lo, hi)
+    nudged = nu_e.copy()
+    nudged[lo + 1000] = np.nextafter(nudged[lo + 1000], np.inf)
+    values = pv_folded_at_nodes(nudged, a, b, lo, hi)[0]
+    info = fresh_plans.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    np.testing.assert_allclose(values, _blocked(nudged, a, b, lo, hi)[0],
+                               rtol=0.0, atol=VALUE_ATOL)
+
+
+def test_plan_cache_stays_bounded(fresh_plans):
+    for n in range(200, 200 + _PLAN_CACHE_SIZE + 2):
+        nu = np.geomspace(1e-2, 1e2, n)
+        pv_folded_at_nodes(nu, 1.0 / (1.0 + nu ** 2), 0.0, 2, n - 2)
+    info = fresh_plans.cache_info()
+    assert info.misses == _PLAN_CACHE_SIZE + 2
+    assert info.currsize == info.maxsize == _PLAN_CACHE_SIZE
+
+
 def _refuse(*args):
     raise AssertionError("blocked operator called")
 
@@ -140,7 +205,7 @@ ONE_OFF = range(2839, 2956)
     (_log_grids(ONE_OFF), True, False),
     (_log_grids([4096], 1e-3, 1e3), True, True),
 ], ids=["log 128", "log 127", "lin 512", "ladder", "ladder csv", "one-off", "log 1e-3 csv"])
-def test_path_follows_the_grid(monkeypatch, tmp_path, grids, fast, via_csv):
+def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, via_csv):
     # the FFT path needs a geometric block of at least four bands of poles
     monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
     for grid in grids:

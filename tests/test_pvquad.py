@@ -200,6 +200,17 @@ def test_noise_floor_leaves_clean_fit_unchanged(std_lorentz):
     assert fit_tail(nu[sel], std_lorentz.im[sel], floor) == fit_tail(nu[sel], std_lorentz.im[sel])
 
 
+@given(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=40))
+def test_noise_floor_takes_numpys_median(samples):
+    # odd and even counts of second differences, ties included: the
+    # partition median is np.median's to the last bit
+    f = np.array(samples)
+    nu = np.geomspace(11.0, 100.0, f.size)  # every node in the top decade
+    d2 = f[2:] - 2.0 * f[1:-1] + f[:-2]
+    want = 5.0 * 1.4826 * float(np.median(np.abs(d2))) / np.sqrt(6.0)
+    assert noise_floor(nu, f).hex() == want.hex()
+
+
 def test_fit_drops_samples_under_the_floor():
     nu = np.geomspace(10.0, 100.0, 64)
     f = 2.0 * nu ** -3.0

@@ -1,0 +1,124 @@
+"""Digest kklab's library outputs, error estimates included, for byte-for-byte comparison.
+
+Usage, from the root of a kklab checkout:
+
+    python3 tools/lib_digests.py
+
+The library-side twin of ``cli_digests.py``. The CLI writes no error
+estimate, so that script cannot see a change in those bits; this one hashes
+the arrays the library returns. It runs, in this process:
+
+- the dilute Lorentz spectrum (omega_p 1, omega_res 1, gamma 0.1) on
+  ``cli_digests.py``'s three grids: all four transforms and ``audit``;
+- two cycles of seed 0 of the benchmark's ``audit_batch`` spectra: all four
+  transforms and ``audit``;
+- one cycle of seed 0 of the benchmark's ``cli_large`` spectra: each
+  request's own transform, or ``audit`` for ``validate``.
+
+Requests come from ``perfbench/schedule.py``, and nothing under
+``perfbench/`` is edited. Every spectrum runs twice, ``cold`` and then
+``warm``: the folded operator's per-grid plan cache, where the checkout has
+one, is cleared before the cold pass, and the warm pass reuses what the
+cold pass built. The program runs from this checkout's ``src/``.
+
+Prints one line per call:
+
+    SHA256(values) SHA256(error_estimate) NAME
+
+The values are the returned spectrum's Re n and Im n bytes; an audit hashes
+its report JSON and prints ``-`` for the estimate; a call that raises hashes
+its exception's type and message. Run it in two checkouts and ``diff`` the
+two printouts to show that a change keeps every bit.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import schedule  # noqa: E402
+from cli_digests import GRIDS  # noqa: E402
+from kklab import (ComplexIndexSpectrum, FrequencyGrid, GridUnit,  # noqa: E402
+                   LorentzOscillatorParams, audit, kk_im_from_re, kk_re_from_im,
+                   kk_subtracted, kk_subtracted_at_infinity, lorentz_index, pvquad)
+
+# the constants of cli_digests.py's subtracted requests
+TRANSFORMS = {
+    "re-from-im": kk_re_from_im,
+    "im-from-re": kk_im_from_re,
+    "subtracted": lambda s: kk_subtracted(s, 0.0, 0.5, 0.01),
+    "subtracted-at-infinity": lambda s: kk_subtracted_at_infinity(s, 1.01, 0.001),
+}
+AUDIT_CYCLES = 2
+
+
+def grid_of(spec: str) -> FrequencyGrid:
+    """The grid of a ``log:MIN:MAX:COUNT`` or ``lin:MIN:MAX:COUNT`` spec."""
+    kind, lo, hi, count = spec.split(":")
+    make = FrequencyGrid.log_spaced if kind == "log" else FrequencyGrid.linear
+    return make(float(lo), float(hi), int(count), GridUnit.NORMALIZED)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digest(call) -> tuple[str, str]:
+    """Digests of a transform's values and error estimate, or of a report."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = call()
+    except Exception as exc:  # a refusal is an output too
+        return _sha(f"{type(exc).__name__}: {exc}".encode()), "-"
+    if hasattr(res, "to_json"):
+        return _sha(res.to_json().encode()), "-"
+    spec = res.spectrum
+    return _sha(spec.re.tobytes() + spec.im.tobytes()), _sha(res.error_estimate.tobytes())
+
+
+def spectra():
+    """(name, spectrum, calls) of every spectrum, calls as (label, function)."""
+    every = [*TRANSFORMS.items(), ("audit", audit)]
+    params = LorentzOscillatorParams(1.0, 1.0, 0.1)
+    for grid in GRIDS:
+        yield grid, lorentz_index(params, grid_of(grid)), every
+    for workload, cycles in (("audit_batch", AUDIT_CYCLES), ("cli_large", 1)):
+        for i in range(cycles * len(schedule.WORKLOADS[workload])):
+            req = schedule.request(workload, 0, i)
+            if "nu" not in req:
+                continue
+            spec = ComplexIndexSpectrum(FrequencyGrid(req["nu"], GridUnit.NORMALIZED),
+                                        req["re"], req["im"])
+            calls = every
+            if workload == "cli_large":
+                direction = req["direction"]
+                if direction == "validate":
+                    calls = [("audit", audit)]
+                elif direction == "subtracted":
+                    calls = [(direction,
+                              lambda s, g0=req["g0_re"]: kk_subtracted(s, 0.0, g0, 0.0))]
+                else:
+                    calls = [(direction, TRANSFORMS[direction])]
+            yield f"{workload} {i} {req['cls']} {req['n']}", spec, calls
+
+
+def print_digests() -> None:
+    # a checkout without the plan cache runs every call cold
+    plan = getattr(pvquad, "_folded_plan", None)
+    for name, spec, calls in spectra():
+        if plan is not None:
+            plan.cache_clear()
+        for state in ("cold", "warm"):
+            for label, fn in calls:
+                values, errors = digest(lambda: fn(spec))
+                print(values, errors, f"{name} {label} {state}", flush=True)
+
+
+if __name__ == "__main__":
+    print_digests()
