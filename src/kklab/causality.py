@@ -175,9 +175,7 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     of 1e6 is applied and recorded in the assumptions. The bound is checked
     before the round-trip transform, so a bad K0 fails fast.
     """
-    assumptions: list[str] = []
-    if opts.assume_im_odd:
-        assumptions.append("im_odd_assumed")
+    assumptions = ["im_odd_assumed"]  # the round trip refuses without it
 
     fit_failed = False
     asym_re: float | None = None

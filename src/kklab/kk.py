@@ -214,9 +214,9 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
         with np.errstate(divide="ignore", invalid="ignore"):
             q = g_e / nu_e
         q[0] = local_cubic_slope(nu_e, g_e, 0.0)
-        val0, diff, floor = simpson_estimate(q, nu_e)
+        val0, err0 = simpson_estimate(q, nu_e)
         out[0] = re_inf + (2.0 / math.pi) * (val0 + tail_integral(series_tail, 0.0))
-        errs[0] = (2.0 / math.pi) * (diff + floor)
+        errs[0] = (2.0 / math.pi) * err0
 
     spec = ComplexIndexSpectrum(im.grid, out, im.im)
     return TransformResult(spec, errs, tail, ("im_odd_assumed",))

@@ -19,8 +19,10 @@ sum as an FFT convolution, in O(M log M) instead of O(N M), and on any other
 grid it calls :func:`pv_at_nodes`; its grid-only setup is built once per grid
 and cached. All of them take f(w) and f'(w) at the
 pole from one cubic rule, the Lagrange value and slope weights of its four
-nearest nodes. Simpson weights are closed-form numpy, so the module needs no
-scipy.
+nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
+full-grid Simpson sum less the every-other-node one, taken as one sum against
+the difference of their weights, plus a rounding floor. Simpson weights are
+closed-form numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -208,13 +210,6 @@ def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
 # Finite-domain principal value
 # ---------------------------------------------------------------------------
 
-def _coarse_indices(n: int) -> np.ndarray:
-    idx = np.arange(0, n, 2)
-    if idx[-1] != n - 1:
-        idx = np.append(idx, n - 1)
-    return idx
-
-
 def simpson_weights(x: np.ndarray) -> np.ndarray:
     """Weights w with w @ y equal to composite Simpson of y over the nodes x.
 
@@ -242,41 +237,50 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def _estimator_weights(nu: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(M, 2) Simpson weights of the full grid and of the every-other-node
-    grid (zero off its nodes), and the trapezoid weights for the floor."""
-    ci = _coarse_indices(nu.size)
-    simpson_fh = np.zeros((nu.size, 2))
-    simpson_fh[:, 0] = simpson_weights(nu)
-    simpson_fh[ci, 1] = simpson_weights(nu[ci])
+def _estimator_weights(nu: np.ndarray) -> np.ndarray:
+    """(3, M) weight rows of the Simpson estimator on the nodes nu: the
+    full-grid Simpson weights, those less the every-other-node grid's (zero
+    off its nodes), and the trapezoid weights of the rounding floor."""
+    ci = np.append(np.arange(0, nu.size - 1, 2), nu.size - 1)  # and the last node
+    full, half = simpson_weights(nu), np.zeros(nu.size)
+    half[ci] = simpson_weights(nu[ci])
     h = np.diff(nu)
     trap = 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))
-    return simpson_fh, trap
+    return np.stack([full, full - half, trap])
 
 
-def _estimate(q: np.ndarray, weights: tuple[np.ndarray, np.ndarray], offset,
-              work: np.ndarray | None = None):
-    """Value, |full - half| and floor of every row of q (see simpson_estimate).
+def _finish(full, diff, abs_sum, offset):
+    """(value, error estimate) from the three weighted sums of q: the
+    full-grid sum plus ``offset``, and |full - half| plus the rounding floor
+    4 eps int |q|."""
+    return full + offset, np.abs(diff) + 4.0 * _EPS * abs_sum
 
-    ``work``, an array of q's shape, receives |q| in place of a new one."""
-    simpson_fh, trap = weights
-    fh = q @ simpson_fh
-    full = fh[..., 0] + offset
-    half = fh[..., 1] + offset
-    return full, np.abs(full - half), 4.0 * _EPS * (np.abs(q, out=work) @ trap)
+
+def _pole_rows(nu: np.ndarray, hits: np.ndarray):
+    """Estimator weights (3, M), stencil slope weights (N, 4) and log terms
+    ln|(b - w)/(a - w)| of the poles w = nu[hits], N >= 1 of them, which
+    must have >= 2 nodes on each side."""
+    if hits.min() < 2 or hits.max() > nu.size - 3:
+        raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
+    poles = nu[hits]
+    slope_w = _cubic_weights(nu[hits[:, None] + np.arange(-2, 2)], poles)[1]
+    return (_estimator_weights(nu), slope_w,
+            np.log(np.abs((nu[-1] - poles) / (nu[0] - poles))))
 
 
 def simpson_estimate(q: np.ndarray, nu: np.ndarray,
-                     offset: float = 0.0) -> tuple[float, float, float]:
-    """Composite Simpson of q over nu, plus ``offset``, with its error terms.
+                     offset: float = 0.0) -> tuple[float, float]:
+    """Composite Simpson of q over nu, plus ``offset``, and its error estimate.
 
-    Returns (value, |full - half|, floor): the full-grid value, its distance
-    to the every-other-node value (``offset`` is added to both before they
-    are differenced) and the rounding floor 4 eps int |q|. The error
-    estimate is the sum of the last two.
+    Returns (value, estimate). The estimate is |full - half|, the full-grid
+    Simpson sum less the every-other-node one, taken as one sum of q against
+    the difference of their weights, plus the rounding floor 4 eps int |q|.
+    Every operator of this module gives its poles this estimate.
     """
-    full, diff, floor = _estimate(q, _estimator_weights(nu), offset)
-    return float(full), float(diff), float(floor)
+    weights = _estimator_weights(nu)
+    full, diff = q @ np.ascontiguousarray(weights[:2].T)
+    value, error = _finish(full, diff, np.abs(q) @ weights[2], offset)
+    return float(value), float(error)
 
 
 def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
@@ -325,8 +329,7 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
         q = fv / (nu - w)
         log_term = 0.0
 
-    value, diff, floor = simpson_estimate(q, nu, log_term)
-    return QuadratureResult(value, diff + floor)
+    return QuadratureResult(*simpson_estimate(q, nu, log_term))
 
 
 def pv_at_nodes(nu: np.ndarray,
@@ -338,7 +341,8 @@ def pv_at_nodes(nu: np.ndarray,
     poles as a (B, M) array, one sampled row per pole. It may compute them
     into ``out``, a (B, M) buffer, with ``work``, another, as scratch, or
     return any other array (a broadcast view will do). Every pole needs >= 2
-    nodes on each side. Row k gets the value and error estimate of
+    nodes on each side. Row k gets the value and the
+    :func:`simpson_estimate` error estimate of
     ``pv_integrate(PoleIntegrand(nu, f_k, nu[hits[k]]))``, up to rounding.
     Rows are evaluated a block at a time in the same two buffers, so the
     operator holds about 2 * _BLOCK_ELEMENTS elements whatever the number of
@@ -349,12 +353,10 @@ def pv_at_nodes(nu: np.ndarray,
     values, errors = np.empty(hits.size), np.empty(hits.size)
     if hits.size == 0:
         return values, errors
-    if hits.min() < 2 or hits.max() > nu.size - 3:
-        raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
-    weights = _estimator_weights(nu)
+    weights, slope_w, logs = _pole_rows(nu, hits)
+    # a C-contiguous copy: BLAS sums the transposed view in another order
+    pair = np.ascontiguousarray(weights[:2].T)
     poles = nu[hits]
-    logs = np.log(np.abs((nu[-1] - poles) / (nu[0] - poles)))
-    slope_w = _cubic_weights(nu[hits[:, None] + np.arange(-2, 2)], poles)[1]
     step = max(1, _BLOCK_ELEMENTS // nu.size)
     # two block buffers, reused by every block: fresh temporaries of this
     # size go back to the OS and fault in again, block after block
@@ -372,8 +374,9 @@ def pv_at_nodes(nu: np.ndarray,
         with np.errstate(divide="ignore", invalid="ignore"):
             q /= np.subtract(nu, w[:, None], out=work)
         q[rows, h] = np.sum(stencil * slope_w[blk], axis=1)
-        full, diff, floor = _estimate(q, weights, f_at * logs[blk], work)
-        values[blk], errors[blk] = full, diff + floor
+        sums = q @ pair
+        values[blk], errors[blk] = _finish(sums[:, 0], sums[:, 1],
+                                           np.abs(q, out=work) @ weights[2], f_at * logs[blk])
     return values, errors
 
 
@@ -401,9 +404,7 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int) -> tuple | None:
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
     n, w = hi - lo, nu[lo:hi]
-    simpson_fh, trap = _estimator_weights(nu)
-    weights = np.stack([simpson_fh[:, 0], simpson_fh[:, 0] - simpson_fh[:, 1], trap])
-    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
+    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
     size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
     m = np.arange(size)
     m[n:] -= size
@@ -417,9 +418,8 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int) -> tuple | None:
     kernels[3:] = np.abs(kernels[:3])
     kernels = fft.rfft(kernels)
     over_nu = weights[:, lo:hi] / w
-    plan = (weights, _cubic_weights(nu[stencil], w)[1], kernels[[0, 1, 3, 4]], over_nu,
-            fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)[:, :n].copy(),
-            np.log(np.abs((nu[-1] - w) / (nu[0] - w))))
+    plan = (weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
+            fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)[:, :n].copy(), logs)
     for arr in plan:
         arr.flags.writeable = False
     return size, *plan
@@ -445,11 +445,12 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
 
     so their block sums beyond |m| = _FFT_BAND are convolutions, taken by
     numpy.fft. The full and the full-minus-half Simpson weights enter as
-    their own convolutions, so |full - half| is never a difference of two
-    large sums. The rounding floor's far part is the upper bound with |a|,
-    |b| and the |kernels|, clipped at 0. The band, the pole rows and the
-    nodes outside the block are summed directly, a column of rows at a
-    time. Any other block goes to pv_at_nodes with the same integrand.
+    their own convolutions, so the error estimate is
+    :func:`simpson_estimate`'s; its rounding floor's far part is the upper
+    bound with |a|, |b| and the |kernels|, clipped at 0. The band, the pole
+    rows and the nodes outside the block are summed directly, a column of
+    rows at a time. Any other block goes to pv_at_nodes with the same
+    integrand.
 
     What depends on the grid alone is a plan, cached by nu's bytes and (lo,
     hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
@@ -457,8 +458,6 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     nu = np.asarray(nu, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
-    if lo < hi and (lo < 2 or hi > nu.size - 2):
-        raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
     nu_a = nu * a
     has_a, has_b = np.any(a), np.any(b)
     plan = _folded_plan(nu.tobytes(), lo, hi)
@@ -510,7 +509,7 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     conv = fft.irfft(products, size)[:, :n]
     sums[:2] += conv[:2] - f_at * conv_nu[:2]
     sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
-    return sums[0] + f_at * logs, np.abs(sums[1]) + 4.0 * _EPS * sums[2]
+    return _finish(*sums, f_at * logs)
 
 
 # ---------------------------------------------------------------------------

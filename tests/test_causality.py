@@ -185,6 +185,12 @@ def test_audit_lorentz(std_lorentz):
     assert "im_odd_assumed" in rep.assumptions
 
 
+def test_audit_refuses_without_odd_assumption(std_lorentz):
+    # the round trip runs the folded transform, which needs the odd extension
+    with pytest.raises(ValueError, match="presupposes an odd Im n"):
+        audit(std_lorentz, KkOptions(assume_im_odd=False))
+
+
 def test_audit_noisy_lorentz_is_consistent():
     # white noise of 1e-6 swamps Im n's top decade (5e-8 .. 5e-5): neither
     # the tail fit nor the band search may read it as sign changes

@@ -186,6 +186,15 @@ def test_validate_superluminal_spectrum(tmp_path):
     assert json.loads(report.read_text())["dichotomy"] == "superluminal_branch"
 
 
+def test_validate_refuses_without_odd_assumption(lorentz_csv, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    assert run_cli(["validate", "--in", str(lorentz_csv), "--out", str(report),
+                    "--no-assume-im-odd"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "kklab: input error: the folded 0..inf transform presupposes an odd Im n; ")
+    assert not report.exists()
+
+
 def test_validate_k0(lorentz_csv, tmp_path):
     report = tmp_path / "report.json"
     assert run_cli(["validate", "--in", str(lorentz_csv), "--out", str(report),

@@ -7,17 +7,14 @@ file, for both folded integrands. 2896 and 5793 nodes give an odd and an
 even extended node count, 2897 an even one, so Simpson's Cartwright last
 interval is covered. Values must agree to 1e-12 absolute. Error estimates
 must agree to 1e-3 relative where the blocked estimate is at least 1e-12 of
-the largest |value|: below that both are rounding noise, and the FFT path
-takes |full - half| as one convolution where the blocked operator subtracts
-two sums. The FFT path's per-grid plan cache must give warm calls the bits
-of cold ones, share one plan between the odd and the even transform of a
-spectrum, key on the grid's exact bytes and stay within its bound.
+the largest |value|: below that both are rounding noise. Both take
+|full - half| as one sum against the full-minus-half Simpson weights, so
+what separates them is FFT rounding and the far pairs' bound on the rounding
+floor. An unbracketed pole block is refused on either path. The FFT path's
+per-grid plan cache must give warm calls the bits of cold ones, share one
+plan between the odd and the even transform of a spectrum, key on the
+grid's exact bytes and stay within its bound.
 """
-
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -186,6 +183,22 @@ def _refuse(*args):
     raise AssertionError("blocked operator called")
 
 
+@pytest.mark.parametrize("lo, hi", [(1, 298), (2, 299)], ids=["lo 1", "hi M-1"])
+@pytest.mark.parametrize("geometric", [True, False], ids=["fft", "blocked"])
+def test_unbracketed_block_raises(monkeypatch, fresh_plans, geometric, lo, hi):
+    # every pole needs two nodes on each side on either path; a refused
+    # block on the FFT path leaves no plan behind
+    nu = np.geomspace(1e-2, 1e2, 300)
+    if geometric:
+        monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
+    else:
+        nu[1::2] *= 1.0 + 1e-9
+    with pytest.raises(kklab.PoleLocationError, match="bracketed"):
+        pv_folded_at_nodes(nu, 1.0 / (1.0 + nu ** 2), 0.0, lo, hi)
+    if geometric:
+        assert fresh_plans.cache_info().currsize == 0
+
+
 def _log_grids(sizes, lo=1e-2, hi=1e2):
     return [FrequencyGrid.log_spaced(lo, hi, n, GridUnit.NORMALIZED) for n in sizes]
 
@@ -219,11 +232,3 @@ def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, 
             else:
                 with pytest.raises(AssertionError, match="blocked operator"):
                     transform(spec)
-
-
-def test_import_leaves_fft_unloaded():
-    env = dict(os.environ, PYTHONPATH=str(Path(kklab.__file__).parents[1]))
-    code = "import sys, kklab; print('numpy.fft' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "False"

@@ -33,14 +33,14 @@ PUBLIC = {
 }
 SUBMODULES = {"causality", "kk", "models", "pvquad", "scharnhorst", "spectra"}
 
-# prints the numpy, numpy.ma and kklab modules loaded after running the CLI
-# on argv
+# prints the numpy, numpy.ma, numpy.fft and kklab modules loaded after running
+# the CLI on argv
 CLI = """
 import json, sys
 from kklab.cli import main
 code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules
-                               if m in ("numpy", "numpy.ma") or m.startswith("kklab"))]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kklab")
+                               or m in ("numpy", "numpy.ma", "numpy.fft"))]))
 """
 
 
@@ -87,6 +87,13 @@ def test_spectrum_commands_load_only_their_modules(tmp_path):
         assert code == 0
         assert "kklab.kk" in modules
         assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma"}
+    # the blocked operator alone: numpy.fft loads with the FFT path's first plan
+    code, modules = _cli(["transform", "--direction", "subtracted", "--omega0", "0",
+                          "--g0-re", "0.5", "--g0-im", "0.01", "--in", "in.csv",
+                          "--out", "out.csv"], tmp_path)
+    assert code == 0
+    assert "kklab.kk" in modules
+    assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma", "numpy.fft"}
     code, modules = _cli(["validate", "--in", "in.csv", "--out", "r.json"], tmp_path)
     assert code == 0
     assert "kklab.causality" in modules

@@ -8,10 +8,6 @@ summation order shows there.
 """
 
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -231,10 +227,3 @@ def test_re_from_im_is_linear_in_im(a, b, centers, widths):
     scale = abs(a) * np.max(np.abs(r1)) + abs(b) * np.max(np.abs(r2)) + 1.0
     assert np.max(np.abs(r12 - (a * r1 + b * r2))) <= 1e-12 * scale
 
-
-def test_import_needs_no_scipy():
-    env = dict(os.environ, PYTHONPATH=str(Path(kklab.__file__).parents[1]))
-    code = "import sys, kklab; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"

@@ -9,7 +9,10 @@ estimate, so that script cannot see a change in those bits; this one hashes
 the arrays the library returns. It runs, in this process:
 
 - the dilute Lorentz spectrum (omega_p 1, omega_res 1, gamma 0.1) on
-  ``cli_digests.py``'s three grids: all four transforms and ``audit``;
+  ``cli_digests.py``'s three grids: all four transforms, ``audit``, and
+  ``kk_subtracted`` at the interior points omega0 = 0.5 and 2.0 with
+  ``on_collision="continuity"``, whose poles leave a gap at the collision
+  zone;
 - two cycles of seed 0 of the benchmark's ``audit_batch`` spectra: all four
   transforms and ``audit``;
 - one cycle of seed 0 of the benchmark's ``cli_large`` spectra: each
@@ -54,6 +57,12 @@ TRANSFORMS = {
     "subtracted": lambda s: kk_subtracted(s, 0.0, 0.5, 0.01),
     "subtracted-at-infinity": lambda s: kk_subtracted_at_infinity(s, 1.01, 0.001),
 }
+# interior subtraction points: the poles skip the nodes around omega0
+INTERIOR = {
+    f"subtracted omega0={w0:g}":
+        lambda s, w0=w0: kk_subtracted(s, w0, 0.5, 0.01, on_collision="continuity")
+    for w0 in (0.5, 2.0)
+}
 AUDIT_CYCLES = 2
 
 
@@ -87,7 +96,7 @@ def spectra():
     every = [*TRANSFORMS.items(), ("audit", audit)]
     params = LorentzOscillatorParams(1.0, 1.0, 0.1)
     for grid in GRIDS:
-        yield grid, lorentz_index(params, grid_of(grid)), every
+        yield grid, lorentz_index(params, grid_of(grid)), [*every, *INTERIOR.items()]
     for workload, cycles in (("audit_batch", AUDIT_CYCLES), ("cli_large", 1)):
         for i in range(cycles * len(schedule.WORKLOADS[workload])):
             req = schedule.request(workload, 0, i)
