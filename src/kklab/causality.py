@@ -24,7 +24,7 @@ from enum import Enum
 import numpy as np
 
 from .kk import KkOptions, roundtrip_residual
-from .pvquad import noise_floor, top_decade
+from .pvquad import NonIntegrableTailError, TailFitError, noise_floor, top_decade
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
@@ -55,7 +55,8 @@ class AsymptoteFitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class CausalityReport:
-    """Machine-readable audit verdict (JSON schema version 1)."""
+    """Machine-readable audit verdict (JSON schema version 1); a field the
+    audit could not compute, an asymptote or ``kk_residual``, is None."""
 
     asymptote_re: float | None
     asymptote_re_uncertainty: float | None
@@ -63,7 +64,7 @@ class CausalityReport:
     asymptote_im_uncertainty: float | None
     amplification_bands: tuple[tuple[float, float], ...]
     amplification_band_nodes: tuple[tuple[int, int], ...]
-    kk_residual: float
+    kk_residual: float | None
     bounded_ok: bool
     max_abs_index_sq: float
     boundedness_constant: float
@@ -164,7 +165,8 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     more than 3 uncertainties and no amplification band exists;
     amplification_branch when bands exist and the asymptote does not;
     both when both indicators fire; consistent_with_unity when neither;
-    inconclusive when the asymptote fit itself fails.
+    inconclusive when the asymptote fit fails, or the round trip's tail fit
+    (``kk_residual`` is then None) for any reason but a non-integrable tail.
 
     The Im n asymptote is estimated and reported the same way but renders
     no verdict. Amplification bands are sought below minus the noise floor
@@ -201,10 +203,15 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
         assumptions.append("k0_defaulted")
     bounded_ok, max_sq = check_bounded(s, k0)
 
-    kk_res = roundtrip_residual(s, opts)
+    try:
+        kk_res = roundtrip_residual(s, opts)
+    except NonIntegrableTailError:
+        raise  # the spectrum needs a subtracted relation: say so, not "inconclusive"
+    except TailFitError:
+        kk_res = None
 
     has_bands = len(band_nodes) > 0
-    if fit_failed:
+    if fit_failed or kk_res is None:
         verdict = Dichotomy.INCONCLUSIVE
     else:
         superluminal = asym_re < 1.0 - 3.0 * asym_re_unc

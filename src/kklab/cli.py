@@ -4,7 +4,7 @@ Subcommands: transform, validate, model, scharnhorst, clock. Results go to
 files, diagnostics to stderr. Exit codes are a stable contract:
 
     0  success (validate: spectrum consistent with a unity asymptote)
-    1  validate found a non-unity causality branch
+    1  validate found a non-unity causality branch, or reached no verdict
     2  input error (missing/malformed file, bad flags, unwritable output)
     3  numerical failure (tail fit, pole collision, degenerate clock)
 

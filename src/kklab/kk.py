@@ -48,12 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# pv_integrate is not called here: it stays a kk attribute for tools that
-# wrap the quadrature entry points by name
-from .pvquad import (  # noqa: F401
+# pv_integrate and tail_integral are not called here: they stay kk attributes
+# for tools that wrap the quadrature entry points by name
+from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     TailModel,
+    difference_quotient,
     fit_tail,
-    local_cubic_slope,
     noise_floor,
     pv_at_nodes,
     pv_folded_at_nodes,
@@ -200,9 +200,10 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
     pos = nu > 0.0
     w = nu[pos]
+    s_pos, s_neg = _tail_pair(series_tail, nu)
     lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
     val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, lo, lo + w.size)
-    val += 0.5 * np.add(*_tail_pair(series_tail, w))
+    val += 0.5 * (s_pos + s_neg)[pos]
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
     out = np.empty(nu.size)
@@ -211,11 +212,8 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
     errs[pos] = (2.0 / math.pi) * err
     if not pos[0]:
         # kernel degenerates to g(nu)/nu, regular when g is odd
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = g_e / nu_e
-        q[0] = local_cubic_slope(nu_e, g_e, 0.0)
-        val0, err0 = simpson_estimate(q, nu_e)
-        out[0] = re_inf + (2.0 / math.pi) * (val0 + tail_integral(series_tail, 0.0))
+        val0, err0 = simpson_estimate(difference_quotient(nu_e, g_e, 0.0, 0.0), nu_e)
+        out[0] = re_inf + (2.0 / math.pi) * (val0 + s_pos[0])
         errs[0] = (2.0 / math.pi) * err0
 
     spec = ComplexIndexSpectrum(im.grid, out, im.im)
@@ -317,15 +315,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     gi_full = np.concatenate([-gi_e[:0:-1], gi_e])
 
     # regularized difference quotient K(nu) = [Im G(nu) - Im G(w0)]/(nu - w0)
-    dist0 = nu_full - w0
-    hit0 = np.flatnonzero(np.abs(dist0) <= 1e-13 * cutoff)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kern = (gi_full - g0_im) / dist0
-    for idx in hit0:
-        kern[idx] = local_cubic_slope(nu_full, gi_full, w0)
-
-    s_w0_pos = tail_integral(series_tail, w0)
-    s_w0_neg = tail_integral(series_tail, -w0)
+    kern = difference_quotient(nu_full, gi_full, w0, g0_im)
 
     dr = nu - w0
     gaps = np.diff(nu)  # local spacing: to the node below (above, for the first)
@@ -341,9 +331,9 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
     # the power-law part reduces to simple-pole series at +-w and +-w0,
     # the constant -Im G(w0) part to logarithms.
-    s_pos, s_neg = _tail_pair(series_tail, w)
-    right = (s_pos - s_w0_pos) / dr
-    left = (s_neg - s_w0_neg) / dr
+    s_pos, s_neg = _tail_pair(series_tail, np.append(w, w0))
+    right = (s_pos[:-1] - s_pos[-1]) / dr
+    left = (s_neg[:-1] - s_neg[-1]) / dr
     if g0_im != 0.0:
         right += g0_im * np.log((cutoff - w) / (cutoff - w0)) / dr
         left -= g0_im * np.log((cutoff + w) / (cutoff + w0)) / dr

@@ -10,18 +10,19 @@ smooth integrand for composite Simpson quadrature. Semi-infinite integrals
 are completed by a single power-law tail model fitted to the last decade of
 data; the tail piece is summed as a series in (pole/cutoff).
 
-:func:`pv_integrate` evaluates one pole. :func:`pv_at_nodes` evaluates the
-same rule for many poles that sit on grid nodes, a block of rows at a time,
-and the scalar path stays as its reference. :func:`pv_folded_at_nodes` gives
-the same sums for the folded integrands (nu a + w b)/(nu + w) of
-:mod:`kklab.kk`: on a geometric block of poles it takes the far part of each
-sum as an FFT convolution, in O(M log M) instead of O(N M), and on any other
-grid it calls :func:`pv_at_nodes`; its grid-only setup is built once per grid
-and cached. All of them take f(w) and f'(w) at the
-pole from one cubic rule, the Lagrange value and slope weights of its four
-nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
-full-grid Simpson sum less the every-other-node one, taken as one sum against
-the difference of their weights, plus a rounding floor. Simpson weights are
+:func:`pv_integrate` evaluates one pole on :func:`difference_quotient`, the
+integrand that :mod:`kklab.kk` also takes at w = 0 and at a subtraction point.
+:func:`pv_at_nodes` evaluates the same rule for many poles on grid nodes, a
+block of rows at a time, with the scalar path as its reference.
+:func:`pv_folded_at_nodes` gives the same sums for the folded integrands
+(nu a + w b)/(nu + w) of :mod:`kklab.kk`: on a geometric block of poles it
+takes the far part of each sum as an FFT convolution, in O(M log M) instead
+of O(N M), and caches the block's grid-only setup; any other grid goes to
+:func:`pv_at_nodes`. All of them take f(w) and f'(w) at the pole from one
+cubic rule, the Lagrange value and slope weights of its four nearest nodes,
+and give one error estimate (:func:`simpson_estimate`): the full-grid
+Simpson sum less the every-other-node one, taken as one sum against the
+difference of their weights, plus a rounding floor. Simpson weights are
 closed-form numpy, so the module needs no scipy.
 """
 
@@ -41,6 +42,7 @@ __all__ = [
     "PoleLocationError",
     "TailFitError",
     "NonIntegrableTailError",
+    "difference_quotient",
     "pv_integrate",
     "pv_at_nodes",
     "pv_folded_at_nodes",
@@ -283,6 +285,17 @@ def simpson_estimate(q: np.ndarray, nu: np.ndarray,
     return float(value), float(error)
 
 
+def difference_quotient(nu: np.ndarray, f: np.ndarray, x: float, fx: float) -> np.ndarray:
+    """(f - fx)/(nu - x), the regular integrand of the singularity-subtracted
+    rule, with the cubic slope at x (:func:`local_cubic_slope`) on every node
+    within 1e-13 max|nu| of x, where :func:`pv_integrate` puts a pole on a node."""
+    dist = nu - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (f - fx) / dist
+    q[np.abs(dist) <= 1e-13 * np.max(np.abs(nu))] = local_cubic_slope(nu, f, x)
+    return q
+
+
 def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     """P int f(nu)/(nu - pole) dnu over the sampled domain.
 
@@ -294,8 +307,7 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     """
     nu, fv, w = f.nu, f.values, float(f.pole)
     a, b = f.domain
-    scale = max(abs(a), abs(b))
-    tol = 1e-13 * scale
+    tol = 1e-13 * max(abs(a), abs(b))
 
     if abs(w - a) <= tol or abs(w - b) <= tol:
         raise PoleLocationError(f"pole {w!r} lies at a domain endpoint")
@@ -314,16 +326,8 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
             raise PoleLocationError(
                 f"pole {w!r} must be bracketed by >= 2 nodes on each side")
 
-        if hit.size:
-            f_at = float(fv[hit[0]])
-        else:
-            f_at = local_cubic_value(nu, fv, w)
-
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q = (fv - f_at) / dist
-        for idx in hit:
-            q[idx] = local_cubic_slope(nu, fv, w)
-
+        f_at = float(fv[hit[0]]) if hit.size else local_cubic_value(nu, fv, w)
+        q = difference_quotient(nu, fv, w, f_at)
         log_term = f_at * math.log(abs((b - w) / (a - w)))
     else:
         q = fv / (nu - w)
@@ -392,15 +396,12 @@ def _geometric_log_ratio(x: np.ndarray) -> float | None:
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _folded_plan(nu_bytes: bytes, lo: int, hi: int) -> tuple | None:
-    """Read-only grid-only part of pv_folded_at_nodes' FFT path on the block
-    nu[lo:hi], None off a geometric block: FFT size, (3, M) weights, slope
-    weights, a, b, |a|, |b| kernel spectra, (3, n) weights / w, their
+def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
+    """Read-only grid-only part of pv_folded_at_nodes' FFT path on the
+    geometric block nu[lo:hi] of ratio exp(log_r): FFT size, (3, M) weights,
+    slope weights, a, b, |a|, |b| kernel spectra, (3, n) weights / w, their
     1/(nu - w) convolutions and the log terms."""
     nu = np.frombuffer(nu_bytes)
-    log_r = _geometric_log_ratio(nu[lo:hi])
-    if log_r is None:
-        return None
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
     n, w = hi - lo, nu[lo:hi]
@@ -450,18 +451,18 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     bound with |a|, |b| and the |kernels|, clipped at 0. The band, the pole
     rows and the nodes outside the block are summed directly, a column of
     rows at a time. Any other block goes to pv_at_nodes with the same
-    integrand.
+    integrand, and takes no cache slot.
 
-    What depends on the grid alone is a plan, cached by nu's bytes and (lo,
-    hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
+    A geometric block's grid-only setup is a plan, cached by nu's bytes and
+    (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
     """
     nu = np.asarray(nu, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
     nu_a = nu * a
     has_a, has_b = np.any(a), np.any(b)
-    plan = _folded_plan(nu.tobytes(), lo, hi)
-    if plan is None:
+    log_r = _geometric_log_ratio(nu[lo:hi])
+    if log_r is None:
 
         def integrand(p, out, work):
             np.multiply(p[:, None], b, out=out)
@@ -473,7 +474,8 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
 
     from numpy import fft
 
-    size, weights, slope_w, kernels, over_nu, conv_nu, logs = plan
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
+        nu.tobytes(), lo, hi, log_r)
     n, w = hi - lo, nu[lo:hi]
 
     def numerator(j, k):  # nu a + w b at the nodes j, rows k, less a zero term

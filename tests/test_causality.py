@@ -238,6 +238,19 @@ def test_audit_inconclusive_on_single_top_decade_node():
     assert rep.asymptote_re is None and rep.asymptote_im is None
 
 
+@pytest.mark.parametrize("n, got", [(20, 5), (28, 7)])
+def test_audit_inconclusive_on_too_few_tail_samples(n, got):
+    # the asymptotes fit, but the round trip's tail fit has too few
+    # top-decade samples: no verdict and no residual, not an exception
+    grid = FrequencyGrid.log_spaced(1e-2, 1e2, n, GridUnit.NORMALIZED)
+    s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
+    assert np.count_nonzero(s.grid.values >= 10.0) == got
+    rep = audit(s)
+    assert rep.dichotomy is Dichotomy.INCONCLUSIVE
+    assert rep.asymptote_re is not None and rep.kk_residual is None
+    assert json.loads(rep.to_json())["kk_residual"] is None
+
+
 def test_audit_deterministic(std_lorentz):
     a = audit(std_lorentz)
     b = audit(std_lorentz)

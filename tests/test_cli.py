@@ -117,6 +117,19 @@ def test_transform_non_integrable_tail(tmp_path, capsys):
     assert "0.5" in err  # names the fitted exponent
 
 
+def test_validate_non_integrable_tail(tmp_path, capsys):
+    # the round trip cannot run, but for a reason of the spectrum, not of
+    # the grid: a numerical failure that names the exponent, not a verdict
+    nu = np.geomspace(1e-2, 1e2, 256)
+    s = kklab.ComplexIndexSpectrum(
+        kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED), np.ones_like(nu), nu ** -0.5)
+    path = tmp_path / "shallow.csv"
+    kklab.save_spectrum(s, path, "csv")
+    assert run_cli(["validate", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(NUMERICAL) and "non-integrable" in err
+
+
 def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path, capsys):
     code = run_cli(["transform", "--direction", "subtracted", "--omega0", "0.5",
                     "--g0-re", "0.6", "--g0-im", "0.04",
@@ -232,17 +245,34 @@ def test_validate_grid_from_zero(tmp_path):
 
 
 def test_validate_single_top_decade_node(tmp_path, capsys):
-    # the asymptote fits report inconclusive; the round trip's tail fit then
-    # fails with a numerical diagnostic, not numpy's "Singular matrix"
+    # the asymptote fits fail, and so does the round trip's tail fit: the
+    # report says inconclusive with a null residual, not numpy's "Singular
+    # matrix" nor a numerical failure
     nu = np.concatenate([np.geomspace(1e-2, 5.0, 200), [100.0]])
     s = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1),
                             kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED))
     path = tmp_path / "sparse.csv"
     kklab.save_spectrum(s, path, "csv")
-    assert run_cli(["validate", "--in", str(path), "--out", str(tmp_path / "r.json")]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith(NUMERICAL)
-    assert "need >= 8 tail samples, got 1" in err
+    report = tmp_path / "r.json"
+    assert run_cli(["validate", "--in", str(path), "--out", str(report)]) == 1
+    assert capsys.readouterr().err == ""
+    doc = json.loads(report.read_text())
+    assert doc["dichotomy"] == "inconclusive"
+    assert doc["asymptote_re"] is None and doc["kk_residual"] is None
+
+
+@pytest.mark.parametrize("count", [20, 28])
+def test_validate_tiny_grid_is_inconclusive(tmp_path, capsys, count):
+    # too few top-decade samples for the round trip's tail fit
+    path, report = tmp_path / "tiny.csv", tmp_path / "r.json"
+    assert run_cli(["model", "lorentz", "--omega-p", "1", "--omega-res", "1",
+                    "--gamma", "0.1", "--grid", f"log:0.01:100:{count}",
+                    "--out", str(path)]) == 0
+    assert run_cli(["validate", "--in", str(path), "--out", str(report)]) == 1
+    assert capsys.readouterr().err == ""
+    doc = json.loads(report.read_text())
+    assert doc["dichotomy"] == "inconclusive"
+    assert doc["kk_residual"] is None
 
 
 def test_write_failure_is_input_error(tmp_path, monkeypatch, capsys):

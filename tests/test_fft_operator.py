@@ -13,7 +13,8 @@ what separates them is FFT rounding and the far pairs' bound on the rounding
 floor. An unbracketed pole block is refused on either path. The FFT path's
 per-grid plan cache must give warm calls the bits of cold ones, share one
 plan between the odd and the even transform of a spectrum, key on the
-grid's exact bytes and stay within its bound.
+grid's exact bytes, stay within its bound and hold nothing for a grid that
+runs the blocked operator.
 """
 
 import numpy as np
@@ -22,7 +23,8 @@ import pytest
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
 from kklab.kk import _extend_axis
-from kklab.pvquad import _PLAN_CACHE_SIZE, _folded_plan, pv_at_nodes, pv_folded_at_nodes
+from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
+                          pv_folded_at_nodes)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -118,10 +120,11 @@ def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
 
 @pytest.fixture
 def fresh_plans():
-    """An empty plan cache before and after the test. A plan keeps the
-    geometric decision and the band in force when it was built, so a test
-    that patches _GEOMETRIC_RTOL, _FFT_BAND or pv_at_nodes must not see, or
-    leave, one built under other rules."""
+    """An empty plan cache before and after the test, so its hit and miss
+    counts start at zero. A plan keeps the band in force when it was built,
+    so a test that patches _FFT_BAND must not see, or leave, one built under
+    another band. The geometric decision is taken on every call, outside the
+    cache."""
     _folded_plan.cache_clear()
     yield _folded_plan
     _folded_plan.cache_clear()
@@ -151,7 +154,7 @@ def test_odd_and_even_transforms_share_a_plan(std_lorentz, fresh_plans):
 
 def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
     nu_e, _, _, lo, hi = _folded(std_lorentz, "re-from-im")
-    size, *arrays = fresh_plans(nu_e.tobytes(), lo, hi)
+    size, *arrays = fresh_plans(nu_e.tobytes(), lo, hi, _geometric_log_ratio(nu_e[lo:hi]))
     assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
@@ -168,6 +171,21 @@ def test_grid_one_ulp_off_builds_its_own_plan(std_lorentz, fresh_plans):
     assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
     np.testing.assert_allclose(values, _blocked(nudged, a, b, lo, hi)[0],
                                rtol=0.0, atol=VALUE_ATOL)
+
+
+def test_cache_holds_only_plans(fresh_plans):
+    # a batch alternating between two log grids and two linear grids: the
+    # linear grids run the blocked operator and take no slot, so the two
+    # plans survive every round
+    params = kklab.LorentzOscillatorParams(1.0, 1.0, 0.1)
+    grids = [*_log_grids([600, 700]),
+             *(FrequencyGrid.linear(0.5, 100.0, n, GridUnit.NORMALIZED) for n in (600, 700))]
+    spectra = [kklab.lorentz_index(params, grid) for grid in grids]
+    for _ in range(3):
+        for spec in spectra:
+            kklab.kk_re_from_im(spec)
+    info = fresh_plans.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (4, 2, 2)
 
 
 def test_plan_cache_stays_bounded(fresh_plans):

@@ -17,7 +17,8 @@ from kklab import (
     pv_semi_infinite,
     tail_integral,
 )
-from kklab.pvquad import _cubic_weights, local_cubic_slope, local_cubic_value, noise_floor
+from kklab.pvquad import (_cubic_weights, difference_quotient, local_cubic_slope, local_cubic_value,
+                          noise_floor)
 
 
 def pv_oracle(f, a, b, pole):
@@ -333,3 +334,64 @@ def test_cubic_rule_reproduces_cubics(x0, gaps, scale, t, coef):
             abs=1e-13 * np.sum(np.abs(slope * f)) + 1e-300)
         assert abs(np.sum(value) - 1.0) <= 1e-13 * np.sum(np.abs(value))
         assert abs(np.sum(slope)) <= 1e-13 * np.sum(np.abs(slope))
+
+
+# --- singular difference quotient ---------------------------------------------
+#
+# difference_quotient replaced quotients built inline by pv_integrate,
+# kk_subtracted and the w = 0 node of kk_subtracted_at_infinity. The
+# references below are those constructions; the one rule must give their bits.
+
+def reference_quotient(nu, f, x, fx):
+    """pv_integrate's and kk_subtracted's quotient (f - fx)/(nu - x)."""
+    dist = nu - x
+    hit = np.flatnonzero(np.abs(dist) <= 1e-13 * max(abs(nu[0]), abs(nu[-1])))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (f - fx) / dist
+    for idx in hit:
+        q[idx] = local_cubic_slope(nu, f, x)
+    return q
+
+
+def reference_quotient_at_zero(nu, g):
+    """kk_subtracted_at_infinity's quotient g/nu at its w = 0 node, nu[0] = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = g / nu
+    q[0] = local_cubic_slope(nu, g, 0.0)
+    return q
+
+
+@st.composite
+def _grid_and_values(draw, start=st.floats(-100.0, 100.0)):
+    """A strictly increasing grid of 6-40 nodes and values on it."""
+    gaps = draw(st.lists(st.floats(1e-3, 10.0), min_size=5, max_size=39))
+    nu = draw(start) + np.concatenate([[0.0], np.cumsum(gaps)])
+    f = draw(st.lists(st.floats(-1e3, 1e3), min_size=nu.size, max_size=nu.size))
+    return nu, np.array(f)
+
+
+@given(_grid_and_values(), st.data())
+def test_difference_quotient_on_a_node(grid, data):
+    nu, f = grid
+    i = data.draw(st.integers(1, nu.size - 2))
+    assert difference_quotient(nu, f, nu[i], f[i]).tobytes() == \
+        reference_quotient(nu, f, nu[i], f[i]).tobytes()
+
+
+# x well inside an interval, or close enough to its left node to fall
+# within the node tolerance
+@given(_grid_and_values(), st.data(), st.one_of(st.floats(0.01, 0.99), st.floats(1e-16, 1e-11)),
+       st.floats(-1e3, 1e3))
+def test_difference_quotient_between_nodes(grid, data, t, fx):
+    nu, f = grid
+    i = data.draw(st.integers(0, nu.size - 2))
+    x = nu[i] + t * (nu[i + 1] - nu[i])
+    assert difference_quotient(nu, f, x, fx).tobytes() == \
+        reference_quotient(nu, f, x, fx).tobytes()
+
+
+@given(_grid_and_values(start=st.just(0.0)))
+def test_difference_quotient_at_zero(grid):
+    nu, g = grid
+    assert difference_quotient(nu, g, 0.0, 0.0).tobytes() == \
+        reference_quotient_at_zero(nu, g).tobytes()

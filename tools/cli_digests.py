@@ -6,7 +6,9 @@ Usage, from the root of a kklab checkout:
 
 Writes dilute Lorentz (omega_p 1, omega_res 1, gamma 0.1) inputs on three
 grids into DIR, then runs every transform direction and ``validate`` on
-each, plus the ``scharnhorst`` table and both ``clock`` orientations. Every
+each, plus the ``scharnhorst`` table and both ``clock`` orientations. Two
+more grids, too short for the top-decade tail fit, get ``model`` and
+``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Every
 request goes through ``kklab.cli.main`` in this process, with DIR as the
 working directory, so no path outside DIR enters an output. The program
 runs from this checkout's ``src/``.
@@ -36,6 +38,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from kklab.cli import main  # noqa: E402
 
 GRIDS = ("log:0.01:100:2048", "lin:0:100:1024", "log:0.001:1000:4096")
+# 5 and 7 nodes in the top decade, where the tail fit needs 8
+SMALL_GRIDS = ("log:0.01:100:20", "log:0.01:100:28")
 TRANSFORMS = {
     "re-from-im": [],
     "im-from-re": [],
@@ -47,12 +51,12 @@ TRANSFORMS = {
 def requests() -> list[tuple[str, str, list[str]]]:
     """(name, output file, argv) of every request, inputs first."""
     reqs = []
-    for i, grid in enumerate(GRIDS):
+    for i, grid in enumerate((*GRIDS, *SMALL_GRIDS)):
         src = f"lorentz{i}.csv"
         reqs.append((f"{grid} model", src,
                      ["model", "lorentz", "--omega-p", "1", "--omega-res", "1",
                       "--gamma", "0.1", "--grid", grid, "--out", src]))
-        for direction, flags in TRANSFORMS.items():
+        for direction, flags in TRANSFORMS.items() if grid in GRIDS else ():
             out = f"g{i}-{direction}.csv"
             reqs.append((f"{grid} transform {direction}", out,
                          ["transform", "--direction", direction, *flags,
