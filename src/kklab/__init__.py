@@ -1,7 +1,8 @@
 """kklab: dispersion-relation transforms with causality audits, plus
 calculators for the boundary-vacuum velocity shift and its relativity
 thought experiments. Names resolve on first access (PEP 562), each importing
-only its own submodule: ``import kklab`` loads no submodule and no numpy."""
+only its own submodule: ``import kklab`` loads no submodule and no numpy.
+:class:`NumericalError`, the base of the numerical failures, lives here."""
 
 _EXPORTS = {
     "causality": ("AsymptoteFitError", "CausalityReport", "Dichotomy", "audit",
@@ -25,8 +26,13 @@ _EXPORTS = {
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = sorted([*_ORIGIN, *_EXPORTS])
+__all__ = sorted([*_ORIGIN, *_EXPORTS, "NumericalError"])
 __version__ = "0.1.0"
+
+
+class NumericalError(ValueError):
+    """The input is well formed, but the computation cannot be carried out
+    reliably: a tail fit, a pole placement or collision, a degenerate clock."""
 
 
 def __getattr__(name: str):

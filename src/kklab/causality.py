@@ -127,12 +127,12 @@ def _top_decade_fit(nu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
 def estimate_asymptote(s: ComplexIndexSpectrum) -> tuple[float, float]:
     """Estimate Re n(inf) from the top decade of the grid.
 
-    Requires a grid spanning >= 3 decades so that a "top decade" is
-    meaningfully asymptotic. Raises :class:`AsymptoteFitError` when the
+    Raises :class:`AsymptoteFitError` when the grid spans under 3 decades,
+    so that its "top decade" is not meaningfully asymptotic, or when the
     top-decade fit is unreliable (see :func:`_top_decade_fit`).
     """
     if s.grid.span_decades() < 3.0:
-        raise ValueError("asymptote estimate needs a grid spanning >= 3 decades")
+        raise AsymptoteFitError("asymptote estimate needs a grid spanning >= 3 decades")
     return _top_decade_fit(s.grid.values, s.re)
 
 

@@ -6,10 +6,13 @@ files, diagnostics to stderr. Exit codes are a stable contract:
     0  success (validate: spectrum consistent with a unity asymptote)
     1  validate found a non-unity causality branch, or reached no verdict
     2  input error (missing/malformed file, bad flags, unwritable output)
-    3  numerical failure (tail fit, pole collision, degenerate clock)
+    3  numerical failure: any kklab.NumericalError (tail fit, pole, clock)
 
 Outputs are deterministic byte-for-byte for identical flags and inputs:
 floats are written at 17 significant digits with a dot decimal separator.
+Commands call kklab's public names through this module, as ``_cli.NAME``,
+looked up when the command runs: a name set on ``kklab.cli`` beforehand,
+such as a tracing wrapper, is the one called.
 """
 
 from __future__ import annotations
@@ -20,49 +23,21 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import _EXPORTS, _ORIGIN
+from . import _ORIGIN, NumericalError
 from .models import LorentzOscillatorParams, PhysicalConstants, lorentz_index
 
-if TYPE_CHECKING:  # bound at run time by _load
-    from .causality import Dichotomy, audit
-    from .kk import (KkOptions, kk_im_from_re, kk_re_from_im, kk_subtracted,
-                     kk_subtracted_at_infinity)
-    from .pvquad import TailModel
-    from .scharnhorst import (LightClockScenario, Orientation, format_length_scale_table,
-                              length_scale_table, light_clock_tick)
-    from .spectra import FrequencyGrid, GridUnit, load_spectrum, save_spectrum
+if TYPE_CHECKING:
+    from .kk import KkOptions
+    from .spectra import FrequencyGrid
 
-# ValueError covers SpectrumFormatError, bad flag values and the numerical
-# failures, which main() tells apart by class; OSError unreadable inputs and failed writes
-_INPUT_ERRORS = (ValueError, OSError)
-_NUMERICAL_ERRORS = ("TailFitError", "PoleLocationError", "PoleCollisionError", "DegenerateClockError")
-
-
-def _load(*modules: str) -> None:
-    """Bind the public names of ``modules`` here. main() loads only those its
-    subcommand runs, so the calculators never import numpy; a name bound
-    beforehand, such as a wrapper set on ``kklab.cli`` to trace it, stays."""
-    g = globals()
-    for name in modules:
-        module = __import__(f"{__package__}.{name}", fromlist=["_"])  # timed by -X importtime
-        for attr in _EXPORTS[name]:
-            g.setdefault(attr, getattr(module, attr))
+_cli = sys.modules[__name__]
 
 
 def __getattr__(name: str):
+    """A public kklab name, from the package: it imports only that name's submodule."""
     if name not in _ORIGIN:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    _load(_ORIGIN[name])
-    return globals()[name]
-
-
-def _is_numerical(exc: Exception) -> bool:
-    # a module that was never imported raised none of its errors
-    for name in _NUMERICAL_ERRORS:
-        loaded = sys.modules.get(f"{__package__}.{_ORIGIN[name]}")
-        if loaded is not None and isinstance(exc, getattr(loaded, name)):
-            return True
-    return False
+    return getattr(sys.modules[__package__], name)
 
 
 def _file_format(path: str, override: str | None) -> str:
@@ -80,8 +55,8 @@ def _parse_grid(spec: str) -> FrequencyGrid:
     if count < 16:
         raise ValueError("synthesized grids need >= 16 nodes")
     if parts[0] == "log":
-        return FrequencyGrid.log_spaced(lo, hi, count, GridUnit.NORMALIZED)
-    return FrequencyGrid.linear(lo, hi, count, GridUnit.NORMALIZED)
+        return _cli.FrequencyGrid.log_spaced(lo, hi, count, _cli.GridUnit.NORMALIZED)
+    return _cli.FrequencyGrid.linear(lo, hi, count, _cli.GridUnit.NORMALIZED)
 
 
 def _constants(args: argparse.Namespace) -> PhysicalConstants:
@@ -110,40 +85,40 @@ def _kk_options(args: argparse.Namespace, grid_top: float) -> KkOptions:
     if args.tail_exponent is not None or args.tail_amplitude is not None:
         if args.tail_exponent is None or args.tail_amplitude is None:
             raise ValueError("--tail-exponent and --tail-amplitude must be given together")
-        tail = TailModel(args.tail_exponent, args.tail_amplitude, grid_top)
-    return KkOptions(assume_im_odd=args.assume_im_odd, tail=tail)
+        tail = _cli.TailModel(args.tail_exponent, args.tail_amplitude, grid_top)
+    return _cli.KkOptions(assume_im_odd=args.assume_im_odd, tail=tail)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
-    spec = load_spectrum(args.input, _file_format(args.input, args.format))
+    spec = _cli.load_spectrum(args.input, _file_format(args.input, args.format))
     opts = _kk_options(args, float(spec.grid.values[-1]))
     if args.direction == "re-from-im":
-        result = kk_re_from_im(spec, opts)
+        result = _cli.kk_re_from_im(spec, opts)
     elif args.direction == "im-from-re":
-        result = kk_im_from_re(spec, opts)
+        result = _cli.kk_im_from_re(spec, opts)
     elif args.direction == "subtracted":
         if args.omega0 is None:
             raise ValueError("--omega0 is required for --direction subtracted")
-        result = kk_subtracted(spec, args.omega0, args.g0_re, args.g0_im, opts)
+        result = _cli.kk_subtracted(spec, args.omega0, args.g0_re, args.g0_im, opts)
     else:  # subtracted-at-infinity
-        result = kk_subtracted_at_infinity(spec, args.re_inf, args.im_inf, opts)
-    save_spectrum(result.spectrum, args.output, _file_format(args.output, args.format))
+        result = _cli.kk_subtracted_at_infinity(spec, args.re_inf, args.im_inf, opts)
+    _cli.save_spectrum(result.spectrum, args.output, _file_format(args.output, args.format))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    spec = load_spectrum(args.input, _file_format(args.input, args.format))
+    spec = _cli.load_spectrum(args.input, _file_format(args.input, args.format))
     opts = _kk_options(args, float(spec.grid.values[-1]))
-    report = audit(spec, opts, k0=args.k0)
+    report = _cli.audit(spec, opts, k0=args.k0)
     Path(args.output).write_text(report.to_json() + "\n")
-    return 0 if report.dichotomy is Dichotomy.CONSISTENT_WITH_UNITY else 1
+    return 0 if report.dichotomy is _cli.Dichotomy.CONSISTENT_WITH_UNITY else 1
 
 
 def _cmd_model(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
     params = LorentzOscillatorParams(args.omega_p, args.omega_res, args.gamma)
     spec = lorentz_index(params, grid)
-    save_spectrum(spec, args.output, _file_format(args.output, args.format))
+    _cli.save_spectrum(spec, args.output, _file_format(args.output, args.format))
     return 0
 
 
@@ -151,19 +126,19 @@ def _cmd_scharnhorst(args: argparse.Namespace) -> int:
     L_values = [float(tok) for tok in args.L.split(",") if tok]
     if not L_values:
         raise ValueError("--L needs at least one separation")
-    rows = length_scale_table(L_values, _constants(args), args.lambda_probe)
-    Path(args.output).write_text(format_length_scale_table(rows))
+    rows = _cli.length_scale_table(L_values, _constants(args), args.lambda_probe)
+    Path(args.output).write_text(_cli.format_length_scale_table(rows))
     return 0
 
 
 def _cmd_clock(args: argparse.Namespace) -> int:
-    scenario = LightClockScenario(
+    scenario = _cli.LightClockScenario(
         L=args.L,
         beta=args.beta,
-        orientation=Orientation(args.orientation),
+        orientation=_cli.Orientation(args.orientation),
         constants=_constants(args),
     )
-    comparison = light_clock_tick(scenario)
+    comparison = _cli.light_clock_tick(scenario)
     doc = {
         "schema": 1,
         "L_m": scenario.L,
@@ -207,14 +182,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--g0-im", type=float, default=0.0, help="Im G(omega0)")
     p.add_argument("--re-inf", type=float, default=1.0, help="Re n(inf)")
     p.add_argument("--im-inf", type=float, default=0.0, help="Im n(inf)")
-    p.set_defaults(func=_cmd_transform, modules=("spectra", "pvquad", "kk"))
+    p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("validate", help="causality audit; JSON report")
     add_io(p)
     add_kk_flags(p)
     p.add_argument("--k0", type=float, default=None,
                    help="boundedness constant K0 for |n|^2")
-    p.set_defaults(func=_cmd_validate, modules=("spectra", "pvquad", "kk", "causality"))
+    p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("model", help="synthesize an analytic model spectrum")
     p.add_argument("kind", choices=["lorentz"])
@@ -223,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega-res", type=float, required=True, help="resonance frequency")
     p.add_argument("--gamma", type=float, required=True, help="damping rate")
     p.add_argument("--grid", required=True, help="log:MIN:MAX:COUNT or lin:MIN:MAX:COUNT")
-    p.set_defaults(func=_cmd_model, modules=("spectra",))
+    p.set_defaults(func=_cmd_model)
 
     p = sub.add_parser("scharnhorst", help="length-scale table (CSV)")
     add_io(p, need_input=False)
@@ -231,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-probe", type=float, default=None,
                    help="probe wavelength in m (default: Compton wavelength)")
     _add_constants_flags(p)
-    p.set_defaults(func=_cmd_scharnhorst, modules=("scharnhorst",))
+    p.set_defaults(func=_cmd_scharnhorst)
 
     p = sub.add_parser("clock", help="light-clock frame comparison (JSON)")
     add_io(p, need_input=False)
@@ -239,20 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float, required=True, help="boost as a fraction of c")
     p.add_argument("--orientation", required=True, choices=["parallel", "perpendicular"])
     _add_constants_flags(p)
-    p.set_defaults(func=_cmd_clock, modules=("scharnhorst",))
+    p.set_defaults(func=_cmd_clock)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    _load(*args.modules)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's own codes: 2 for a usage error, 0 for --help
+        return exc.code
     try:
         return args.func(args)
-    except _INPUT_ERRORS as exc:
-        if _is_numerical(exc):
-            print(f"kklab: numerical failure: {exc}", file=sys.stderr)
-            return 3
+    except NumericalError as exc:
+        print(f"kklab: numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except (ValueError, OSError) as exc:  # bad flag values or input files, failed writes
         print(f"kklab: input error: {exc}", file=sys.stderr)
         return 2
 

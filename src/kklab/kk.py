@@ -48,6 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import NumericalError
+
 # pv_integrate and tail_integral are not called here: they stay kk attributes
 # for tools that wrap the quadrature entry points by name
 from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
@@ -80,7 +82,7 @@ _TOP_EXTENSION_FACTOR = 4.0
 _TOP_EXTENSION_NODES = 48
 
 
-class PoleCollisionError(ValueError):
+class PoleCollisionError(NumericalError):
     """Evaluation frequency within two grid spacings of the subtraction
     point: the double subtraction is ill-conditioned there."""
 

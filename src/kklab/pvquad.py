@@ -35,6 +35,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import NumericalError
+
 __all__ = [
     "PoleIntegrand",
     "TailModel",
@@ -76,11 +78,11 @@ _FFT_BAND = 32
 _PLAN_CACHE_SIZE = 3
 
 
-class PoleLocationError(ValueError):
+class PoleLocationError(NumericalError):
     """Pole at a domain endpoint, too close to one, or inadequately bracketed."""
 
 
-class TailFitError(ValueError):
+class TailFitError(NumericalError):
     """The last-decade samples do not support a power-law tail fit."""
 
 

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
+from . import NumericalError
 from .models import PhysicalConstants, delta_c_over_c, scharnhorst_index_perp
 
 __all__ = [
@@ -63,7 +64,7 @@ class Orientation(str, Enum):
     PERPENDICULAR = "perpendicular"
 
 
-class DegenerateClockError(ValueError):
+class DegenerateClockError(NumericalError):
     """Leg speed at or beyond c/beta: the bounce ordering degenerates in the
     moving frame and the construction stops being meaningful."""
 
@@ -251,7 +252,8 @@ def light_clock_tick(sc: LightClockScenario) -> ClockComparison:
         u_bwd = (w - v) / (1.0 - (1.0 + d) * sc.beta)
         direct = L_moving / (u_fwd - v) + L_moving / (u_bwd + v)
     else:
-        direct = 2.0 * sc.L / c / math.sqrt((1.0 + d_rest) ** 2 - sc.beta ** 2)
+        s = 1.0 + d_rest  # above 1e8 the root rounds to s; s ** 2 overflows past 1e154
+        direct = 2.0 * sc.L / c / (s if s > 1e150 else math.sqrt(s ** 2 - sc.beta ** 2))
 
     inconsistency = abs(direct - tick_sr) / tick_sr
     return ClockComparison(tick_rest, direct, tick_sr, inconsistency)

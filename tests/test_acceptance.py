@@ -250,13 +250,6 @@ def test_criterion_09_light_clock():
            f"perpendicular inconsistency {cc.inconsistency:.12f} vs oracle {frozen}")
 
 
-def _cli(args):
-    try:
-        return cli_main(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 0
-
-
 @pytest.mark.filterwarnings("ignore:n_perp")
 def test_criterion_10_cli_contract(tmp_path):
     lor = tmp_path / "lor.csv"
@@ -292,7 +285,7 @@ def test_criterion_10_cli_contract(tmp_path):
         (["clock", "--L", "1e-14", "--beta", "0.6", "--orientation", "perpendicular",
           "--out", str(tmp_path / "clock.json")], 3),
     ]
-    results = [( _cli(args), expected) for args, expected in matrix]
+    results = [(cli_main(args), expected) for args, expected in matrix]
     codes_ok = all(got == expected for got, expected in results)
 
     # byte-identical outputs across consecutive runs
@@ -303,8 +296,8 @@ def test_criterion_10_cli_contract(tmp_path):
         ("c", ["clock", "--L", "1e-14", "--beta", "0.3", "--orientation", "perpendicular"]),
     ]:
         a, b = tmp_path / f"{stem}1.out", tmp_path / f"{stem}2.out"
-        assert _cli(args + ["--out", str(a)]) == 0
-        assert _cli(args + ["--out", str(b)]) == 0
+        assert cli_main(args + ["--out", str(a)]) == 0
+        assert cli_main(args + ["--out", str(b)]) == 0
         pairs.append(a.read_bytes() == b.read_bytes())
     bytes_ok = all(pairs)
 

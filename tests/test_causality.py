@@ -61,6 +61,19 @@ def test_asymptote_needs_three_decades():
         estimate_asymptote(_const(g, 1.0))
 
 
+def test_audit_inconclusive_on_two_decades():
+    # a measured band often spans fewer than 3 decades: no asymptote, so no
+    # verdict, but the round trip still runs
+    grid = FrequencyGrid.log_spaced(1.0, 100.0, 400, GridUnit.NORMALIZED)
+    s = lorentz_index(LorentzOscillatorParams(1.0, 3.0, 0.3), grid)
+    with pytest.raises(AsymptoteFitError, match="3 decades"):
+        estimate_asymptote(s)
+    rep = audit(s)
+    assert rep.dichotomy is Dichotomy.INCONCLUSIVE
+    assert rep.asymptote_re is None and rep.asymptote_re_uncertainty is None
+    assert rep.kk_residual < 1e-3
+
+
 def test_asymptote_misfit_raises(std_grid):
     # single large spike in the top decade: max residual >> rms
     re = np.ones(std_grid.size)

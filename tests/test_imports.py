@@ -20,14 +20,14 @@ PUBLIC = {
     "AbsorptionSpectrum", "AsymptoteFitError", "CausalityReport", "ClockComparison",
     "ComplexIndexSpectrum", "DegenerateClockError", "Dichotomy", "FrequencyGrid", "GridUnit",
     "KkOptions", "LengthScaleRow", "LightClockScenario", "LorentzOscillatorParams",
-    "NonIntegrableTailError", "Orientation", "PhysicalConstants", "PoleCollisionError",
-    "PoleIntegrand", "PoleLocationError", "QuadratureResult", "ScharnhorstScenario",
-    "SpectrumFormatError", "TailFitError", "TailModel", "TransformResult",
-    "absorption_from_im", "audit", "check_bounded", "delta_c_over_c", "delta_v",
-    "detect_amplification", "estimate_asymptote", "fit_tail", "format_length_scale_table",
-    "im_from_absorption", "invariant_length", "kk_im_from_re", "kk_re_from_im",
-    "kk_subtracted", "kk_subtracted_at_infinity", "length_scale_table", "light_clock_tick",
-    "load_spectrum", "lorentz_index", "measurability_ratio", "pv_integrate",
+    "NonIntegrableTailError", "NumericalError", "Orientation", "PhysicalConstants",
+    "PoleCollisionError", "PoleIntegrand", "PoleLocationError", "QuadratureResult",
+    "ScharnhorstScenario", "SpectrumFormatError", "TailFitError", "TailModel",
+    "TransformResult", "absorption_from_im", "audit", "check_bounded", "delta_c_over_c",
+    "delta_v", "detect_amplification", "estimate_asymptote", "fit_tail",
+    "format_length_scale_table", "im_from_absorption", "invariant_length", "kk_im_from_re",
+    "kk_re_from_im", "kk_subtracted", "kk_subtracted_at_infinity", "length_scale_table",
+    "light_clock_tick", "load_spectrum", "lorentz_index", "measurability_ratio", "pv_integrate",
     "pv_semi_infinite", "resample", "roundtrip_residual", "save_spectrum",
     "scharnhorst_index_parallel", "scharnhorst_index_perp", "tail_integral",
 }
@@ -112,6 +112,16 @@ print(json.dumps([kklab.__version__, bad]))
 """
     out = _python(check, json.dumps([sorted(PUBLIC), sorted(SUBMODULES)]))
     assert json.loads(out) == ["0.1.0", []]
+
+
+def test_numerical_errors_share_one_base():
+    # main exits 3 on exactly these, and 2 on every other ValueError
+    errors = {n for n in PUBLIC if isinstance(getattr(kklab, n), type)
+              and issubclass(getattr(kklab, n), Exception)}
+    assert all(issubclass(getattr(kklab, n), ValueError) for n in errors)
+    assert {n for n in errors if issubclass(getattr(kklab, n), kklab.NumericalError)} == {
+        "NumericalError", "TailFitError", "NonIntegrableTailError", "PoleLocationError",
+        "PoleCollisionError", "DegenerateClockError"}
 
 
 def test_star_import_and_dir_list_the_public_names():

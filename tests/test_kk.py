@@ -323,6 +323,11 @@ def test_subtracted_rejects_bad_point_or_constants(std_lorentz, omega0, g0_re, g
         kk_subtracted(std_lorentz, omega0, g0_re, g0_im)
 
 
+def test_subtracted_rejects_unknown_collision_rule(std_lorentz):
+    with pytest.raises(ValueError, match="on_collision must be 'raise' or 'continuity'"):
+        kk_subtracted(std_lorentz, 0.0, 0.0, 0.0, on_collision="x")
+
+
 # --- residual ---------------------------------------------------------------
 
 def test_residual_on_oracle(std_lorentz):

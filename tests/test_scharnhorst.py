@@ -222,6 +222,23 @@ def test_perpendicular_degenerate_guard():
         light_clock_tick(LightClockScenario(1e-14, 0.6, Orientation.PERPENDICULAR, C))
 
 
+@pytest.mark.parametrize("L", np.geomspace(1e-50, 4e-53, 7).tolist())
+def test_parallel_clock_keeps_the_root_where_it_is_finite(L):
+    # across the switch to the root's rounded value s = 1 + delta (near
+    # L = 3e-52), up to where s ** 2 overflows (near L = 3e-53)
+    sc = LightClockScenario(L, 0.3, Orientation.PARALLEL, C)
+    s = 1.0 + delta_c_over_c(L, C)
+    assert light_clock_tick(sc).tick_moving_direct == 2.0 * L / C.c / math.sqrt(s ** 2 - 0.09)
+
+
+def test_parallel_clock_at_tiny_separation():
+    # delta = 1.2e200: the tilted path's root must not square the leg speed
+    cc = light_clock_tick(LightClockScenario(1e-64, 0.3, Orientation.PARALLEL, C))
+    assert cc.tick_moving_direct == pytest.approx(5.412426340480793e-273, rel=1e-15)
+    assert cc.tick_moving_direct == pytest.approx(cc.tick_rest, rel=1e-15)
+    assert cc.inconsistency == pytest.approx(1.0 - math.sqrt(1.0 - 0.09), rel=1e-12)
+
+
 def test_parallel_inconsistency_increases_with_beta():
     sc_consts = PhysicalConstants()
     L = 1e-13  # small shift: delta ~ 1.2e-4

@@ -54,6 +54,16 @@ def test_spectrum_rejects_length_mismatch_and_nan():
         ComplexIndexSpectrum(g, [1.0, np.nan, 1.0], [0.0, 0.0, 0.0])
 
 
+def test_unknown_format_rejected(tmp_path):
+    s = lorentz_index(STD_PARAMS, FrequencyGrid.log_spaced(1.0, 10.0, 8, GridUnit.NORMALIZED))
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        save_spectrum(s, tmp_path / "s.xml", "xml")
+    assert not (tmp_path / "s.xml").exists()
+    save_spectrum(s, tmp_path / "s.csv", "csv")
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        load_spectrum(tmp_path / "s.csv", "xml")
+
+
 # --- CSV loading -----------------------------------------------------------
 
 def test_load_csv_three_rows(tmp_path):

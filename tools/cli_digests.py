@@ -8,18 +8,21 @@ Writes dilute Lorentz (omega_p 1, omega_res 1, gamma 0.1) inputs on three
 grids into DIR, then runs every transform direction and ``validate`` on
 each, plus the ``scharnhorst`` table and both ``clock`` orientations. Two
 more grids, too short for the top-decade tail fit, get ``model`` and
-``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Every
-request goes through ``kklab.cli.main`` in this process, with DIR as the
-working directory, so no path outside DIR enters an output. The program
-runs from this checkout's ``src/``.
+``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Last
+come the ``CONTRACT`` requests, which probe the exit codes other than 0.
+Every request goes through ``kklab.cli.main`` in this process, with DIR as
+the working directory, so no path outside DIR enters an output. The
+program runs from this checkout's ``src/``.
 
 Prints one line per request:
 
-    EXIT SHA256(output file) SHA256(stderr) NAME
+    EXIT SHA256(output file) SHA256(stdout and stderr) NAME
 
-An output the request did not write is hashed as ``-``. Warnings count as
-stderr by their category and message alone: their source line moves with
-any edit. Run it in two checkouts and ``diff`` the two printouts to show
+An output the request did not write is hashed as ``-``. An exception that
+escapes ``main`` is printed as ``uncaught TYPE`` in place of EXIT (the
+console script would exit 1 with a traceback), except argparse's exit from
+an older ``main``, which is printed as its code. Warnings count as stderr by
+their category and message alone: their source line moves with any edit. Run it in two checkouts and ``diff`` the two printouts to show
 that a change keeps every output, exit code and diagnostic.
 """
 
@@ -40,6 +43,30 @@ from kklab.cli import main  # noqa: E402
 GRIDS = ("log:0.01:100:2048", "lin:0:100:1024", "log:0.001:1000:4096")
 # 5 and 7 nodes in the top decade, where the tail fit needs 8
 SMALL_GRIDS = ("log:0.01:100:20", "log:0.01:100:28")
+# (name, output file, argv) after the inputs above: usage errors, --help,
+# numerical failures, and inputs at the edges of the calculators and audit
+CONTRACT = (
+    ("transform without --direction", "c-nodir.csv",
+     ["transform", "--in", "lorentz0.csv", "--out", "c-nodir.csv"]),
+    ("--help", "help.out", ["--help"]),
+    ("transform --tail-exponent alone", "c-tail.csv",
+     ["transform", "--direction", "re-from-im", "--tail-exponent", "3",
+      "--in", "lorentz0.csv", "--out", "c-tail.csv"]),
+    (f"{SMALL_GRIDS[0]} transform re-from-im", "c-small.csv",
+     ["transform", "--direction", "re-from-im", "--in", f"lorentz{len(GRIDS)}.csv",
+      "--out", "c-small.csv"]),
+    ("clock perpendicular degenerate", "c-clock-degenerate.json",
+     ["clock", "--L", "1e-14", "--beta", "0.6", "--orientation", "perpendicular",
+      "--out", "c-clock-degenerate.json"]),
+    ("clock parallel L 1e-64", "c-clock-tiny.json",
+     ["clock", "--L", "1e-64", "--beta", "0.3", "--orientation", "parallel",
+      "--out", "c-clock-tiny.json"]),
+    ("log:1:100:400 model", "band.csv",
+     ["model", "lorentz", "--omega-p", "1", "--omega-res", "3", "--gamma", "0.3",
+      "--grid", "log:1:100:400", "--out", "band.csv"]),
+    ("log:1:100:400 validate", "c-band.json",
+     ["validate", "--in", "band.csv", "--out", "c-band.json"]),
+)
 TRANSFORMS = {
     "re-from-im": [],
     "im-from-re": [],
@@ -70,19 +97,21 @@ def requests() -> list[tuple[str, str, list[str]]]:
         reqs.append((f"clock {orientation}", out,
                      ["clock", "--L", "1e-14", "--beta", "0.3",
                       "--orientation", orientation, "--out", out]))
-    return reqs
+    return [*reqs, *CONTRACT]
 
 
-def run(argv: list[str], out: Path) -> tuple[int, str, str]:
-    """Exit code, output digest and stderr digest of one request."""
+def run(argv: list[str], out: Path) -> tuple[int | str, str, str]:
+    """Exit code, output digest and stdout-and-stderr digest of one request."""
     out.unlink(missing_ok=True)
     err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(err)):
         warnings.simplefilter("always")
         try:
             code = main(argv)
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
+        except (SystemExit, Exception) as exc:
+            # a main older than kklab.NumericalError let argparse's exit escape
+            code = exc.code if isinstance(exc, SystemExit) else f"uncaught {type(exc).__name__}"
     for w in caught:
         err.write(f"{w.category.__name__}: {w.message}\n")
     out_digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
@@ -90,6 +119,7 @@ def run(argv: list[str], out: Path) -> tuple[int, str, str]:
 
 
 def print_digests(directory: str) -> None:
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
     os.makedirs(directory, exist_ok=True)
     os.chdir(directory)
     for name, out, argv in requests():

@@ -59,8 +59,6 @@ def cli_outcome(req: dict, tmp: Path) -> dict:
         warnings.simplefilter("ignore")
         try:
             code = main(schedule.cli_args(req, str(in_path), str(out_path)))
-        except SystemExit as exc:
-            code = exc.code if isinstance(exc.code, int) else 2
         except Exception as exc:  # the console script would exit 1 with a traceback
             detail = "".join(traceback.format_exception_only(type(exc), exc)).strip()
             return checks.outcome("wrong", f"uncaught {detail}")
