@@ -32,9 +32,10 @@ Numerically each kernel is factored to expose a single simple pole at +w,
 and handed to the pv engine, every node of a transform at once; the -w
 partner pole never lies on the 0..inf path. The folded forms, numerators
 nu a + w b with a = Im n, b = -Im n(inf) or a = 0, b = Re n - 1, go through
-:func:`~kklab.pvquad.pv_folded_at_nodes`, which takes the far part of its
-sums by FFT on a log grid; the subtracted relation goes through
-:func:`~kklab.pvquad.pv_at_nodes`. Data grids are extended at both ends
+:func:`~kklab.pvquad.pv_folded_at_nodes`; the subtracted relation, one
+integrand K(nu) on the full axis, goes through
+:func:`~kklab.pvquad.pv_mirrored_at_nodes`. On a log grid both take the far
+part of their sums by FFT. Data grids are extended at both ends
 before integrating: down to nu = 0 with the local odd (linear) or even
 (parabolic) model, and up to 4x the top node with the fitted power-law
 tail, so every grid node is a strictly interior pole. Beyond the extension
@@ -57,9 +58,9 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     difference_quotient,
     fit_tail,
     noise_floor,
-    pv_at_nodes,
     pv_folded_at_nodes,
     pv_integrate,
+    pv_mirrored_at_nodes,
     simpson_estimate,
     tail_integral,
     tail_integrals,
@@ -328,8 +329,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
     ev = (dr != 0.0) & ~collide
     w, dr = nu[ev], dr[ev]
-    val, err = pv_at_nodes(nu_full, lambda p, out, work: np.broadcast_to(kern, out.shape),
-                           np.searchsorted(nu_full, w))
+    val, err = pv_mirrored_at_nodes(nu_full, kern, np.searchsorted(nu_full, w))
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
     # the power-law part reduces to simple-pole series at +-w and +-w0,
     # the constant -Im G(w0) part to logarithms.

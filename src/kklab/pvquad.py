@@ -15,15 +15,17 @@ integrand that :mod:`kklab.kk` also takes at w = 0 and at a subtraction point.
 :func:`pv_at_nodes` evaluates the same rule for many poles on grid nodes, a
 block of rows at a time, with the scalar path as its reference.
 :func:`pv_folded_at_nodes` gives the same sums for the folded integrands
-(nu a + w b)/(nu + w) of :mod:`kklab.kk`: on a geometric block of poles it
-takes the far part of each sum as an FFT convolution, in O(M log M) instead
-of O(N M), and caches the block's grid-only setup; any other grid goes to
-:func:`pv_at_nodes`. All of them take f(w) and f'(w) at the pole from one
-cubic rule, the Lagrange value and slope weights of its four nearest nodes,
-and give one error estimate (:func:`simpson_estimate`): the full-grid
-Simpson sum less the every-other-node one, taken as one sum against the
-difference of their weights, plus a rounding floor. Simpson weights are
-closed-form numpy, so the module needs no scipy.
+(nu a + w b)/(nu + w) of :mod:`kklab.kk`, and :func:`pv_mirrored_at_nodes`
+for one integrand shared by every pole on an axis symmetric about 0, that of
+the subtracted relation: on a geometric block of poles each takes the far
+part of its sums as FFT convolutions, in O(M log M) instead of O(N M), sums
+the near part directly, and caches the block's grid-only setup; any other
+grid goes to :func:`pv_at_nodes`. All of them take f(w) and f'(w) at the
+pole from one cubic rule, the Lagrange value and slope weights of its four
+nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
+full-grid Simpson sum less the every-other-node one, taken as one sum
+against the difference of their weights, plus a rounding floor. Simpson
+weights are closed-form numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -48,6 +50,7 @@ __all__ = [
     "pv_integrate",
     "pv_at_nodes",
     "pv_folded_at_nodes",
+    "pv_mirrored_at_nodes",
     "simpson_weights",
     "top_decade",
     "noise_floor",
@@ -397,6 +400,25 @@ def _geometric_log_ratio(x: np.ndarray) -> float | None:
     return log_r if np.max(np.abs(x - ideal) / ideal) <= _GEOMETRIC_RTOL else None
 
 
+def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float):
+    """The pole rows of the geometric block nu[lo:hi] of ratio exp(log_r),
+    the FFT size, x = m ln r for the offsets m = j - k in wrap-around order,
+    and the masks _FFT_BAND < |m| < n and |m| < n."""
+    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
+    n = hi - lo
+    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
+    m = np.arange(size)
+    m[n:] -= size
+    inside = np.abs(m) < n
+    return weights, slope_w, logs, size, log_r * m, (np.abs(m) > _FFT_BAND) & inside, inside
+
+
+def _read_only(size: int, *plan) -> tuple:
+    for arr in plan:
+        arr.flags.writeable = False
+    return size, *plan
+
+
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
 def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     """Read-only grid-only part of pv_folded_at_nodes' FFT path on the
@@ -406,26 +428,113 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
-    n, w = hi - lo, nu[lo:hi]
-    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
-    m = np.arange(size)
-    m[n:] -= size
-    far = (np.abs(m) > _FFT_BAND) & (np.abs(m) < n)
-    x = log_r * m[far]
+    weights, slope_w, logs, size, x, far, _ = _plan_setup(nu, lo, hi, log_r)
     kernels = np.zeros((6, size))
     with np.errstate(over="ignore"):
-        kernels[0, far] = -1.0 / np.expm1(2.0 * x)
-        kernels[1, far] = -0.5 / np.sinh(x)
-        kernels[2, far] = -1.0 / np.expm1(x)
+        kernels[0, far] = -1.0 / np.expm1(2.0 * x[far])
+        kernels[1, far] = -0.5 / np.sinh(x[far])
+        kernels[2, far] = -1.0 / np.expm1(x[far])
     kernels[3:] = np.abs(kernels[:3])
     kernels = fft.rfft(kernels)
-    over_nu = weights[:, lo:hi] / w
-    plan = (weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
-            fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)[:, :n].copy(), logs)
-    for arr in plan:
-        arr.flags.writeable = False
-    return size, *plan
+    over_nu = weights[:, lo:hi] / nu[lo:hi]
+    conv_nu = fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)
+    return _read_only(size, weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
+                      conv_nu[:, :hi - lo].copy(), logs)
+
+
+@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
+def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
+    """:func:`_folded_plan` for pv_mirrored_at_nodes: FFT size, (3, M)
+    weights, slope weights, the positive half's far kernel spectrum, the
+    mirrored half's and both |kernel| spectra, the (6, n) weights / w of
+    both halves (the mirrored one in block order), their summed
+    1/(nu - w) convolutions and the log terms."""
+    nu = np.frombuffer(nu_bytes)
+    from numpy import fft
+
+    weights, slope_w, logs, size, x, far, inside = _plan_setup(nu, lo, hi, log_r)
+    kernels = np.zeros((4, size))
+    with np.errstate(over="ignore"):
+        kernels[0, far] = -1.0 / np.expm1(x[far])
+        kernels[1, inside] = -1.0 / (1.0 + np.exp(x[inside]))
+    kernels[2:] = np.abs(kernels[:2])
+    kernels = fft.rfft(kernels)
+    mirror = nu.size - 1 - np.arange(lo, hi)  # the node -w of each pole w
+    over_nu = np.concatenate([weights[:, lo:hi], weights[:, mirror]]) / nu[lo:hi]
+    conv_nu = fft.irfft(fft.rfft(over_nu[:3], size) * kernels[[0, 0, 2]]
+                        + fft.rfft(over_nu[3:], size) * kernels[[1, 1, 3]], size)
+    return _read_only(size, weights, slope_w, kernels, over_nu,
+                      conv_nu[:, :hi - lo].copy(), logs)
+
+
+def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, columns, f) -> np.ndarray:
+    """The (3, n) Simpson sums of the poles w = nu[lo:hi] over their own
+    nodes, which take the slope of ``f_stencil`` (f_k at the nodes k - 2 ..
+    k + 1), the band 0 < |j - lo - k| <= _FFT_BAND and the nodes
+    ``columns``. Each row adds its terms in one order: by offset m, node
+    k + m before node k - m, then the columns.
+
+    ``f(j, k, s, out)`` writes f_k at the nodes j for the rows k into out,
+    given s = nu_j + w_k. The two members of an offset, node k + m on row k
+    and node k on row k + m, share s and nu_j - w_k = +-d. An array f is one
+    integrand for every pole, and both members then share the quotient too.
+    """
+    f_at = f_stencil[:, 2].copy()  # contiguous: every offset and column reads it
+    slope = np.sum(f_stencil * slope_w, axis=1)
+    sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
+    n, w = hi - lo, nu[lo:hi]
+    shared = not callable(f)
+    buf = np.empty((6, n))  # (q, q, |q|), d, the numerator x of q = x / d, s
+
+    def quotient(x, d, q):  # q = (x / d, x / d, |x / d|)
+        np.divide(x, d, q[0])
+        q[1] = q[0]
+        np.abs(q[0], q[2])
+        return q
+
+    def add(rows, j, q, terms):  # rows += weights[:, j] q
+        np.add(rows, np.multiply(weights[:, j], q, terms), rows)
+
+    for m in range(1, _FFT_BAND + 1):
+        q, d, x, s = buf[:3, m:], buf[3, m:], buf[4, m:], buf[5, m:]
+        right, left = slice(lo + m, hi), slice(lo, hi - m)
+        np.subtract(nu[right], nu[left], d)
+        if shared:
+            quotient(np.subtract(f[right], f[left], x), d, q)
+            add(sums[:, :n - m], right, q, buf[3:, m:])  # d, x and s are spent
+            add(sums[:, m:], left, q, q)
+            continue
+        np.add(nu[right], nu[left], s)
+        np.subtract(f(right, slice(0, n - m), s, x), f_at[:n - m], x)
+        add(sums[:, :n - m], right, quotient(x, d, q), q)
+        # over nu_j - w_k = -d: (f_k(w_k) - f_k(nu_j)) / d
+        np.subtract(f_at[m:], f(left, slice(m, n), s, x), x)
+        add(sums[:, m:], left, quotient(x, d, q), q)
+    q, d, x, s = buf[:3], buf[3], buf[4], buf[5]
+    for j in columns:
+        col = slice(j, j + 1)
+        np.subtract(nu[col], w, d)
+        if shared:
+            np.subtract(f[col], f_at, x)
+        else:
+            np.subtract(f(col, slice(None), np.add(nu[col], w, s), x), f_at, x)
+        add(sums, col, quotient(x, d, q), q)
+    return sums
+
+
+def _add_far(sums, size, f_at, conv_nu, parts) -> None:
+    """Add to the (3, n) sums the far terms: the FFT convolutions of the
+    (rows, kernel spectra) ``parts`` of the data, less f_at times the
+    plan's 1/(nu - w) convolutions, and for the rounding floor the upper
+    bound with |f_at|, each convolution clipped at 0."""
+    from numpy import fft
+
+    products = np.zeros((3, size // 2 + 1), dtype=complex)
+    for rows, kernels in parts:
+        products += fft.rfft(rows, size) * kernels
+    conv = fft.irfft(products, size)[:, :sums.shape[1]]
+    sums[:2] += conv[:2] - f_at * conv_nu[:2]
+    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
 
 
 def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
@@ -451,9 +560,10 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     their own convolutions, so the error estimate is
     :func:`simpson_estimate`'s; its rounding floor's far part is the upper
     bound with |a|, |b| and the |kernels|, clipped at 0. The band, the pole
-    rows and the nodes outside the block are summed directly, a column of
-    rows at a time. Any other block goes to pv_at_nodes with the same
-    integrand, and takes no cache slot.
+    rows and the nodes outside the block are summed directly, one band
+    offset or one outside node at a time, in place in one buffer; each
+    offset's two members share nu + w and nu - w. Any other block goes to
+    pv_at_nodes with the same integrand, and takes no cache slot.
 
     A geometric block's grid-only setup is a plan, cached by nu's bytes and
     (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
@@ -474,46 +584,84 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
 
         return pv_at_nodes(nu, integrand, np.arange(lo, hi))
 
-    from numpy import fft
-
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
         nu.tobytes(), lo, hi, log_r)
-    n, w = hi - lo, nu[lo:hi]
+    w = nu[lo:hi]
 
-    def numerator(j, k):  # nu a + w b at the nodes j, rows k, less a zero term
+    def values(j, k, s, out):  # (nu a + w b) / s at the nodes j, rows k, less a zero term
         if not has_b:
-            return nu_a[j]
-        return nu_a[j] + w[k] * b[j] if has_a else w[k] * b[j]
+            return np.divide(nu_a[j], s, out)
+        np.multiply(w[k], b[j], out)
+        if has_a:
+            out += nu_a[j]
+        return np.divide(out, s, out)
 
     stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    f_stencil = numerator(stencil, (slice(None), None)) / (nu[stencil] + w[:, None])
+    f_stencil = values(stencil, (slice(None), None), nu[stencil] + w[:, None],
+                       np.empty(stencil.shape))
     f_at = f_stencil[:, 2]
-    slope = np.sum(f_stencil * slope_w, axis=1)
-    sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
-
-    def add(j, k):
-        """Add the terms of the nodes j to the rows k."""
-        q = (numerator(j, k) / (nu[j] + w[k]) - f_at[k]) / (nu[j] - w[k])
-        sums[:2, k] += weights[:2, j] * q
-        sums[2, k] += weights[2, j] * np.abs(q)
-
-    for m in range(1, _FFT_BAND + 1):
-        add(slice(lo + m, hi), slice(0, n - m))
-        add(slice(lo, hi - m), slice(m, n))
-    for j in (*range(lo), *range(hi, nu.size)):
-        add(slice(j, j + 1), slice(None))
-
+    sums = _near_sums(nu, weights, slope_w, lo, hi, f_stencil,
+                      (*range(lo), *range(hi, nu.size)), values)
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w), are the plan's
-    products = np.zeros((3, kernels.shape[1]), dtype=complex)
-    for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
-        if np.any(d):
-            rows = over_nu * np.stack([d, d, np.abs(d)])
-            products += fft.rfft(rows, size) * kernels[[kind, kind, kind + 2]]
-    conv = fft.irfft(products, size)[:, :n]
-    sums[:2] += conv[:2] - f_at * conv_nu[:2]
-    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
+    _add_far(sums, size, f_at, conv_nu,
+             [(over_nu * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
+              for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)) if np.any(d)])
     return _finish(*sums, f_at * logs)
+
+
+def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
+                         hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pv_at_nodes` for one integrand f(nu) shared by every pole,
+
+        P int f(nu) / (nu - w) dnu,   w = nu[hits[k]],
+
+    on an axis symmetric about 0 (nu[::-1] == -nu), the poles in ascending
+    order. Returns (values, error estimates), equal to pv_at_nodes' up to
+    rounding.
+
+    When the poles above 0 span a geometric block nu[lo:hi], its rows are
+    taken as in :func:`pv_folded_at_nodes`: on the positive half the sums
+    beyond |m| = _FFT_BAND of the kernel 1/(nu - w) = (1/nu) / (1 - r^m),
+    and on the mirrored half -nu[lo:hi] all of the kernel
+    1/(-nu - w) = -(1/nu) / (1 + r^m), which has no pole, are convolutions;
+    the band, the pole rows and the nodes outside both blocks are summed
+    directly. Rows of the block that are not poles are dropped. Poles at
+    or below 0, and any other axis, go to pv_at_nodes; the latter takes no
+    cache slot. The block's plan is cached by nu's bytes and (lo, hi), as
+    the folded one is.
+    """
+    nu = np.asarray(nu, dtype=float)
+    f = np.asarray(f, dtype=float)
+    hits = np.asarray(hits, dtype=np.intp)
+    centre = nu.size // 2
+    rest = hits <= centre
+    block = hits[~rest]
+    log_r = None
+    if block.size and np.array_equal(nu[::-1], -nu):
+        lo, hi = int(block[0]), int(block[-1]) + 1
+        log_r = _geometric_log_ratio(nu[lo:hi])
+
+    def integrand(p, out, work):
+        return np.broadcast_to(f, out.shape)
+
+    if log_r is None:
+        return pv_at_nodes(nu, integrand, hits)
+    values, errors = np.empty(hits.size), np.empty(hits.size)
+    if np.any(rest):
+        values[rest], errors[rest] = pv_at_nodes(nu, integrand, hits[rest])
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
+        nu.tobytes(), lo, hi, log_r)
+    f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
+    sums = _near_sums(nu, weights, slope_w, lo, hi,
+                      f[np.arange(lo, hi)[:, None] + np.arange(-2, 2)],
+                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)), f)
+    _add_far(sums, size, f_at, conv_nu,
+             [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
+              for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
+    block_values, block_errors = _finish(*sums, f_at * logs)
+    values[~rest], errors[~rest] = block_values[block - lo], block_errors[block - lo]
+    return values, errors
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,8 @@ from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
 from kklab.kk import _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
+from kklab.pvquad import (_FFT_BAND, _finish, _mirrored_plan, difference_quotient,
+                          pv_mirrored_at_nodes)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -250,3 +252,217 @@ def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, 
             else:
                 with pytest.raises(AssertionError, match="blocked operator"):
                     transform(spec)
+
+
+# --- the direct part, bit for bit ---------------------------------------------
+
+def _column_loop(nu, a, b, lo, hi):
+    """The FFT path of pv_folded_at_nodes with its direct part summed one
+    member at a time: for every band offset m the node k + m on row k, then
+    the node k on row k + m, each with its own nu + w and nu - w, then one
+    outside node at a time. The reference whose bits the direct part keeps."""
+    a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
+    b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
+    nu_a = nu * a
+    has_a, has_b = np.any(a), np.any(b)
+    log_r = _geometric_log_ratio(nu[lo:hi])
+    assert log_r is not None
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
+        nu.tobytes(), lo, hi, log_r)
+    n, w = hi - lo, nu[lo:hi]
+
+    def numerator(j, k):
+        if not has_b:
+            return nu_a[j]
+        return nu_a[j] + w[k] * b[j] if has_a else w[k] * b[j]
+
+    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
+    f_stencil = numerator(stencil, (slice(None), None)) / (nu[stencil] + w[:, None])
+    f_at = f_stencil[:, 2]
+    slope = np.sum(f_stencil * slope_w, axis=1)
+    sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
+
+    def add(j, k):
+        q = (numerator(j, k) / (nu[j] + w[k]) - f_at[k]) / (nu[j] - w[k])
+        sums[:2, k] += weights[:2, j] * q
+        sums[2, k] += weights[2, j] * np.abs(q)
+
+    for m in range(1, _FFT_BAND + 1):
+        add(slice(lo + m, hi), slice(0, n - m))
+        add(slice(lo, hi - m), slice(m, n))
+    for j in (*range(lo), *range(hi, nu.size)):
+        add(slice(j, j + 1), slice(None))
+
+    products = np.zeros((3, kernels.shape[1]), dtype=complex)
+    for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
+        if np.any(d):
+            rows = over_nu * np.stack([d, d, np.abs(d)])
+            products += np.fft.rfft(rows, size) * kernels[[kind, kind, kind + 2]]
+    conv = np.fft.irfft(products, size)[:, :n]
+    sums[:2] += conv[:2] - f_at * conv_nu[:2]
+    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
+    return _finish(*sums, f_at * logs)
+
+
+def _lorentz_on(nu, path=None):
+    """The Lorentz spectrum on the nodes nu, read back from a CSV file at
+    ``path`` when one is given."""
+    idx = lorentz_closed_form(nu)
+    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
+    if path is None:
+        return spec
+    kklab.save_spectrum(spec, path)
+    return kklab.load_spectrum(path)
+
+
+@pytest.fixture(scope="module", params=["csv 16384", "log 2896"])
+def direct_part_spectrum(request, tmp_path_factory):
+    if request.param == "csv 16384":
+        path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
+        return _lorentz_on(np.geomspace(1e-2, 1e2, 16384), path)
+    return _lorentz_on(np.geomspace(1e-2, 1e2, 2896))
+
+
+@pytest.mark.parametrize("transform", [
+    kklab.kk_re_from_im,
+    kklab.kk_im_from_re,
+    lambda s: kklab.kk_subtracted_at_infinity(s, 1.01, 1e-3),  # a and b both nonzero
+], ids=["re-from-im", "im-from-re", "at-infinity"])
+def test_direct_part_keeps_the_bits_of_the_column_loop(monkeypatch, fresh_plans,
+                                                        direct_part_spectrum, transform):
+    got = transform(direct_part_spectrum)
+    monkeypatch.setattr(kklab.kk, "pv_folded_at_nodes", _column_loop)
+    want = transform(direct_part_spectrum)
+    assert (_bits([got.spectrum.re, got.spectrum.im, got.error_estimate])
+            == _bits([want.spectrum.re, want.spectrum.im, want.error_estimate]))
+
+
+# --- the subtracted relation on the mirrored axis --------------------------------
+
+W0S = (0.0, 0.5, 2.0)
+
+
+def _subtracted(spec, w0):
+    """kk_subtracted of G = n - 1 at w0, G(w0) from the closed form."""
+    g0 = lorentz_closed_form(w0) - 1.0
+    g = ComplexIndexSpectrum(spec.grid, spec.re - 1.0, spec.im)
+    return kklab.kk_subtracted(g, w0, g0.real, g0.imag, on_collision="continuity")
+
+
+def _mirrored(spec, w0):
+    """The full axis, K(nu) and the poles of kk_subtracted at w0, every
+    grid node a pole."""
+    nu = spec.grid.values
+    nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", KkOptions())
+    nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
+    g_full = np.concatenate([-g_e[:0:-1], g_e])
+    kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)
+    return nu_full, kern, np.searchsorted(nu_full, nu)
+
+
+def _blocked_shared(nu, f, hits):
+    return pv_at_nodes(nu, lambda p, out, work: np.broadcast_to(f, out.shape), hits)
+
+
+@pytest.fixture
+def fresh_mirrored_plans():
+    """An empty mirrored plan cache before and after the test."""
+    _mirrored_plan.cache_clear()
+    yield _mirrored_plan
+    _mirrored_plan.cache_clear()
+
+
+@pytest.mark.parametrize("grids, fast, via_csv", [
+    (_log_grids(LADDER), True, False),
+    (_log_grids(LADDER), True, True),
+    (_log_grids([127]), False, False),
+    ([FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)], False, False),
+], ids=["ladder", "ladder csv", "log 127", "lin 512"])
+def test_subtracted_path_follows_the_grid(monkeypatch, fresh_mirrored_plans, tmp_path,
+                                          grids, fast, via_csv):
+    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
+    for grid in grids:
+        spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
+        if via_csv:
+            kklab.save_spectrum(spec, tmp_path / "s.csv")
+            spec = kklab.load_spectrum(tmp_path / "s.csv")
+        for w0 in W0S:
+            if fast:
+                result = _subtracted(spec, w0)
+                assert np.all(np.isfinite(result.spectrum.re))
+                assert np.all(np.isfinite(result.error_estimate))
+            else:
+                with pytest.raises(AssertionError, match="blocked operator"):
+                    _subtracted(spec, w0)
+
+
+@pytest.fixture(scope="module")
+def csv_lorentz_8192(tmp_path_factory):
+    return _lorentz_on(np.geomspace(1e-2, 1e2, 8192),
+                       tmp_path_factory.mktemp("csv") / "lorentz.csv")
+
+
+@pytest.mark.parametrize("w0", W0S)
+def test_mirrored_path_matches_blocked_operator(csv_lorentz_8192, w0):
+    args = _mirrored(csv_lorentz_8192, w0)
+    values, errors = pv_mirrored_at_nodes(*args)
+    ref_values, ref_errors = _blocked_shared(*args)
+    np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
+    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
+    resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
+    assert np.count_nonzero(resolved) > 0.5 * resolved.size
+    np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+
+
+def test_warm_mirrored_plan_gives_the_bits_of_a_cold_one(std_lorentz, fresh_mirrored_plans):
+    cold = _subtracted(std_lorentz, 0.5)
+    warm = _subtracted(std_lorentz, 0.5)
+    assert fresh_mirrored_plans.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert (_bits([cold.spectrum.re, cold.error_estimate])
+            == _bits([warm.spectrum.re, warm.error_estimate]))
+
+
+def test_mirrored_plan_arrays_are_read_only(std_lorentz, fresh_mirrored_plans):
+    nu_full, _, hits = _mirrored(std_lorentz, 0.5)
+    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    size, *arrays = fresh_mirrored_plans(nu_full.tobytes(), lo, hi,
+                                         _geometric_log_ratio(nu_full[lo:hi]))
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+
+
+def test_mirrored_plan_cache_stays_bounded(fresh_mirrored_plans):
+    for n in range(200, 200 + _PLAN_CACHE_SIZE + 2):
+        _subtracted(_lorentz_on(np.geomspace(1e-2, 1e2, n)), 0.5)
+    info = fresh_mirrored_plans.cache_info()
+    assert info.misses == _PLAN_CACHE_SIZE + 2
+    assert info.currsize == info.maxsize == _PLAN_CACHE_SIZE
+
+
+def test_non_geometric_subtracted_takes_no_plan_slot(fresh_plans, fresh_mirrored_plans):
+    for grid in (*_log_grids([127]), FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)):
+        _subtracted(kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid), 0.5)
+    info = fresh_mirrored_plans.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
+    assert fresh_plans.cache_info().currsize == 0
+
+
+def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_mirrored_plans):
+    nu = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 2047)])
+    args = _mirrored(_lorentz_on(nu), 0.5)
+    ref_values, ref_errors = _blocked_shared(*args)
+    calls = []
+
+    def recording(nu, integrand, hits):
+        calls.append(hits.tolist())
+        return pv_at_nodes(nu, integrand, hits)
+
+    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", recording)
+    values, errors = pv_mirrored_at_nodes(*args)
+    centre = args[0].size // 2
+    assert args[2][0] == centre and calls == [[centre]]
+    assert fresh_mirrored_plans.cache_info().currsize == 1
+    np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(errors, ref_errors, rtol=ERROR_RTOL)

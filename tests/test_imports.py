@@ -87,10 +87,17 @@ def test_spectrum_commands_load_only_their_modules(tmp_path):
         assert code == 0
         assert "kklab.kk" in modules
         assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma"}
-    # the blocked operator alone: numpy.fft loads with the FFT path's first plan
-    code, modules = _cli(["transform", "--direction", "subtracted", "--omega0", "0",
-                          "--g0-re", "0.5", "--g0-im", "0.01", "--in", "in.csv",
-                          "--out", "out.csv"], tmp_path)
+    subtracted = ["transform", "--direction", "subtracted", "--omega0", "0", "--g0-re", "0.5",
+                  "--g0-im", "0.01", "--out", "out.csv"]
+    # on a log grid the subtracted relation takes the FFT path as well
+    code, modules = _cli([*subtracted, "--in", "in.csv"], tmp_path)
+    assert code == 0
+    assert {"kklab.kk", "numpy.fft"} <= modules
+    assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma"}
+    # the blocked operator alone, on a linear grid: numpy.fft loads with the
+    # FFT path's first plan
+    assert _cli([*model[:-4], "--grid", "lin:1:100:256", "--out", "lin.csv"], tmp_path)[0] == 0
+    code, modules = _cli([*subtracted, "--in", "lin.csv"], tmp_path)
     assert code == 0
     assert "kklab.kk" in modules
     assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma", "numpy.fft"}

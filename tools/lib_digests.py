@@ -20,8 +20,8 @@ the arrays the library returns. It runs, in this process:
 
 Requests come from ``perfbench/schedule.py``, and nothing under
 ``perfbench/`` is edited. Every spectrum runs twice, ``cold`` and then
-``warm``: the folded operator's per-grid plan cache, where the checkout has
-one, is cleared before the cold pass, and the warm pass reuses what the
+``warm``: the FFT operators' per-grid plan caches, where the checkout has
+them, are cleared before the cold pass, and the warm pass reuses what the
 cold pass built. The program runs from this checkout's ``src/``.
 
 Prints one line per call:
@@ -118,10 +118,11 @@ def spectra():
 
 
 def print_digests() -> None:
-    # a checkout without the plan cache runs every call cold
-    plan = getattr(pvquad, "_folded_plan", None)
+    # a checkout without a plan cache runs every call cold
+    plans = [getattr(pvquad, name) for name in ("_folded_plan", "_mirrored_plan")
+             if hasattr(pvquad, name)]
     for name, spec, calls in spectra():
-        if plan is not None:
+        for plan in plans:
             plan.cache_clear()
         for state in ("cold", "warm"):
             for label, fn in calls:
