@@ -40,10 +40,16 @@ before integrating: down to nu = 0 with the local odd (linear) or even
 (parabolic) model, and up to 4x the top node with the fitted power-law
 tail, so every grid node is a strictly interior pole. Beyond the extension
 the tail is summed in closed form.
+
+An audit's round trip is the transform its caller asks for next, so
+:func:`kk_subtracted_at_infinity` keeps its last two results, keyed on the
+exact bytes of the grid, Im n and both constants and on the options; a hit
+returns the bits of a cold call, and a refusal is never stored.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,7 +72,7 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     tail_integrals,
     top_decade,
 )
-from .spectra import ComplexIndexSpectrum
+from .spectra import ComplexIndexSpectrum, _as_readonly
 
 __all__ = [
     "KkOptions",
@@ -81,6 +87,9 @@ __all__ = [
 
 _TOP_EXTENSION_FACTOR = 4.0
 _TOP_EXTENSION_NODES = 48
+# results of kk_subtracted_at_infinity kept at once (about 128 KB each at 4096
+# nodes): "audit, then transform the same spectrum" needs one, so two suffice
+_RESULT_CACHE_SIZE = 2
 
 
 class PoleCollisionError(NumericalError):
@@ -109,6 +118,9 @@ class TransformResult:
     error_estimate: np.ndarray
     tail: TailModel
     assumptions: tuple[str, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "error_estimate", _as_readonly(self.error_estimate))
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +207,20 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
         raise ValueError(
             "the folded 0..inf transform presupposes an odd Im n; "
             "set assume_im_odd=True to accept that extension")
+    out, errs, tail = _at_infinity(im.grid.values.tobytes(), im.im.tobytes(),
+                                   float(re_inf).hex(), float(im_inf).hex(), opts)
+    spec = ComplexIndexSpectrum(im.grid, out, im.im)
+    return TransformResult(spec, errs, tail, ("im_odd_assumed",))
 
-    nu = im.grid.values
-    nu_e, g_e, tail, series_tail = _extend_axis(nu, im.im, "odd", opts)
+
+@functools.lru_cache(maxsize=_RESULT_CACHE_SIZE)
+def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: str,
+                 opts: KkOptions) -> tuple[np.ndarray, np.ndarray, TailModel]:
+    """Read-only Re n and error estimate of :func:`kk_subtracted_at_infinity`
+    on the grid and Im n of these bytes, with the tail it used."""
+    nu, g = np.frombuffer(nu_bytes), np.frombuffer(im_bytes)
+    re_inf, im_inf = float.fromhex(re_inf_hex), float.fromhex(im_inf_hex)
+    nu_e, g_e, tail, series_tail = _extend_axis(nu, g, "odd", opts)
     cutoff = series_tail.cutoff
 
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
@@ -218,9 +241,8 @@ def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
         val0, err0 = simpson_estimate(difference_quotient(nu_e, g_e, 0.0, 0.0), nu_e)
         out[0] = re_inf + (2.0 / math.pi) * (val0 + s_pos[0])
         errs[0] = (2.0 / math.pi) * err0
-
-    spec = ComplexIndexSpectrum(im.grid, out, im.im)
-    return TransformResult(spec, errs, tail, ("im_odd_assumed",))
+    out.flags.writeable = errs.flags.writeable = False
+    return out, errs, tail
 
 
 def kk_re_from_im(im: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> TransformResult:

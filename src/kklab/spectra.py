@@ -48,6 +48,9 @@ class SpectrumFormatError(ValueError):
 
 
 def _as_readonly(a, dtype=float) -> np.ndarray:
+    if (isinstance(a, np.ndarray) and a.dtype == dtype and a.base is None
+            and not a.flags.writeable):
+        return a  # already a read-only array of its own: share it
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out

@@ -22,7 +22,7 @@ import pytest
 
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
-from kklab.kk import _extend_axis
+from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
 from kklab.pvquad import (_FFT_BAND, _finish, _mirrored_plan, difference_quotient,
@@ -126,10 +126,13 @@ def fresh_plans():
     counts start at zero. A plan keeps the band in force when it was built,
     so a test that patches _FFT_BAND must not see, or leave, one built under
     another band. The geometric decision is taken on every call, outside the
-    cache."""
+    cache. The transform result cache is cleared too: a transform served
+    from it builds or looks up no plan."""
     _folded_plan.cache_clear()
+    _at_infinity.cache_clear()
     yield _folded_plan
     _folded_plan.cache_clear()
+    _at_infinity.cache_clear()
 
 
 def _bits(arrays):
@@ -184,6 +187,7 @@ def test_cache_holds_only_plans(fresh_plans):
              *(FrequencyGrid.linear(0.5, 100.0, n, GridUnit.NORMALIZED) for n in (600, 700))]
     spectra = [kklab.lorentz_index(params, grid) for grid in grids]
     for _ in range(3):
+        _at_infinity.cache_clear()  # every round runs the operator again
         for spec in spectra:
             kklab.kk_re_from_im(spec)
     info = fresh_plans.cache_info()
@@ -332,6 +336,7 @@ def test_direct_part_keeps_the_bits_of_the_column_loop(monkeypatch, fresh_plans,
                                                         direct_part_spectrum, transform):
     got = transform(direct_part_spectrum)
     monkeypatch.setattr(kklab.kk, "pv_folded_at_nodes", _column_loop)
+    _at_infinity.cache_clear()  # the reference runs the column loop, not a cached result
     want = transform(direct_part_spectrum)
     assert (_bits([got.spectrum.re, got.spectrum.im, got.error_estimate])
             == _bits([want.spectrum.re, want.spectrum.im, want.error_estimate]))

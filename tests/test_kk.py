@@ -352,3 +352,100 @@ def test_residual_needs_interior():
     s = ComplexIndexSpectrum(g, np.ones(32), np.zeros(32))
     with pytest.raises(ValueError, match="interior"):
         roundtrip_residual(s)
+
+
+# --- result cache -----------------------------------------------------------
+
+def _bits(res):
+    return [res.spectrum.re.tobytes(), res.spectrum.im.tobytes(),
+            res.error_estimate.tobytes(), res.tail]
+
+
+def _cold(call):
+    kklab.kk._at_infinity.cache_clear()
+    return call()
+
+
+def test_audit_then_transform_runs_the_operator_once(monkeypatch, std_lorentz):
+    calls = []
+    operator = kklab.kk.pv_folded_at_nodes
+    monkeypatch.setattr(kklab.kk, "pv_folded_at_nodes",
+                        lambda *args: calls.append(1) or operator(*args))
+    kklab.audit(std_lorentz)
+    warm = kk_re_from_im(std_lorentz)
+    assert len(calls) == 1
+    assert _bits(warm) == _bits(_cold(lambda: kk_re_from_im(std_lorentz)))
+
+
+def _nudged(a, k=1000):
+    a = a.copy()
+    a[k] = np.nextafter(a[k], np.inf)
+    return a
+
+
+@pytest.mark.parametrize("first, second", [
+    (kk_re_from_im,
+     lambda s: kk_re_from_im(ComplexIndexSpectrum(
+         FrequencyGrid(_nudged(s.grid.values), GridUnit.NORMALIZED), s.re, s.im))),
+    (kk_re_from_im,
+     lambda s: kk_re_from_im(ComplexIndexSpectrum(s.grid, s.re, _nudged(s.im)))),
+    (lambda s: kk_subtracted_at_infinity(s, 1.0, 0.0),
+     lambda s: kk_subtracted_at_infinity(s, 1.0, -0.0)),
+    (kk_re_from_im,
+     lambda s: kk_re_from_im(s, KkOptions(tail=kklab.TailModel(2.0, 1e-3, 100.0)))),
+], ids=["node one ulp up", "im one ulp up", "im_inf -0.0", "tail option"])
+def test_any_other_input_misses(std_lorentz, fresh_results, first, second):
+    first(std_lorentz)
+    got = second(std_lorentz)
+    info = fresh_results.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, 2, 2)
+    assert _bits(got) == _bits(_cold(lambda: second(std_lorentz)))
+
+
+@pytest.mark.parametrize("call, error, runs", [
+    (lambda s: kk_subtracted_at_infinity(s, np.inf, 0.0), ValueError, 0),
+    (lambda s: kk_re_from_im(s, KkOptions(assume_im_odd=False)), ValueError, 0),
+    (lambda s: kk_re_from_im(ComplexIndexSpectrum(
+        s.grid, s.re, s.im * np.cos(s.grid.values))), TailFitError, 2),
+    (lambda s: kk_re_from_im(ComplexIndexSpectrum(
+        s.grid, s.re, s.grid.values ** -0.5)), NonIntegrableTailError, 2),
+], ids=["constants", "odd assumption", "tail fit", "non-integrable tail"])
+def test_refusal_raises_on_every_call_and_is_not_stored(std_lorentz, fresh_results,
+                                                        call, error, runs):
+    for _ in range(2):
+        with pytest.raises(error):
+            call(std_lorentz)
+    info = fresh_results.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (0, runs, 0)
+
+
+def test_hit_carries_the_callers_grid_and_im(std_lorentz, fresh_results):
+    kk_re_from_im(std_lorentz)
+    # the same bytes under another unit, in arrays of their own
+    grid = FrequencyGrid(std_lorentz.grid.values.copy(), GridUnit.SI_RAD_PER_S)
+    s = ComplexIndexSpectrum(grid, std_lorentz.re.copy(), std_lorentz.im.copy())
+    res = kk_re_from_im(s)
+    assert fresh_results.cache_info().hits == 1
+    assert res.spectrum.grid is grid and res.spectrum.im is s.im
+    assert res.spectrum.grid.unit is GridUnit.SI_RAD_PER_S
+
+
+def test_result_cache_stays_bounded(fresh_results):
+    for n in range(200, 200 + kklab.kk._RESULT_CACHE_SIZE + 2):
+        kk_re_from_im(lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1),
+                                    FrequencyGrid.log_spaced(1e-2, 1e2, n, GridUnit.NORMALIZED)))
+    info = fresh_results.cache_info()
+    assert info.misses == kklab.kk._RESULT_CACHE_SIZE + 2
+    assert info.currsize == info.maxsize == kklab.kk._RESULT_CACHE_SIZE
+
+
+@pytest.mark.parametrize("transform", [
+    kk_re_from_im,
+    kk_im_from_re,
+    lambda s: kk_subtracted(s, 0.0, 0.5, 0.01),
+    lambda s: kk_subtracted_at_infinity(s, 1.01, 1e-3),
+], ids=["re-from-im", "im-from-re", "subtracted", "at-infinity"])
+def test_error_estimate_is_read_only(std_lorentz, transform):
+    for res in (transform(std_lorentz), transform(std_lorentz)):  # cold, then warm
+        with pytest.raises(ValueError, match="read-only"):
+            res.error_estimate[0] = 0.0

@@ -22,7 +22,9 @@ Requests come from ``perfbench/schedule.py``, and nothing under
 ``perfbench/`` is edited. Every spectrum runs twice, ``cold`` and then
 ``warm``: the FFT operators' per-grid plan caches, where the checkout has
 them, are cleared before the cold pass, and the warm pass reuses what the
-cold pass built. The program runs from this checkout's ``src/``.
+cold pass built. The transform result cache, where the checkout has one, is
+cleared before each pass, so the warm pass runs every transform again on
+warm plans. The program runs from this checkout's ``src/``.
 
 Prints one line per call:
 
@@ -47,8 +49,9 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import schedule  # noqa: E402
 from cli_digests import GRIDS  # noqa: E402
 from kklab import (ComplexIndexSpectrum, FrequencyGrid, GridUnit,  # noqa: E402
-                   LorentzOscillatorParams, audit, kk_im_from_re, kk_re_from_im,
-                   kk_subtracted, kk_subtracted_at_infinity, lorentz_index, pvquad)
+                   LorentzOscillatorParams, audit, kk, kk_im_from_re,
+                   kk_re_from_im, kk_subtracted, kk_subtracted_at_infinity,
+                   lorentz_index, pvquad)
 
 # the constants of cli_digests.py's subtracted requests
 TRANSFORMS = {
@@ -121,10 +124,13 @@ def print_digests() -> None:
     # a checkout without a plan cache runs every call cold
     plans = [getattr(pvquad, name) for name in ("_folded_plan", "_mirrored_plan")
              if hasattr(pvquad, name)]
+    results = [kk._at_infinity] if hasattr(kk, "_at_infinity") else []
     for name, spec, calls in spectra():
         for plan in plans:
             plan.cache_clear()
         for state in ("cold", "warm"):
+            for cache in results:
+                cache.cache_clear()
             for label, fn in calls:
                 values, errors = digest(lambda: fn(spec))
                 print(values, errors, f"{name} {label} {state}", flush=True)
