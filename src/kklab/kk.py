@@ -25,21 +25,26 @@ written, so the finite-cutoff truncation of the two pieces cancels; the
 Im n(inf) term would vanish identically under an exact principal value
 (P int_0^inf dnu/(nu^2 - w^2) = 0).
 
-Numerically each kernel is factored to expose a single simple pole at +w,
+Numerically every kernel has one simple pole on the 0..inf path, at +w;
+the folded forms' partner pole at -w never lies on it. Their numerators
+nu a + w b, with a = Im n, b = -Im n(inf) or a = 0, b = Re n - 1, go
+through :func:`~kklab.pvquad.pv_folded_at_nodes` as
+[(nu a + w b)/(nu + w)] / (nu - w), every node of a transform at once. On a
+log grid that operator takes the far part of its sums by FFT and the near
+part by the partial fractions
 
-    nu g / (nu^2 - w^2) = [nu g / (nu + w)] * 1/(nu - w),
+    (nu a + w b) / (nu^2 - w^2) = [(a + b)/2] / (nu - w) + [(a - b)/2] / (nu + w),
 
-and handed to the pv engine, every node of a transform at once; the -w
-partner pole never lies on the 0..inf path. The folded forms, numerators
-nu a + w b with a = Im n, b = -Im n(inf) or a = 0, b = Re n - 1, go through
-:func:`~kklab.pvquad.pv_folded_at_nodes`; the subtracted relation, one
+a singular part with one integrand for every pole and a part with no pole.
+The closed-form tail beyond the grid splits alike: re-from-im needs the
+even powers of w of its series, im-from-re the odd ones, and each sums only
+those (:func:`~kklab.pvquad.tail_parity`). The subtracted relation, one
 integrand K(nu) on the full axis, goes through
-:func:`~kklab.pvquad.pv_mirrored_at_nodes`. On a log grid both take the far
-part of their sums by FFT. Data grids are extended at both ends
-before integrating: down to nu = 0 with the local odd (linear) or even
-(parabolic) model, and up to 4x the top node with the fitted power-law
-tail, so every grid node is a strictly interior pole. Beyond the extension
-the tail is summed in closed form.
+:func:`~kklab.pvquad.pv_mirrored_at_nodes`, also by FFT on a log grid.
+Data grids are extended at both ends before integrating: down to nu = 0
+with the local odd (linear) or even (parabolic) model, and up to 4x the top
+node with the fitted power-law tail, so every grid node is a strictly
+interior pole. Beyond the extension the tail is summed in closed form.
 
 An audit's round trip is the transform its caller asks for next, so
 :func:`kk_subtracted_at_infinity` keeps its last two results, keyed on the
@@ -70,6 +75,7 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     simpson_estimate,
     tail_integral,
     tail_integrals,
+    tail_parity,
     top_decade,
 )
 from .spectra import ComplexIndexSpectrum, _as_readonly
@@ -226,10 +232,10 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
     pos = nu > 0.0
     w = nu[pos]
-    s_pos, s_neg = _tail_pair(series_tail, nu)
+    s_even = tail_parity(series_tail, nu, odd=False)
     lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
     val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, lo, lo + w.size)
-    val += 0.5 * (s_pos + s_neg)[pos]
+    val += s_even[pos]
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
     out = np.empty(nu.size)
@@ -239,7 +245,7 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     if not pos[0]:
         # kernel degenerates to g(nu)/nu, regular when g is odd
         val0, err0 = simpson_estimate(difference_quotient(nu_e, g_e, 0.0, 0.0), nu_e)
-        out[0] = re_inf + (2.0 / math.pi) * (val0 + s_pos[0])
+        out[0] = re_inf + (2.0 / math.pi) * (val0 + s_even[0])
         errs[0] = (2.0 / math.pi) * err0
     out.flags.writeable = errs.flags.writeable = False
     return out, errs, tail
@@ -275,7 +281,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     w = nu[pos]
     lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
     val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, lo, lo + w.size)
-    s_odd = 0.5 * np.subtract(*_tail_pair(series_tail, w))
+    s_odd = tail_parity(series_tail, w, odd=True)
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)
     out[pos] = -(2.0 / math.pi) * (val + s_odd)

@@ -57,6 +57,7 @@ __all__ = [
     "fit_tail",
     "tail_integral",
     "tail_integrals",
+    "tail_parity",
     "pv_semi_infinite",
 ]
 
@@ -423,17 +424,22 @@ def _read_only(size: int, *plan) -> tuple:
 def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     """Read-only grid-only part of pv_folded_at_nodes' FFT path on the
     geometric block nu[lo:hi] of ratio exp(log_r): FFT size, (3, M) weights,
-    slope weights, a, b, |a|, |b| kernel spectra, (3, n) weights / w, their
-    1/(nu - w) convolutions and the log terms."""
+    slope weights, a, b, |a|, |b| kernel spectra (the far kernels, and in
+    the band +-(1/2) / (1 + r^m), the pole-free part of the split), (3, n)
+    weights / w, their 1/(nu - w) convolutions and the log terms."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
-    weights, slope_w, logs, size, x, far, _ = _plan_setup(nu, lo, hi, log_r)
+    weights, slope_w, logs, size, x, far, inside = _plan_setup(nu, lo, hi, log_r)
+    band = inside & ~far & (x != 0.0)
     kernels = np.zeros((6, size))
     with np.errstate(over="ignore"):
         kernels[0, far] = -1.0 / np.expm1(2.0 * x[far])
         kernels[1, far] = -0.5 / np.sinh(x[far])
         kernels[2, far] = -1.0 / np.expm1(x[far])
+    # the band's pole-free part (a - b) / (2 (nu + w)): +-(1/2) / (1 + r^m)
+    kernels[0, band] = 0.5 / (1.0 + np.exp(x[band]))
+    kernels[1, band] = -kernels[0, band]
     kernels[3:] = np.abs(kernels[:3])
     kernels = fft.rfft(kernels)
     over_nu = weights[:, lo:hi] / nu[lo:hi]
@@ -467,24 +473,25 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
                       conv_nu[:, :hi - lo].copy(), logs)
 
 
-def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, columns, f) -> np.ndarray:
+def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, f, columns, column) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi] over their own
     nodes, which take the slope of ``f_stencil`` (f_k at the nodes k - 2 ..
     k + 1), the band 0 < |j - lo - k| <= _FFT_BAND and the nodes
     ``columns``. Each row adds its terms in one order: by offset m, node
     k + m before node k - m, then the columns.
 
-    ``f(j, k, s, out)`` writes f_k at the nodes j for the rows k into out,
-    given s = nu_j + w_k. The two members of an offset, node k + m on row k
-    and node k on row k + m, share s and nu_j - w_k = +-d. An array f is one
-    integrand for every pole, and both members then share the quotient too.
+    The band sums the quotient of ``f``, one integrand for every pole: the
+    two members of an offset, node k + m on row k and node k on row k + m,
+    share (f(nu_j) - f(w_k)) / (nu_j - w_k). A column j takes
+    (f_k(nu_j) - f_k(w_k)) / (nu_j - w_k), with ``column(j, out)`` giving
+    f_k(nu_j) for every row, written into out or shared, and f_k(w_k) from
+    the stencil.
     """
-    f_at = f_stencil[:, 2].copy()  # contiguous: every offset and column reads it
+    f_at = f_stencil[:, 2].copy()  # contiguous: every column reads it
     slope = np.sum(f_stencil * slope_w, axis=1)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
     n, w = hi - lo, nu[lo:hi]
-    shared = not callable(f)
-    buf = np.empty((6, n))  # (q, q, |q|), d, the numerator x of q = x / d, s
+    buf = np.empty((6, n))  # (q, q, |q|), d, the numerator x of q = x / d, a free row
 
     def quotient(x, d, q):  # q = (x / d, x / d, |x / d|)
         np.divide(x, d, q[0])
@@ -496,28 +503,17 @@ def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, columns, f) -> np.ndarra
         np.add(rows, np.multiply(weights[:, j], q, terms), rows)
 
     for m in range(1, _FFT_BAND + 1):
-        q, d, x, s = buf[:3, m:], buf[3, m:], buf[4, m:], buf[5, m:]
+        q, d, x = buf[:3, m:], buf[3, m:], buf[4, m:]
         right, left = slice(lo + m, hi), slice(lo, hi - m)
         np.subtract(nu[right], nu[left], d)
-        if shared:
-            quotient(np.subtract(f[right], f[left], x), d, q)
-            add(sums[:, :n - m], right, q, buf[3:, m:])  # d, x and s are spent
-            add(sums[:, m:], left, q, q)
-            continue
-        np.add(nu[right], nu[left], s)
-        np.subtract(f(right, slice(0, n - m), s, x), f_at[:n - m], x)
-        add(sums[:, :n - m], right, quotient(x, d, q), q)
-        # over nu_j - w_k = -d: (f_k(w_k) - f_k(nu_j)) / d
-        np.subtract(f_at[m:], f(left, slice(m, n), s, x), x)
-        add(sums[:, m:], left, quotient(x, d, q), q)
-    q, d, x, s = buf[:3], buf[3], buf[4], buf[5]
+        quotient(np.subtract(f[right], f[left], x), d, q)
+        add(sums[:, :n - m], right, q, buf[3:, m:])  # d and x are spent
+        add(sums[:, m:], left, q, q)
+    q, d, x = buf[:3], buf[3], buf[4]
     for j in columns:
         col = slice(j, j + 1)
         np.subtract(nu[col], w, d)
-        if shared:
-            np.subtract(f[col], f_at, x)
-        else:
-            np.subtract(f(col, slice(None), np.add(nu[col], w, s), x), f_at, x)
+        np.subtract(column(j, x), f_at, x)
         add(sums, col, quotient(x, d, q), q)
     return sums
 
@@ -556,14 +552,22 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         1 / (nu - w)        = (1/nu) / (1 - r^m),
 
     so their block sums beyond |m| = _FFT_BAND are convolutions, taken by
-    numpy.fft. The full and the full-minus-half Simpson weights enter as
-    their own convolutions, so the error estimate is
-    :func:`simpson_estimate`'s; its rounding floor's far part is the upper
-    bound with |a|, |b| and the |kernels|, clipped at 0. The band, the pole
-    rows and the nodes outside the block are summed directly, one band
-    offset or one outside node at a time, in place in one buffer; each
-    offset's two members share nu + w and nu - w. Any other block goes to
-    pv_at_nodes with the same integrand, and takes no cache slot.
+    numpy.fft. Nearer nodes take the partial fractions of the folded kernel,
+
+        f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
+        g = (a + b) / 2,   h = (a - b) / 2,
+
+    and as f_k(w) = g(w) the subtracted integrand splits alike. The a and
+    b kernels carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)), for
+    0 < |m| <= _FFT_BAND. The g part is one integrand for every pole, so
+    each band offset's two members share one quotient. The pole rows take
+    the stencil slope of f_k, and each node outside the block the quotient
+    of f_k; this direct part works in place in one buffer. The full and
+    the full-minus-half Simpson weights enter as their own convolutions, so
+    the error estimate is :func:`simpson_estimate`'s; its rounding floor's
+    convolved part is the upper bound with |a|, |b| and the |kernels|,
+    clipped at 0. Any other block goes to pv_at_nodes with the same
+    integrand, and takes no cache slot.
 
     A geometric block's grid-only setup is a plan, cached by nu's bytes and
     (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
@@ -600,8 +604,14 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     f_stencil = values(stencil, (slice(None), None), nu[stencil] + w[:, None],
                        np.empty(stencil.shape))
     f_at = f_stencil[:, 2]
-    sums = _near_sums(nu, weights, slope_w, lo, hi, f_stencil,
-                      (*range(lo), *range(hi, nu.size)), values)
+    s = np.empty(w.size)
+
+    def column(j, out):  # f_k at the node j on every row
+        return values(slice(j, j + 1), slice(None), np.add(nu[j], w, s), out)
+
+    # the band takes the split's singular part, (a + b)/2 over nu - w
+    sums = _near_sums(nu, weights, slope_w, lo, hi, f_stencil, 0.5 * (a + b),
+                      (*range(lo), *range(hi, nu.size)), column)
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w), are the plan's
     _add_far(sums, size, f_at, conv_nu,
@@ -654,8 +664,9 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
     sums = _near_sums(nu, weights, slope_w, lo, hi,
-                      f[np.arange(lo, hi)[:, None] + np.arange(-2, 2)],
-                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)), f)
+                      f[np.arange(lo, hi)[:, None] + np.arange(-2, 2)], f,
+                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)),
+                      lambda j, out: f[j])
     _add_far(sums, size, f_at, conv_nu,
              [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
@@ -772,6 +783,20 @@ def tail_integrals(t: TailModel, poles: np.ndarray) -> np.ndarray:
     """:func:`tail_integral` at every pole of an array, by one fixed-length
     series with enough terms for the largest |pole|/cutoff, summed by
     Horner's rule."""
+    return _tail_series(t, poles, 1, 0)
+
+
+def tail_parity(t: TailModel, poles: np.ndarray, odd: bool) -> np.ndarray:
+    """The even or, with ``odd``, the odd part (s(w) +- s(-w))/2 of the
+    :func:`tail_integrals` s at the poles w, as one series of those powers
+    alone. The odd part keeps its digits at small w, where s(w) - s(-w)
+    cancels them."""
+    return _tail_series(t, poles, 2, int(odd))
+
+
+def _tail_series(t: TailModel, poles: np.ndarray, step: int, first: int) -> np.ndarray:
+    """A c^-p x^first sum_i x^(step i) / (p + first + step i) at x = pole/c,
+    with enough terms for the largest |x|."""
     x = np.asarray(poles, dtype=float) / t.cutoff
     r = float(np.max(np.abs(x))) if x.size else 0.0
     if r >= 1.0:
@@ -779,13 +804,16 @@ def tail_integrals(t: TailModel, poles: np.ndarray) -> np.ndarray:
             f"tail series does not converge: |pole| / cutoff = {r!r} >= 1")
     if t.amplitude == 0.0:
         return np.zeros_like(x)
-    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / math.log(r)) + 1
+    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / (step * math.log(r))) + 1
     if terms > 100_000:
         raise ValueError(
             f"tail series failed to converge: |pole| / cutoff = {r!r} too close to 1")
+    y = x ** step
     acc = np.zeros_like(x)
-    for j in range(terms - 1, -1, -1):
-        acc = acc * x + 1.0 / (t.exponent + j)
+    for i in range(terms - 1, -1, -1):
+        acc = acc * y + 1.0 / (t.exponent + (first + step * i))
+    if first:
+        acc *= x
     return (t.amplitude / (t.cutoff ** t.exponent)) * acc
 
 

@@ -19,6 +19,8 @@ runs the blocked operator.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
@@ -82,6 +84,42 @@ def test_fft_path_matches_blocked_operator(csv_lorentz, direction):
     resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
     assert np.count_nonzero(resolved) > 0.5 * resolved.size
     np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+
+
+MEMBERS = st.sampled_from(["array", "scalar", "zero"])
+
+
+def _member(kind, rng, size):
+    """A bounded random a or b: an array, a scalar or 0."""
+    if kind == "array":
+        return rng.uniform(-1.0, 1.0, size)
+    return float(rng.uniform(-1.0, 1.0)) if kind == "scalar" else 0.0
+
+
+@settings(max_examples=12, deadline=None)
+@given(poles=st.integers(4 * _FFT_BAND, 2920),
+       pads=st.tuples(st.integers(2, 40), st.integers(2, 40)),
+       decades=st.floats(1.0, 6.0), kinds=st.tuples(MEMBERS, MEMBERS, MEMBERS, MEMBERS),
+       scale=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fft_path_is_linear_and_matches_blocked_operator(poles, pads, decades, kinds,
+                                                         scale, seed):
+    # random data, not smooth, on a geometric grid of 132-3000 nodes whose
+    # outer nodes are the outside columns: the band, the split and the
+    # columns all count
+    nodes = poles + sum(pads)
+    nu = np.geomspace(1e-2, 1e-2 * 10.0 ** decades, nodes)
+    lo, hi = pads[0], pads[0] + poles
+    assert _geometric_log_ratio(nu[lo:hi]) is not None
+    rng = np.random.default_rng(seed)
+    a1, b1, a2, b2 = (_member(kind, rng, nodes) for kind in kinds)
+    alpha, beta = scale
+    one = pv_folded_at_nodes(nu, a1, b1, lo, hi)[0]
+    two = pv_folded_at_nodes(nu, a2, b2, lo, hi)[0]
+    both = pv_folded_at_nodes(nu, alpha * np.asarray(a1) + beta * np.asarray(a2),
+                              alpha * np.asarray(b1) + beta * np.asarray(b2), lo, hi)[0]
+    np.testing.assert_allclose(both, alpha * one + beta * two, rtol=0.0, atol=VALUE_ATOL)
+    np.testing.assert_allclose(one, _blocked(nu, a1, b1, lo, hi)[0], rtol=0.0, atol=VALUE_ATOL)
 
 
 @pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
@@ -262,12 +300,19 @@ def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, 
 
 def _column_loop(nu, a, b, lo, hi):
     """The FFT path of pv_folded_at_nodes with its direct part summed one
-    member at a time: for every band offset m the node k + m on row k, then
-    the node k on row k + m, each with its own nu + w and nu - w, then one
-    outside node at a time. The reference whose bits the direct part keeps."""
+    member at a time. The folded integrand is split by partial fractions,
+
+        f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
+
+    g = (a + b)/2 and h = (a - b)/2, so for every band offset m the node
+    k + m on row k, then the node k on row k + m, each takes the quotient
+    (g(nu_j) - g(w)) / (nu_j - w) of its own nu - w; the pole-free h part
+    of the band is in the plan's kernels. Then one outside node at a time
+    takes the folded (f_k(nu_j) - f_k(w)) / (nu_j - w), with its own
+    nu + w. The reference whose bits the direct part keeps."""
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
-    nu_a = nu * a
+    nu_a, g = nu * a, 0.5 * (a + b)
     has_a, has_b = np.any(a), np.any(b)
     log_r = _geometric_log_ratio(nu[lo:hi])
     assert log_r is not None
@@ -286,16 +331,20 @@ def _column_loop(nu, a, b, lo, hi):
     slope = np.sum(f_stencil * slope_w, axis=1)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 
-    def add(j, k):
-        q = (numerator(j, k) / (nu[j] + w[k]) - f_at[k]) / (nu[j] - w[k])
+    def add(j, k, q):
         sums[:2, k] += weights[:2, j] * q
         sums[2, k] += weights[2, j] * np.abs(q)
 
+    def band(j, k):
+        add(j, k, (g[j] - g[lo:hi][k]) / (nu[j] - w[k]))
+
     for m in range(1, _FFT_BAND + 1):
-        add(slice(lo + m, hi), slice(0, n - m))
-        add(slice(lo, hi - m), slice(m, n))
+        band(slice(lo + m, hi), slice(0, n - m))
+        band(slice(lo, hi - m), slice(m, n))
     for j in (*range(lo), *range(hi, nu.size)):
-        add(slice(j, j + 1), slice(None))
+        k = slice(None)
+        col = slice(j, j + 1)
+        add(col, k, (numerator(col, k) / (nu[col] + w[k]) - f_at[k]) / (nu[col] - w[k]))
 
     products = np.zeros((3, kernels.shape[1]), dtype=complex)
     for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):

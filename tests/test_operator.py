@@ -34,7 +34,7 @@ from kklab import (
     tail_integral,
 )
 from kklab.kk import _extend_axis
-from kklab.pvquad import pv_at_nodes, simpson_weights, tail_integrals
+from kklab.pvquad import pv_at_nodes, simpson_weights, tail_integrals, tail_parity
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -204,6 +204,37 @@ def test_tail_integrals_match_scalar_series():
     for bad in (400.0, 400.0 * (1.0 - 1e-15)):
         with pytest.raises(ValueError, match="converge"):
             tail_integrals(t, np.array([1.0, bad]))
+
+
+def test_tail_parity_matches_scalar_series():
+    # (s(w) +- s(-w))/2, each summed as one series of its own powers
+    t = TailModel(3.0065, 0.05, 400.0)
+    poles = np.concatenate([-np.geomspace(1e-2, 100.0, 50), [0.0], np.geomspace(1e-2, 100.0, 50)])
+    plus = np.array([tail_integral(t, p) for p in poles])
+    minus = np.array([tail_integral(t, -p) for p in poles])
+    # the scalar sum and difference are good to a few ulps of s(+-w) alone
+    ulps = 2e-15 * (np.abs(plus) + np.abs(minus))
+    for odd, want in ((False, 0.5 * (plus + minus)), (True, 0.5 * (plus - minus))):
+        got = tail_parity(t, poles, odd)
+        assert np.all(np.abs(got - want) <= ulps)
+    np.testing.assert_array_equal(tail_parity(t, -poles, True), -tail_parity(t, poles, True))
+    np.testing.assert_array_equal(tail_parity(t, -poles, False), tail_parity(t, poles, False))
+    np.testing.assert_array_equal(tail_parity(TailModel(2.0, 0.0, 10.0), poles[:3], True), 0.0)
+    for odd in (False, True):
+        with pytest.raises(ValueError, match="converge"):
+            tail_parity(t, np.array([1.0, 400.0]), odd)
+
+
+def test_odd_tail_keeps_its_digits_at_small_poles():
+    # at w/c = 1e-8 the odd part is A c^-p x/(p + 1) to 1e-16 relative; the
+    # difference of s(w) and s(-w) cancels about 8 of its digits there. The
+    # poles span a 2048-node transform's range, so the term count is the
+    # one its largest pole needs.
+    t = TailModel(3.0065, 0.05, 400.0)
+    x = np.geomspace(1e-8, 0.25, 2048)
+    odd = tail_parity(t, x * t.cutoff, True)
+    leading = t.amplitude * t.cutoff ** -t.exponent * x[0] / (t.exponent + 1.0)
+    assert odd[0] == pytest.approx(leading, rel=1e-15, abs=0.0)
 
 
 @settings(max_examples=25, deadline=None)
