@@ -28,19 +28,19 @@ Im n(inf) term would vanish identically under an exact principal value
 Numerically every kernel has one simple pole on the 0..inf path, at +w;
 the folded forms' partner pole at -w never lies on it. Their numerators
 nu a + w b, with a = Im n, b = -Im n(inf) or a = 0, b = Re n - 1, go
-through :func:`~kklab.pvquad.pv_folded_at_nodes` as
-[(nu a + w b)/(nu + w)] / (nu - w), every node of a transform at once. On a
-log grid that operator takes the far part of its sums by FFT and the near
-part by the partial fractions
+through :func:`~kklab.pvquad.pv_folded_at_nodes`, every node of a
+transform at once, as the partial fractions
 
     (nu a + w b) / (nu^2 - w^2) = [(a + b)/2] / (nu - w) + [(a - b)/2] / (nu + w),
 
 a singular part with one integrand for every pole and a part with no pole.
-The closed-form tail beyond the grid splits alike: re-from-im needs the
-even powers of w of its series, im-from-re the odd ones, and each sums only
+On a log grid that operator takes the far part of its sums by FFT. The
+closed-form tail beyond the grid splits alike: re-from-im needs the even
+powers of w of its series, im-from-re the odd ones, and each sums only
 those (:func:`~kklab.pvquad.tail_parity`). The subtracted relation, one
 integrand K(nu) on the full axis, goes through
-:func:`~kklab.pvquad.pv_mirrored_at_nodes`, also by FFT on a log grid.
+:func:`~kklab.pvquad.pv_mirrored_at_nodes`, also by FFT on a log grid; its
+tails on the two half-axes sum to the even part of the same series.
 Data grids are extended at both ends before integrating: down to nu = 0
 with the local odd (linear) or even (parabolic) model, and up to 4x the top
 node with the fitted power-law tail, so every grid node is a strictly
@@ -74,7 +74,6 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     pv_mirrored_at_nodes,
     simpson_estimate,
     tail_integral,
-    tail_integrals,
     tail_parity,
     top_decade,
 )
@@ -186,12 +185,6 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
     nu_e = np.concatenate([head_nu, body_nu, hi_nodes])
     f_e = np.concatenate([head_f, body_f, hi_vals])
     return nu_e, f_e, tail, TailModel(tail.exponent, tail.amplitude, cutoff)
-
-
-def _tail_pair(tail: TailModel, w: np.ndarray) -> list[np.ndarray]:
-    """:func:`~kklab.pvquad.tail_integrals` at +w and at -w by one series,
-    the same terms for both: they share the largest |pole|."""
-    return np.split(tail_integrals(tail, np.concatenate([w, -w])), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -358,18 +351,16 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     ev = (dr != 0.0) & ~collide
     w, dr = nu[ev], dr[ev]
     val, err = pv_mirrored_at_nodes(nu_full, kern, np.searchsorted(nu_full, w))
-    # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there:
-    # the power-law part reduces to simple-pole series at +-w and +-w0,
-    # the constant -Im G(w0) part to logarithms.
-    s_pos, s_neg = _tail_pair(series_tail, np.append(w, w0))
-    right = (s_pos[:-1] - s_pos[-1]) / dr
-    left = (s_neg[:-1] - s_neg[-1]) / dr
+    # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there: the
+    # power-law parts sum to 2 (E(w) - E(w0)) / (w - w0), E the even part of
+    # the simple-pole series, and the constant -Im G(w0) parts to one log
+    even = tail_parity(series_tail, np.append(w, w0), odd=False)
+    tails = 2.0 * (even[:-1] - even[-1])
     if g0_im != 0.0:
-        right += g0_im * np.log((cutoff - w) / (cutoff - w0)) / dr
-        left -= g0_im * np.log((cutoff + w) / (cutoff + w0)) / dr
+        tails += g0_im * np.log((cutoff - w) * (cutoff + w0) / ((cutoff + w) * (cutoff - w0)))
     out = np.full(nu.size, g0_re)
     errs = np.zeros(nu.size)
-    out[ev] = g0_re + (dr / math.pi) * (val + right + left)
+    out[ev] = g0_re + (dr * val + tails) / math.pi
     errs[ev] = (np.abs(dr) / math.pi) * err
 
     spec = ComplexIndexSpectrum(g.grid, out, g.im)

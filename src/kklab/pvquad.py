@@ -13,15 +13,18 @@ data; the tail piece is summed as a series in (pole/cutoff).
 :func:`pv_integrate` evaluates one pole on :func:`difference_quotient`, the
 integrand that :mod:`kklab.kk` also takes at w = 0 and at a subtraction point.
 :func:`pv_at_nodes` evaluates the same rule for many poles on grid nodes, a
-block of rows at a time, with the scalar path as its reference.
+block of rows at a time, with the scalar path as its reference. It takes
+sampled arrays that are the same for every pole: the numerator g over
+nu - w and, if any, the pole-free numerator h over nu + w.
 :func:`pv_folded_at_nodes` gives the same sums for the folded integrands
-(nu a + w b)/(nu + w) of :mod:`kklab.kk`, and :func:`pv_mirrored_at_nodes`
-for one integrand shared by every pole on an axis symmetric about 0, that of
-the subtracted relation: on a geometric block of poles each takes the far
-part of its sums as FFT convolutions, in O(M log M) instead of O(N M), sums
-the near part directly, and caches the block's grid-only setup; any other
-grid goes to :func:`pv_at_nodes`. All of them take f(w) and f'(w) at the
-pole from one cubic rule, the Lagrange value and slope weights of its four
+(nu a + w b)/(nu + w) of :mod:`kklab.kk`, whose partial fractions are g =
+(a + b)/2 and h = (a - b)/2, and :func:`pv_mirrored_at_nodes` for one
+integrand g shared by every pole on an axis symmetric about 0, that of the
+subtracted relation: on a geometric block of poles each takes the far part
+of its sums as FFT convolutions, in O(M log M) instead of O(N M), sums the
+near part directly, and caches the block's grid-only setup; any other grid
+goes to :func:`pv_at_nodes`. All of them take f(w) and f'(w) at the pole
+from one cubic rule, the Lagrange value and slope weights of its four
 nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
 full-grid Simpson sum less the every-other-node one, taken as one sum
 against the difference of their weights, plus a rounding floor. Simpson
@@ -56,7 +59,6 @@ __all__ = [
     "noise_floor",
     "fit_tail",
     "tail_integral",
-    "tail_integrals",
     "tail_parity",
     "pv_semi_infinite",
 ]
@@ -342,21 +344,35 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     return QuadratureResult(*simpson_estimate(q, nu, log_term))
 
 
-def pv_at_nodes(nu: np.ndarray,
-                integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-                hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P int f_k(nu)/(nu - nu[hits[k]]) dnu for every pole at a grid node.
+def _pole_slopes(nu, g, h, hits, slope_w) -> np.ndarray:
+    """The stencil slope at each pole w = nu[hits[k]] of its integrand
+    f_k = g + h (nu - w)/(nu + w), or g alone when h is None."""
+    stencil = hits[:, None] + np.arange(-2, 2)
+    f = g[stencil]
+    if h is not None:
+        w, x = nu[hits, None], nu[stencil]
+        f = f + h[stencil] * (x - w) / (x + w)
+    return np.sum(f * slope_w, axis=1)
 
-    ``integrand(poles, out, work)`` returns the numerators for a block of
-    poles as a (B, M) array, one sampled row per pole. It may compute them
-    into ``out``, a (B, M) buffer, with ``work``, another, as scratch, or
-    return any other array (a broadcast view will do). Every pole needs >= 2
+
+def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray | None,
+                hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P int [g(nu)/(nu - w) + h(nu)/(nu + w)] dnu at every pole w = nu[hits[k]].
+
+    ``g`` and ``h`` are arrays of nu's shape, the same for every pole; h is
+    None for a kernel with no 1/(nu + w) part. The row of pole w is the
+    integrand f_k(nu) = g + h (nu - w)/(nu + w) over nu - w, with f_k(w) =
+    g(w), so its subtracted quotient is
+
+        q = (g - g(w)) / (nu - w) + h / (nu + w),
+
+    and on the pole node the stencil slope of f_k. Every pole needs >= 2
     nodes on each side. Row k gets the value and the
     :func:`simpson_estimate` error estimate of
-    ``pv_integrate(PoleIntegrand(nu, f_k, nu[hits[k]]))``, up to rounding.
-    Rows are evaluated a block at a time in the same two buffers, so the
-    operator holds about 2 * _BLOCK_ELEMENTS elements whatever the number of
-    poles. Returns (values, error estimates).
+    ``pv_integrate(PoleIntegrand(nu, f_k, w))``, up to rounding. Rows are
+    evaluated a block at a time in the same two buffers, so the operator
+    holds about 2 * _BLOCK_ELEMENTS elements whatever the number of poles.
+    Returns (values, error estimates).
     """
     nu = np.asarray(nu, dtype=float)
     hits = np.asarray(hits, dtype=np.intp)
@@ -364,9 +380,10 @@ def pv_at_nodes(nu: np.ndarray,
     if hits.size == 0:
         return values, errors
     weights, slope_w, logs = _pole_rows(nu, hits)
+    slopes = _pole_slopes(nu, g, h, hits, slope_w)
     # a C-contiguous copy: BLAS sums the transposed view in another order
     pair = np.ascontiguousarray(weights[:2].T)
-    poles = nu[hits]
+    poles, g_at = nu[hits], g[hits]
     step = max(1, _BLOCK_ELEMENTS // nu.size)
     # two block buffers, reused by every block: fresh temporaries of this
     # size go back to the OS and fault in again, block after block
@@ -374,19 +391,17 @@ def pv_at_nodes(nu: np.ndarray,
     work_buf = np.empty_like(q_buf)
     for start in range(0, hits.size, step):
         blk = slice(start, start + step)
-        h, w = hits[blk], poles[blk]
-        rows = np.arange(h.size)
-        q, work = q_buf[:h.size], work_buf[:h.size]
-        f = integrand(w, q, work)
-        f_at = f[rows, h]
-        stencil = f[rows[:, None], h[:, None] + np.arange(-2, 2)]
-        np.subtract(f, f_at[:, None], out=q)
+        k, w = hits[blk], poles[blk, None]
+        q, work = q_buf[:k.size], work_buf[:k.size]
+        np.subtract(g, g_at[blk, None], out=q)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q /= np.subtract(nu, w[:, None], out=work)
-        q[rows, h] = np.sum(stencil * slope_w[blk], axis=1)
+            q /= np.subtract(nu, w, out=work)
+            if h is not None:
+                q += np.divide(h, np.add(nu, w, out=work), out=work)
+        q[np.arange(k.size), k] = slopes[blk]
         sums = q @ pair
         values[blk], errors[blk] = _finish(sums[:, 0], sums[:, 1],
-                                           np.abs(q, out=work) @ weights[2], f_at * logs[blk])
+                                           np.abs(q, out=work) @ weights[2], g_at[blk] * logs[blk])
     return values, errors
 
 
@@ -473,28 +488,26 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
                       conv_nu[:, :hi - lo].copy(), logs)
 
 
-def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, f, columns, column) -> np.ndarray:
+def _near_sums(nu, weights, slope_w, lo, hi, g, h, columns) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi] over their own
-    nodes, which take the slope of ``f_stencil`` (f_k at the nodes k - 2 ..
-    k + 1), the band 0 < |j - lo - k| <= _FFT_BAND and the nodes
-    ``columns``. Each row adds its terms in one order: by offset m, node
-    k + m before node k - m, then the columns.
+    nodes, which take :func:`pv_at_nodes`' stencil slope of f_k, the band
+    0 < |j - lo - k| <= _FFT_BAND and the nodes ``columns``. Each row adds
+    its terms in one order: by offset m, node k + m before node k - m, then
+    the columns.
 
-    The band sums the quotient of ``f``, one integrand for every pole: the
-    two members of an offset, node k + m on row k and node k on row k + m,
-    share (f(nu_j) - f(w_k)) / (nu_j - w_k). A column j takes
-    (f_k(nu_j) - f_k(w_k)) / (nu_j - w_k), with ``column(j, out)`` giving
-    f_k(nu_j) for every row, written into out or shared, and f_k(w_k) from
-    the stencil.
+    The band sums the quotient of ``g`` alone, one integrand for every
+    pole: the two members of an offset, node k + m on row k and node k on
+    row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A column j takes
+    pv_at_nodes' quotient, that shared one plus h_j / (nu_j + w_k) unless
+    h is None.
     """
-    f_at = f_stencil[:, 2].copy()  # contiguous: every column reads it
-    slope = np.sum(f_stencil * slope_w, axis=1)
+    f_at = g[lo:hi]
+    slope = _pole_slopes(nu, g, h, np.arange(lo, hi), slope_w)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
     n, w = hi - lo, nu[lo:hi]
-    buf = np.empty((6, n))  # (q, q, |q|), d, the numerator x of q = x / d, a free row
+    buf = np.empty((6, n))  # (q, q, |q|), d = nu - w, the numerator x of x / d, nu + w
 
-    def quotient(x, d, q):  # q = (x / d, x / d, |x / d|)
-        np.divide(x, d, q[0])
+    def spread(q):  # q = (q[0], q[0], |q[0]|)
         q[1] = q[0]
         np.abs(q[0], q[2])
         return q
@@ -506,15 +519,17 @@ def _near_sums(nu, weights, slope_w, lo, hi, f_stencil, f, columns, column) -> n
         q, d, x = buf[:3, m:], buf[3, m:], buf[4, m:]
         right, left = slice(lo + m, hi), slice(lo, hi - m)
         np.subtract(nu[right], nu[left], d)
-        quotient(np.subtract(f[right], f[left], x), d, q)
-        add(sums[:, :n - m], right, q, buf[3:, m:])  # d and x are spent
+        np.divide(np.subtract(g[right], g[left], x), d, q[0])
+        add(sums[:, :n - m], right, spread(q), buf[3:, m:])  # d and x are spent
         add(sums[:, m:], left, q, q)
-    q, d, x = buf[:3], buf[3], buf[4]
+    q, d, x, s = buf[:3], buf[3], buf[4], buf[5]
     for j in columns:
         col = slice(j, j + 1)
         np.subtract(nu[col], w, d)
-        np.subtract(column(j, x), f_at, x)
-        add(sums, col, quotient(x, d, q), q)
+        np.divide(np.subtract(g[col], f_at, x), d, q[0])
+        if h is not None:
+            q[0] += np.divide(h[col], np.add(nu[col], w, s), s)
+        add(sums, col, spread(q), q)
     return sums
 
 
@@ -544,6 +559,15 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     side. Returns (values, error estimates), equal to pv_at_nodes' up to
     rounding.
 
+    The folded kernel splits by partial fractions,
+
+        f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
+        g = (a + b) / 2,   h = (a - b) / 2,
+
+    and as f_k(w) = g(w) the subtracted integrand splits alike. g and h are
+    formed once, and a block that is not geometric is one pv_at_nodes call
+    on them; it takes no cache slot.
+
     On a geometric block, nu_j = nu_lo r^(j - lo), the kernels of the
     Simpson sums are functions of m = k - j alone,
 
@@ -552,22 +576,13 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         1 / (nu - w)        = (1/nu) / (1 - r^m),
 
     so their block sums beyond |m| = _FFT_BAND are convolutions, taken by
-    numpy.fft. Nearer nodes take the partial fractions of the folded kernel,
-
-        f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
-        g = (a + b) / 2,   h = (a - b) / 2,
-
-    and as f_k(w) = g(w) the subtracted integrand splits alike. The a and
-    b kernels carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)), for
-    0 < |m| <= _FFT_BAND. The g part is one integrand for every pole, so
-    each band offset's two members share one quotient. The pole rows take
-    the stencil slope of f_k, and each node outside the block the quotient
-    of f_k; this direct part works in place in one buffer. The full and
-    the full-minus-half Simpson weights enter as their own convolutions, so
-    the error estimate is :func:`simpson_estimate`'s; its rounding floor's
-    convolved part is the upper bound with |a|, |b| and the |kernels|,
-    clipped at 0. Any other block goes to pv_at_nodes with the same
-    integrand, and takes no cache slot.
+    numpy.fft, one FFT of each of a and b. For 0 < |m| <= _FFT_BAND the a
+    and b kernels carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the
+    g part there, the pole rows and the nodes outside the block are summed
+    directly by :func:`_near_sums`. The full and the full-minus-half
+    Simpson weights enter as their own convolutions, so the error estimate
+    is :func:`simpson_estimate`'s; its rounding floor's convolved part is
+    the upper bound with |a|, |b| and the |kernels|, clipped at 0.
 
     A geometric block's grid-only setup is a plan, cached by nu's bytes and
     (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
@@ -575,45 +590,18 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     nu = np.asarray(nu, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
-    nu_a = nu * a
-    has_a, has_b = np.any(a), np.any(b)
+    g, h = 0.5 * (a + b), 0.5 * (a - b)
     log_r = _geometric_log_ratio(nu[lo:hi])
     if log_r is None:
-
-        def integrand(p, out, work):
-            np.multiply(p[:, None], b, out=out)
-            if has_a:
-                out += nu_a
-            return np.divide(out, np.add(nu, p[:, None], out=work), out=out)
-
-        return pv_at_nodes(nu, integrand, np.arange(lo, hi))
-
+        return pv_at_nodes(nu, g, h, np.arange(lo, hi))
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
         nu.tobytes(), lo, hi, log_r)
-    w = nu[lo:hi]
-
-    def values(j, k, s, out):  # (nu a + w b) / s at the nodes j, rows k, less a zero term
-        if not has_b:
-            return np.divide(nu_a[j], s, out)
-        np.multiply(w[k], b[j], out)
-        if has_a:
-            out += nu_a[j]
-        return np.divide(out, s, out)
-
-    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    f_stencil = values(stencil, (slice(None), None), nu[stencil] + w[:, None],
-                       np.empty(stencil.shape))
-    f_at = f_stencil[:, 2]
-    s = np.empty(w.size)
-
-    def column(j, out):  # f_k at the node j on every row
-        return values(slice(j, j + 1), slice(None), np.add(nu[j], w, s), out)
-
-    # the band takes the split's singular part, (a + b)/2 over nu - w
-    sums = _near_sums(nu, weights, slope_w, lo, hi, f_stencil, 0.5 * (a + b),
-                      (*range(lo), *range(hi, nu.size)), column)
+    # the band takes the split's singular part g over nu - w; its h part is
+    # in the kernels
+    sums = _near_sums(nu, weights, slope_w, lo, hi, g, h, (*range(lo), *range(hi, nu.size)))
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
-    # row k multiplies by its own f_k(w), are the plan's
+    # row k multiplies by its own f_k(w) = g(w), are the plan's
+    f_at = g[lo:hi]
     _add_far(sums, size, f_at, conv_nu,
              [(over_nu * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
               for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)) if np.any(d)])
@@ -651,22 +639,16 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
     if block.size and np.array_equal(nu[::-1], -nu):
         lo, hi = int(block[0]), int(block[-1]) + 1
         log_r = _geometric_log_ratio(nu[lo:hi])
-
-    def integrand(p, out, work):
-        return np.broadcast_to(f, out.shape)
-
     if log_r is None:
-        return pv_at_nodes(nu, integrand, hits)
+        return pv_at_nodes(nu, f, None, hits)
     values, errors = np.empty(hits.size), np.empty(hits.size)
     if np.any(rest):
-        values[rest], errors[rest] = pv_at_nodes(nu, integrand, hits[rest])
+        values[rest], errors[rest] = pv_at_nodes(nu, f, None, hits[rest])
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
-    sums = _near_sums(nu, weights, slope_w, lo, hi,
-                      f[np.arange(lo, hi)[:, None] + np.arange(-2, 2)], f,
-                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)),
-                      lambda j, out: f[j])
+    sums = _near_sums(nu, weights, slope_w, lo, hi, f, None,
+                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)))
     _add_far(sums, size, f_at, conv_nu,
              [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
@@ -779,24 +761,15 @@ def tail_integral(t: TailModel, pole: float) -> float:
         f"tail series failed to converge: pole {pole!r} too close to cutoff {t.cutoff!r}")
 
 
-def tail_integrals(t: TailModel, poles: np.ndarray) -> np.ndarray:
-    """:func:`tail_integral` at every pole of an array, by one fixed-length
-    series with enough terms for the largest |pole|/cutoff, summed by
-    Horner's rule."""
-    return _tail_series(t, poles, 1, 0)
-
-
 def tail_parity(t: TailModel, poles: np.ndarray, odd: bool) -> np.ndarray:
     """The even or, with ``odd``, the odd part (s(w) +- s(-w))/2 of the
-    :func:`tail_integrals` s at the poles w, as one series of those powers
-    alone. The odd part keeps its digits at small w, where s(w) - s(-w)
-    cancels them."""
-    return _tail_series(t, poles, 2, int(odd))
+    :func:`tail_integral` s at every pole w of an array, as one fixed-length
+    series of those powers alone,
 
+        A c^-p x^o sum_i x^(2i) / (p + o + 2i),   x = w/c, o = 0 or 1,
 
-def _tail_series(t: TailModel, poles: np.ndarray, step: int, first: int) -> np.ndarray:
-    """A c^-p x^first sum_i x^(step i) / (p + first + step i) at x = pole/c,
-    with enough terms for the largest |x|."""
+    with enough terms for the largest |x|, summed by Horner's rule. The odd
+    part keeps its digits at small w, where s(w) - s(-w) cancels them."""
     x = np.asarray(poles, dtype=float) / t.cutoff
     r = float(np.max(np.abs(x))) if x.size else 0.0
     if r >= 1.0:
@@ -804,14 +777,15 @@ def _tail_series(t: TailModel, poles: np.ndarray, step: int, first: int) -> np.n
             f"tail series does not converge: |pole| / cutoff = {r!r} >= 1")
     if t.amplitude == 0.0:
         return np.zeros_like(x)
-    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / (step * math.log(r))) + 1
+    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / (2.0 * math.log(r))) + 1
     if terms > 100_000:
         raise ValueError(
             f"tail series failed to converge: |pole| / cutoff = {r!r} too close to 1")
-    y = x ** step
+    first = int(odd)
+    y = x * x
     acc = np.zeros_like(x)
     for i in range(terms - 1, -1, -1):
-        acc = acc * y + 1.0 / (t.exponent + (first + step * i))
+        acc = acc * y + 1.0 / (t.exponent + (first + 2 * i))
     if first:
         acc *= x
     return (t.amplitude / (t.cutoff ** t.exponent)) * acc

@@ -52,10 +52,8 @@ def _folded(spec, direction):
 
 
 def _blocked(nu_e, a, b, lo, hi):
-    def integrand(p, out, work):
-        return (nu_e * a + p[:, None] * b) / (nu_e + p[:, None])
-
-    return pv_at_nodes(nu_e, integrand, np.arange(lo, hi))
+    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
+    return pv_at_nodes(nu_e, (a + b) / 2, (a - b) / 2, np.arange(lo, hi))
 
 
 @pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
@@ -131,6 +129,19 @@ def test_grid_off_geometric_runs_blocked_operator(direction):
     args = _folded(spec, direction)
     for got, want in zip(pv_folded_at_nodes(*args), _blocked(*args)):
         np.testing.assert_array_equal(got, want)
+
+
+def test_blocked_branch_keeps_the_lowest_rows_of_the_split(monkeypatch, tmp_path):
+    # im-from-re on a 16384-node CSV grid, its block forced off the FFT
+    # path: the blocked branch sums the split quotients too, so rows 2-13,
+    # where the folded quotient (nu a + w b)/(nu + w) lost digits, agree
+    # with the FFT path (both within 1e-13 of a long-double evaluation)
+    spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
+    args = _folded(spec, "im-from-re")
+    fft_values = pv_folded_at_nodes(*args)[0]
+    monkeypatch.setattr(kklab.pvquad, "_geometric_log_ratio", lambda x: None)
+    blocked_values = pv_folded_at_nodes(*args)[0]
+    np.testing.assert_allclose(blocked_values[2:14], fft_values[2:14], rtol=0.0, atol=2e-13)
 
 
 def test_grid_near_geometric_agrees_with_blocked_operator():
@@ -304,30 +315,27 @@ def _column_loop(nu, a, b, lo, hi):
 
         f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
 
-    g = (a + b)/2 and h = (a - b)/2, so for every band offset m the node
-    k + m on row k, then the node k on row k + m, each takes the quotient
-    (g(nu_j) - g(w)) / (nu_j - w) of its own nu - w; the pole-free h part
-    of the band is in the plan's kernels. Then one outside node at a time
-    takes the folded (f_k(nu_j) - f_k(w)) / (nu_j - w), with its own
-    nu + w. The reference whose bits the direct part keeps."""
+    g = (a + b)/2 and h = (a - b)/2, so f_k(w) = g(w) and the pole row takes
+    the stencil slope of f_k = g + h (nu - w)/(nu + w). For every band
+    offset m the node k + m on row k, then the node k on row k + m, each
+    takes the quotient (g(nu_j) - g(w)) / (nu_j - w) of its own nu - w; the
+    pole-free h part of the band is in the plan's kernels. Then one outside
+    node at a time takes (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w),
+    with its own nu - w and nu + w. The reference whose bits the direct
+    part keeps."""
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
-    nu_a, g = nu * a, 0.5 * (a + b)
-    has_a, has_b = np.any(a), np.any(b)
+    g, h = 0.5 * (a + b), 0.5 * (a - b)
     log_r = _geometric_log_ratio(nu[lo:hi])
     assert log_r is not None
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
         nu.tobytes(), lo, hi, log_r)
     n, w = hi - lo, nu[lo:hi]
-
-    def numerator(j, k):
-        if not has_b:
-            return nu_a[j]
-        return nu_a[j] + w[k] * b[j] if has_a else w[k] * b[j]
+    f_at = g[lo:hi]
 
     stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    f_stencil = numerator(stencil, (slice(None), None)) / (nu[stencil] + w[:, None])
-    f_at = f_stencil[:, 2]
+    x = nu[stencil]
+    f_stencil = g[stencil] + h[stencil] * (x - w[:, None]) / (x + w[:, None])
     slope = np.sum(f_stencil * slope_w, axis=1)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 
@@ -336,15 +344,14 @@ def _column_loop(nu, a, b, lo, hi):
         sums[2, k] += weights[2, j] * np.abs(q)
 
     def band(j, k):
-        add(j, k, (g[j] - g[lo:hi][k]) / (nu[j] - w[k]))
+        add(j, k, (g[j] - f_at[k]) / (nu[j] - w[k]))
 
     for m in range(1, _FFT_BAND + 1):
         band(slice(lo + m, hi), slice(0, n - m))
         band(slice(lo, hi - m), slice(m, n))
     for j in (*range(lo), *range(hi, nu.size)):
-        k = slice(None)
         col = slice(j, j + 1)
-        add(col, k, (numerator(col, k) / (nu[col] + w[k]) - f_at[k]) / (nu[col] - w[k]))
+        add(col, slice(None), (g[col] - f_at) / (nu[col] - w) + h[col] / (nu[col] + w))
 
     products = np.zeros((3, kernels.shape[1]), dtype=complex)
     for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
@@ -415,7 +422,7 @@ def _mirrored(spec, w0):
 
 
 def _blocked_shared(nu, f, hits):
-    return pv_at_nodes(nu, lambda p, out, work: np.broadcast_to(f, out.shape), hits)
+    return pv_at_nodes(nu, f, None, hits)
 
 
 @pytest.fixture
@@ -509,9 +516,9 @@ def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_mirrore
     ref_values, ref_errors = _blocked_shared(*args)
     calls = []
 
-    def recording(nu, integrand, hits):
+    def recording(nu, g, h, hits):
         calls.append(hits.tolist())
-        return pv_at_nodes(nu, integrand, hits)
+        return pv_at_nodes(nu, g, h, hits)
 
     monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", recording)
     values, errors = pv_mirrored_at_nodes(*args)

@@ -34,7 +34,7 @@ from kklab import (
     tail_integral,
 )
 from kklab.kk import _extend_axis
-from kklab.pvquad import pv_at_nodes, simpson_weights, tail_integrals, tail_parity
+from kklab.pvquad import pv_at_nodes, simpson_weights, tail_parity
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -162,26 +162,22 @@ def test_subtracted_collision_names_first_node():
 def test_pv_at_nodes_needs_bracketed_poles():
     nu = np.linspace(0.0, 1.0, 16)
     with pytest.raises(kklab.PoleLocationError):
-        pv_at_nodes(nu, lambda p, out, work: np.ones(out.shape), np.array([1]))
+        pv_at_nodes(nu, np.ones(nu.size), None, np.array([1]))
 
 
-def test_pv_at_nodes_same_in_buffers_or_fresh_rows(monkeypatch):
-    # 7-row blocks over 596 poles: the last block is a 1-row slice of the buffers
+def test_pv_at_nodes_slices_a_one_row_last_block(monkeypatch):
+    # 7-row blocks over 596 poles: the last block is a 1-row slice of the
+    # buffers. Every row, the last one included, is the scalar path's on
+    # its own integrand f_k = g + h (nu - w)/(nu + w).
     nu = np.geomspace(1e-2, 1e2, 600)
     monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 7 * nu.size)
     g = np.sin(nu) * np.exp(-0.1 * nu)
+    h = np.cos(nu) / (1.0 + nu)
     hits = np.arange(2, nu.size - 2)
-
-    def fresh(p, out, work):
-        work.fill(np.nan)  # the operator must not read work before it writes it
-        return p[:, None] * g / (nu + p[:, None])
-
-    def in_buffers(p, out, work):
-        return np.divide(np.multiply(p[:, None], g, out=out),
-                         np.add(nu, p[:, None], out=work), out=out)
-
-    for a, b in zip(pv_at_nodes(nu, fresh, hits), pv_at_nodes(nu, in_buffers, hits)):
-        np.testing.assert_array_equal(a, b)
+    values, errors = pv_at_nodes(nu, g, h, hits)
+    refs = [pv_integrate(PoleIntegrand(nu, g + h * (nu - w) / (nu + w), w)) for w in nu[hits]]
+    np.testing.assert_allclose(values, [r.value for r in refs], rtol=0.0, atol=VALUE_ATOL)
+    np.testing.assert_allclose(errors, [r.error_estimate for r in refs], rtol=ERROR_RTOL)
 
 
 # --- closed-form pieces -----------------------------------------------------------
@@ -193,17 +189,6 @@ def test_simpson_weights_match_scipy(n):
     for _ in range(3):
         y = rng.uniform(0.5, 2.0, n)
         assert simpson_weights(x) @ y == pytest.approx(simpson(y, x=x), rel=1e-14)
-
-
-def test_tail_integrals_match_scalar_series():
-    t = TailModel(3.0065, 0.05, 400.0)
-    poles = np.concatenate([-np.geomspace(1e-2, 100.0, 50), [0.0], np.geomspace(1e-2, 100.0, 50)])
-    ref = np.array([tail_integral(t, p) for p in poles])
-    np.testing.assert_allclose(tail_integrals(t, poles), ref, rtol=1e-15, atol=0.0)
-    np.testing.assert_array_equal(tail_integrals(TailModel(2.0, 0.0, 10.0), poles[:3]), 0.0)
-    for bad in (400.0, 400.0 * (1.0 - 1e-15)):
-        with pytest.raises(ValueError, match="converge"):
-            tail_integrals(t, np.array([1.0, bad]))
 
 
 def test_tail_parity_matches_scalar_series():
