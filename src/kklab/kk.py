@@ -34,13 +34,16 @@ transform at once, as the partial fractions
     (nu a + w b) / (nu^2 - w^2) = [(a + b)/2] / (nu - w) + [(a - b)/2] / (nu + w),
 
 a singular part with one integrand for every pole and a part with no pole.
-On a log grid that operator takes the far part of its sums by FFT. The
-closed-form tail beyond the grid splits alike: re-from-im needs the even
-powers of w of its series, im-from-re the odd ones, and each sums only
-those (:func:`~kklab.pvquad.tail_parity`). The subtracted relation, one
-integrand K(nu) on the full axis, goes through
-:func:`~kklab.pvquad.pv_mirrored_at_nodes`, also by FFT on a log grid; its
-tails on the two half-axes sum to the even part of the same series.
+On a log grid that operator takes the far part of its sums by FFT, and
+its sums over the top extension (below), which lies above every pole, as
+power series in w against the extension's moments, like the tail beyond
+it. The closed-form tail beyond the grid splits alike: re-from-im
+needs the even powers of w of its series, im-from-re the odd ones, and
+each sums only those (:func:`~kklab.pvquad.tail_parity`). The subtracted
+relation, one integrand K(nu) on the full axis, goes through
+:func:`~kklab.pvquad.pv_mirrored_at_nodes`, by FFT and moments alike on a
+log grid; its tails on the two half-axes sum to the even part of the same
+series.
 Data grids are extended at both ends before integrating: down to nu = 0
 with the local odd (linear) or even (parabolic) model, and up to 4x the top
 node with the fitted power-law tail, so every grid node is a strictly

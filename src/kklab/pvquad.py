@@ -23,12 +23,16 @@ integrand g shared by every pole on an axis symmetric about 0, that of the
 subtracted relation: on a geometric block of poles each takes the far part
 of its sums as FFT convolutions, in O(M log M) instead of O(N M), sums the
 near part directly, and caches the block's grid-only setup; any other grid
-goes to :func:`pv_at_nodes`. All of them take f(w) and f'(w) at the pole
-from one cubic rule, the Lagrange value and slope weights of its four
-nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
-full-grid Simpson sum less the every-other-node one, taken as one sum
-against the difference of their weights, plus a rounding floor. Simpson
-weights are closed-form numpy, so the module needs no scipy.
+goes to :func:`pv_at_nodes`. Of the near part, the top-extension nodes lie
+above every pole: on the rows up to a quarter of the lowest of them their
+kernels are power series in the pole, the far-field expansion of fast
+multipole methods, summed against the data's moments. All of them take
+f(w) and f'(w) at the pole from one cubic rule, the Lagrange value and
+slope weights of its four nearest nodes, and give one error estimate
+(:func:`simpson_estimate`): the full-grid Simpson sum less the
+every-other-node one, taken as one sum against the difference of their
+weights, plus a rounding floor. Simpson weights are closed-form numpy, so
+the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -210,10 +214,13 @@ def local_cubic_value(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     return float(_cubic_weights(nu[None, sl], np.array([x]))[0][0] @ f[sl])
 
 def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
-    """Derivative at x of the cubic through the 4 nearest nodes, summed in
-    the order :func:`pv_at_nodes` sums its pole rows."""
+    """Derivative at x of the cubic through the 4 nearest nodes, summed as
+    :func:`pv_at_nodes` sums its pole rows: the weights sum to 0, so they
+    take the stencil values less the third, the node at or just above x
+    unless the stencil is clipped at an end."""
     sl = _stencil(nu, x)
-    return float(np.sum(_cubic_weights(nu[None, sl], np.array([x]))[1][0] * f[sl]))
+    fs = f[sl]
+    return float(np.sum(_cubic_weights(nu[None, sl], np.array([x]))[1][0] * (fs - fs[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -346,9 +353,12 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
 
 def _pole_slopes(nu, g, h, hits, slope_w) -> np.ndarray:
     """The stencil slope at each pole w = nu[hits[k]] of its integrand
-    f_k = g + h (nu - w)/(nu + w), or g alone when h is None."""
+    f_k = g + h (nu - w)/(nu + w), or g alone when h is None. The weights
+    sum to 0, so they are summed against f_k - f_k(w), f_k(w) = g(w): at the
+    lowest data node they reach about 1e5 and would magnify the rounding of
+    f_k itself into the slope."""
     stencil = hits[:, None] + np.arange(-2, 2)
-    f = g[stencil]
+    f = g[stencil] - g[hits, None]
     if h is not None:
         w, x = nu[hits, None], nu[stencil]
         f = f + h[stencil] * (x - w) / (x + w)
@@ -488,16 +498,17 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
                       conv_nu[:, :hi - lo].copy(), logs)
 
 
-def _near_sums(nu, weights, slope_w, lo, hi, g, h, columns) -> np.ndarray:
+def _near_sums(nu, weights, slope_w, lo, hi, g, h, head, top) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi] over their own
     nodes, which take :func:`pv_at_nodes`' stencil slope of f_k, the band
-    0 < |j - lo - k| <= _FFT_BAND and the nodes ``columns``. Each row adds
-    its terms in one order: by offset m, node k + m before node k - m, then
-    the columns.
+    0 < |j - lo - k| <= _FFT_BAND, the nodes ``head`` and the nodes ``top``.
+    Each row adds its terms in one order: by offset m, node k + m before
+    node k - m, then the head nodes one at a time, then the sum of the top
+    nodes from :func:`_top_sums`.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
-    row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A column j takes
+    row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A head node j takes
     pv_at_nodes' quotient, that shared one plus h_j / (nu_j + w_k) unless
     h is None.
     """
@@ -523,13 +534,74 @@ def _near_sums(nu, weights, slope_w, lo, hi, g, h, columns) -> np.ndarray:
         add(sums[:, :n - m], right, spread(q), buf[3:, m:])  # d and x are spent
         add(sums[:, m:], left, q, q)
     q, d, x, s = buf[:3], buf[3], buf[4], buf[5]
-    for j in columns:
+    for j in head:
         col = slice(j, j + 1)
         np.subtract(nu[col], w, d)
         np.divide(np.subtract(g[col], f_at, x), d, q[0])
         if h is not None:
             q[0] += np.divide(h[col], np.add(nu[col], w, s), s)
         add(sums, col, spread(q), q)
+    sums += _top_sums(nu, weights, lo, hi, g, h, top)
+    return sums
+
+
+def _top_sums(nu, weights, lo, hi, g, h, top) -> np.ndarray:
+    """The (3, n) Simpson sums over the nodes ``top`` of the poles w =
+    nu[lo:hi], positive and ascending, with every |nu_j| above every pole:
+    those of pv_at_nodes' quotient q = (g_j - g(w)) / (nu_j - w) + h_j /
+    (nu_j + w), the rounding floor's at or above its own.
+
+    With c the least |nu_j|, rows with w <= c/4 take the kernels
+    1/(nu_j -+ w) as the series sum_p (+-w)^p / nu_j^(p+1), the far-field
+    expansion of fast multipole methods: a Vandermonde block of w/c against
+    moments c^p / nu_j^(p+1) of W_j g_j, W_j h_j and W_j, the last times
+    g(w), scaled by c^p so nothing overflows on an SI grid. Their floor is
+    the far part's upper bound (|g_j| + |g(w)|) / |nu_j - w| +
+    |h_j| / |nu_j + w| of |q|, whose kernels are the same series times
+    sign(nu_j). The rows above take a block of quotients against the
+    weights, and the exact floor. Either block is held to _BLOCK_ELEMENTS.
+    """
+    x, wt = nu[top], weights[:, top]
+    g_j, h_j = g[top], None if h is None else h[top]
+    w, f_at = nu[lo:hi], g[lo:hi]
+    c = np.min(np.abs(x))
+    sums = np.empty((3, hi - lo))
+    # the series converges for w < c; at w/c <= 1/4 its powers run to at
+    # most 29, and the rows above take the quotient block
+    split = int(np.searchsorted(w, 0.25 * c, side="right"))
+    if split:
+        floor = wt[2] * np.sign(x)
+        data = np.stack([wt[0] * g_j, wt[1] * g_j, floor * np.abs(g_j), wt[0], wt[1], floor])
+        powers = _series_power(w[split - 1] / c) + 1
+        scaled = np.vander(c / x, powers, increasing=True) / x[:, None]  # c^p / nu_j^(p+1)
+        moments = data @ scaled
+        if h is not None:
+            scaled[:, 1::2] *= -1.0  # (-w)^p: the kernel 1/(nu_j + w)
+            moments[:3] += np.stack([wt[0] * h_j, wt[1] * h_j, floor * np.abs(h_j)]) @ scaled
+        step = max(1, _BLOCK_ELEMENTS // powers)
+        for start in range(0, split, step):
+            rows = slice(start, min(start + step, split))
+            # (w/c)^p, a row per power: numpy's vander builds it a pole at
+            # a time, several times slower
+            ratio = w[rows] / c
+            vander = np.empty((powers, ratio.size))
+            vander[0] = 1.0
+            for p in range(1, powers):
+                np.multiply(vander[p - 1], ratio, vander[p])
+            series = moments @ vander
+            sums[:2, rows] = series[:2] - f_at[rows] * series[3:5]
+            sums[2, rows] = series[2] + np.abs(f_at[rows]) * series[5]
+    # the exact floor: the terms of q cancel on the rows near the top nodes,
+    # where the bound came to about ten times it
+    step = max(1, _BLOCK_ELEMENTS // x.size)
+    for start in range(split, hi - lo, step):
+        rows = slice(start, start + step)
+        q = np.subtract(g_j[:, None], f_at[rows])
+        q /= x[:, None] - w[rows]
+        if h is not None:
+            q += h_j[:, None] / (x[:, None] + w[rows])
+        sums[:2, rows] = wt[:2] @ q
+        sums[2, rows] = wt[2] @ np.abs(q, out=q)
     return sums
 
 
@@ -578,11 +650,13 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     so their block sums beyond |m| = _FFT_BAND are convolutions, taken by
     numpy.fft, one FFT of each of a and b. For 0 < |m| <= _FFT_BAND the a
     and b kernels carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the
-    g part there, the pole rows and the nodes outside the block are summed
-    directly by :func:`_near_sums`. The full and the full-minus-half
-    Simpson weights enter as their own convolutions, so the error estimate
-    is :func:`simpson_estimate`'s; its rounding floor's convolved part is
-    the upper bound with |a|, |b| and the |kernels|, clipped at 0.
+    g part there, the pole rows and the nodes below the block (kk's 3 head
+    nodes) are summed directly by :func:`_near_sums`, and the nodes above
+    it (kk's 48 top-extension nodes) by their moments (:func:`_top_sums`).
+    The full and the full-minus-half Simpson weights enter as their own
+    convolutions, so the error estimate is :func:`simpson_estimate`'s; its
+    rounding floor's convolved part is the upper bound with |a|, |b| and the
+    |kernels|, clipped at 0.
 
     A geometric block's grid-only setup is a plan, cached by nu's bytes and
     (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
@@ -598,7 +672,7 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         nu.tobytes(), lo, hi, log_r)
     # the band takes the split's singular part g over nu - w; its h part is
     # in the kernels
-    sums = _near_sums(nu, weights, slope_w, lo, hi, g, h, (*range(lo), *range(hi, nu.size)))
+    sums = _near_sums(nu, weights, slope_w, lo, hi, g, h, range(lo), np.arange(hi, nu.size))
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w) = g(w), are the plan's
     f_at = g[lo:hi]
@@ -623,11 +697,13 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
     beyond |m| = _FFT_BAND of the kernel 1/(nu - w) = (1/nu) / (1 - r^m),
     and on the mirrored half -nu[lo:hi] all of the kernel
     1/(-nu - w) = -(1/nu) / (1 + r^m), which has no pole, are convolutions;
-    the band, the pole rows and the nodes outside both blocks are summed
-    directly. Rows of the block that are not poles are dropped. Poles at
-    or below 0, and any other axis, go to pv_at_nodes; the latter takes no
-    cache slot. The block's plan is cached by nu's bytes and (lo, hi), as
-    the folded one is.
+    the band, the pole rows and the nodes between the two blocks (kk's 5
+    head nodes) are summed directly, and the nodes beyond them at either
+    end of the axis (kk's 96 top-extension nodes) by their moments
+    (:func:`_top_sums`). Rows of the block that are not poles are dropped.
+    Poles at or below 0, and any other axis, go to pv_at_nodes; the latter
+    takes no cache slot. The block's plan is cached by nu's bytes and
+    (lo, hi), as the folded one is.
     """
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -647,8 +723,8 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
-    sums = _near_sums(nu, weights, slope_w, lo, hi, f, None,
-                      (*range(nu.size - hi), *range(nu.size - lo, lo), *range(hi, nu.size)))
+    sums = _near_sums(nu, weights, slope_w, lo, hi, f, None, range(nu.size - lo, lo),
+                      np.r_[:nu.size - hi, hi:nu.size])
     _add_far(sums, size, f_at, conv_nu,
              [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
@@ -761,6 +837,12 @@ def tail_integral(t: TailModel, pole: float) -> float:
         f"tail series failed to converge: pole {pole!r} too close to cutoff {t.cutoff!r}")
 
 
+def _series_power(r: float) -> int:
+    """The least power p with r^p <= 1e-17 (0 at r = 0): the last term of a
+    power series in x, |x| <= r < 1, that this module sums."""
+    return 0 if r == 0.0 else math.ceil(math.log(1e-17) / math.log(r))
+
+
 def tail_parity(t: TailModel, poles: np.ndarray, odd: bool) -> np.ndarray:
     """The even or, with ``odd``, the odd part (s(w) +- s(-w))/2 of the
     :func:`tail_integral` s at every pole w of an array, as one fixed-length
@@ -777,7 +859,7 @@ def tail_parity(t: TailModel, poles: np.ndarray, odd: bool) -> np.ndarray:
             f"tail series does not converge: |pole| / cutoff = {r!r} >= 1")
     if t.amplitude == 0.0:
         return np.zeros_like(x)
-    terms = 1 if r == 0.0 else math.ceil(math.log(1e-17) / (2.0 * math.log(r))) + 1
+    terms = (_series_power(r) + 1) // 2 + 1  # the powers x^(2i) up to x^p
     if terms > 100_000:
         raise ValueError(
             f"tail series failed to converge: |pole| / cutoff = {r!r} too close to 1")

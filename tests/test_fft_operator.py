@@ -27,8 +27,8 @@ from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
 from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
-from kklab.pvquad import (_FFT_BAND, _finish, _mirrored_plan, difference_quotient,
-                          pv_mirrored_at_nodes)
+from kklab.pvquad import (_FFT_BAND, _estimator_weights, _finish, _mirrored_plan, _top_sums,
+                          difference_quotient, pv_mirrored_at_nodes, simpson_weights)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -142,6 +142,45 @@ def test_blocked_branch_keeps_the_lowest_rows_of_the_split(monkeypatch, tmp_path
     monkeypatch.setattr(kklab.pvquad, "_geometric_log_ratio", lambda x: None)
     blocked_values = pv_folded_at_nodes(*args)[0]
     np.testing.assert_allclose(blocked_values[2:14], fft_values[2:14], rtol=0.0, atol=2e-13)
+
+
+def _long_double_row(nu, g, h, k):
+    """Row k of pv_at_nodes' rule in long double: the full Simpson sum of
+    (g - g(w)) / (nu - w) + h / (nu + w), w = nu[k], with the cubic slope of
+    f_k = g + h (nu - w)/(nu + w) at the pole node, plus the log term
+    g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson weights are the
+    operator's; the slope weights sum to 0 to long-double rounding."""
+    x, g, h = (np.asarray(v, dtype=np.longdouble) for v in (nu, g, h))
+    w = x[k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (g - g[k]) / (x - w) + h / (x + w)
+    xs = x[k - 2:k + 2]
+    fs = g[k - 2:k + 2] + h[k - 2:k + 2] * (xs - w) / (xs + w)
+    q[k] = 0.0
+    for j in range(4):
+        for m in set(range(4)) - {j}:
+            term = 1.0 / (xs[j] - xs[m])
+            for i in set(range(4)) - {j, m}:
+                term = term * (w - xs[i]) / (xs[j] - xs[i])
+            q[k] += term * fs[j]
+    weights = simpson_weights(nu).astype(np.longdouble)
+    return np.sum(weights * q) + g[k] * np.log(abs((x[-1] - w) / (x[0] - w)))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is double on this platform")
+def test_lowest_pole_rows_keep_their_digits(tmp_path):
+    # im-from-re on a 16384-node CSV grid: the stencils of rows 0-1 reach the
+    # head nodes nu_0/4 and nu_0/2, so their slope weights are about 1e5;
+    # summed against f_k itself rather than f_k - g(w) they magnified its
+    # rounding to 4e-12-5e-12 on either path
+    spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
+    nu_e, a, b, lo, hi = _folded(spec, "im-from-re")
+    g, h = 0.5 * (a + b), 0.5 * (a - b)
+    want = [_long_double_row(nu_e, g, h, lo + k) for k in range(2)]
+    for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi)[0][:2],
+                pv_at_nodes(nu_e, g, h, np.arange(lo, lo + 2))[0]):
+        assert np.max(np.abs(got - np.array(want))) <= 1e-13
 
 
 def test_grid_near_geometric_agrees_with_blocked_operator():
@@ -316,13 +355,15 @@ def _column_loop(nu, a, b, lo, hi):
         f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
 
     g = (a + b)/2 and h = (a - b)/2, so f_k(w) = g(w) and the pole row takes
-    the stencil slope of f_k = g + h (nu - w)/(nu + w). For every band
-    offset m the node k + m on row k, then the node k on row k + m, each
-    takes the quotient (g(nu_j) - g(w)) / (nu_j - w) of its own nu - w; the
-    pole-free h part of the band is in the plan's kernels. Then one outside
-    node at a time takes (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w),
-    with its own nu - w and nu + w. The reference whose bits the direct
-    part keeps."""
+    the stencil slope of f_k = g + h (nu - w)/(nu + w), summed against
+    f_k - g(w). For every band offset m the node k + m on row k, then the
+    node k on row k + m, each takes the quotient (g(nu_j) - g(w)) / (nu_j - w)
+    of its own nu - w; the pole-free h part of the band is in the plan's
+    kernels. Then one head node at a time takes
+    (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w), with its own
+    nu - w and nu + w, and last the top-extension nodes add their sums from
+    _top_sums, which test_top_sums_match_a_column_loop checks. The reference
+    whose bits the direct part keeps."""
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
     b = np.broadcast_to(np.asarray(b, dtype=float), nu.shape)
     g, h = 0.5 * (a + b), 0.5 * (a - b)
@@ -335,7 +376,7 @@ def _column_loop(nu, a, b, lo, hi):
 
     stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
     x = nu[stencil]
-    f_stencil = g[stencil] + h[stencil] * (x - w[:, None]) / (x + w[:, None])
+    f_stencil = g[stencil] - f_at[:, None] + h[stencil] * (x - w[:, None]) / (x + w[:, None])
     slope = np.sum(f_stencil * slope_w, axis=1)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 
@@ -349,9 +390,10 @@ def _column_loop(nu, a, b, lo, hi):
     for m in range(1, _FFT_BAND + 1):
         band(slice(lo + m, hi), slice(0, n - m))
         band(slice(lo, hi - m), slice(m, n))
-    for j in (*range(lo), *range(hi, nu.size)):
+    for j in range(lo):
         col = slice(j, j + 1)
         add(col, slice(None), (g[col] - f_at) / (nu[col] - w) + h[col] / (nu[col] + w))
+    sums += _top_sums(nu, weights, lo, hi, g, h, np.arange(hi, nu.size))
 
     products = np.zeros((3, kernels.shape[1]), dtype=complex)
     for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
@@ -396,6 +438,81 @@ def test_direct_part_keeps_the_bits_of_the_column_loop(monkeypatch, fresh_plans,
     want = transform(direct_part_spectrum)
     assert (_bits([got.spectrum.re, got.spectrum.im, got.error_estimate])
             == _bits([want.spectrum.re, want.spectrum.im, want.error_estimate]))
+
+
+# --- the top extension by its moments -------------------------------------------
+
+def _top_loop(nu, lo, hi, g, h, top):
+    """_top_sums one column at a time: the (3, n) sums of pv_at_nodes'
+    quotient, and for the full and full-minus-half rows the sum of the
+    |terms| that the moments add, W_j times g_j / (nu_j - w), g(w) / (nu_j - w)
+    and h_j / (nu_j + w)."""
+    weights = _estimator_weights(nu)
+    w, f_at = nu[lo:hi], g[lo:hi]
+    sums, scale = np.zeros((3, w.size)), np.zeros((2, w.size))
+    for j in top:
+        q = (g[j] - f_at) / (nu[j] - w)
+        size = (abs(g[j]) + np.abs(f_at)) / np.abs(nu[j] - w)
+        if h is not None:
+            q = q + h[j] / (nu[j] + w)
+            size = size + abs(h[j]) / np.abs(nu[j] + w)
+        sums[:2] += weights[:2, j, None] * q
+        sums[2] += weights[2, j] * np.abs(q)
+        scale += np.abs(weights[:2, j, None]) * size
+    return weights, sums, scale
+
+
+def _check_top_sums(nu, lo, hi, g, h, top):
+    weights, want, scale = _top_loop(nu, lo, hi, g, h, top)
+    got = _top_sums(nu, weights, lo, hi, g, h, top)
+    assert np.all(np.abs(got[:2] - want[:2]) <= 1e-14 * scale)
+    # the floor's upper bound, at or above the exact trapezoid sum of |q|
+    assert np.all(got[2] >= want[2] * (1.0 - 1e-12))
+    return got
+
+
+@pytest.mark.parametrize("kind", ["re-from-im", "im-from-re", "mirrored"])
+def test_top_sums_match_a_column_loop(direct_part_spectrum, kind):
+    # both regimes on each grid: the rows up to a quarter of the lowest top
+    # node take the series, the rows above it the quotient block; re-from-im
+    # has Im n(inf) = 1e-3, so g_j and g(w) nearly cancel on the upper rows
+    if kind == "mirrored":
+        nu, g, hits = _mirrored(direct_part_spectrum, 0.5)
+        h, lo, hi = None, int(hits[0]), int(hits[-1]) + 1
+        top = np.r_[:nu.size - hi, hi:nu.size]
+    else:
+        nu, a, b, lo, hi = _folded(direct_part_spectrum, kind)
+        a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu.shape) for x in (a, b))
+        g, h = 0.5 * (a + b), 0.5 * (a - b)
+        top = np.arange(hi, nu.size)
+    series = nu[lo:hi] <= 0.25 * nu[hi]
+    assert 0 < np.count_nonzero(series) < hi - lo
+    _check_top_sums(nu, lo, hi, g, h, top)
+
+
+@pytest.mark.parametrize("decades, unit", [(0.55, 1.0), (3.0, 1.0), (3.0, 1e15)],
+                         ids=["no series row", "3 decades", "3 decades in rad/s"])
+def test_top_sums_from_one_grid_step_above_the_block(decades, unit):
+    # the top nodes are the block's next two, so the lowest is one grid step
+    # above the highest pole; under 0.6 decade no row takes the series. At
+    # 1e15-1e18 the powers nu_j^(p+1) alone would overflow.
+    nu = unit * np.geomspace(1.0, 10.0 ** decades, 300)
+    lo, hi = 2, nu.size - 2
+    rng = np.random.default_rng(300)
+    g, h = rng.uniform(-1.0, 1.0, (2, nu.size))
+    assert np.any(nu[lo:hi] <= 0.25 * nu[hi]) == (decades > 0.6)
+    for members in ((g, h), (g, None)):
+        assert np.all(np.isfinite(_check_top_sums(nu, lo, hi, *members, np.arange(hi, nu.size))))
+
+
+def test_top_sums_in_small_blocks(monkeypatch):
+    # a cap of 100 elements splits the 458 series rows (29 powers) into
+    # blocks of 3, the last one short, and the 90 rows above, against 50
+    # top nodes, into blocks of 2
+    monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 100)
+    nu = np.geomspace(1e-2, 1e2, 600)
+    g, h = np.random.default_rng(600).uniform(-1.0, 1.0, (2, nu.size))
+    _check_top_sums(nu, 2, 550, g, h, np.arange(550, nu.size))
 
 
 # --- the subtracted relation on the mirrored axis --------------------------------
