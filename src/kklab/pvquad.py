@@ -76,12 +76,18 @@ _NOISE_SIGMAS = 5.0
 # distance of nu_0 r^j. Log grids, read back from CSV or not, deviate by up to
 # 3.5e-15; nodes 5e-14 off left 16384-node sums 5.5e-12 off pv_at_nodes'.
 _GEOMETRIC_RTOL = 1e-14
-# Node pairs with |j - k| up to this band are summed directly on a geometric
-# block. Near the diagonal the kernels are largest, and they magnify a
-# node's deviation from the ideal progression by about 1/(|j - k| ln r). On
-# a 16384-node CSV grid a band of 4 left im-from-re sums 1.8e-13 off the
-# blocked operator's (error estimates 1.4e-5 relative), a band of 32 3.4e-14
-# (3.1e-6).
+# Node pairs with |j - k| up to a band B are summed directly on a geometric
+# block: the fewest nodes whose ratio r^B reaches exp(_BAND_SPAN) = 1.036,
+# and at most _FFT_BAND (_band). Near the diagonal the kernels are largest,
+# and they magnify a node's deviation from the ideal progression by about
+# 1/(|j - k| ln r); the far part's bound on the rounding floor overshoots
+# the exact floor most there too. Both follow the span |j - k| ln r, not
+# the node count: at this span the bound comes to at most 6.3 times the
+# exact floor on re-from-im and 3.0 on im-from-re, on 2048-8192-node CSV
+# grids of 4 decades alike. On a 16384-node CSV grid a band of 4 left
+# im-from-re sums 1.8e-13 off the blocked operator's (error estimates
+# 1.4e-5 relative), a band of 32 3.4e-14 (3.1e-6).
+_BAND_SPAN = 0.0355
 _FFT_BAND = 32
 # grid plans of the FFT path kept at once (0.72 MB each at 4096 nodes): a
 # batch alternating between two grids keeps both while a third comes and goes
@@ -357,12 +363,21 @@ def _pole_slopes(nu, g, h, hits, slope_w) -> np.ndarray:
     sum to 0, so they are summed against f_k - f_k(w), f_k(w) = g(w): at the
     lowest data node they reach about 1e5 and would magnify the rounding of
     f_k itself into the slope."""
-    stencil = hits[:, None] + np.arange(-2, 2)
-    f = g[stencil] - g[hits, None]
-    if h is not None:
-        w, x = nu[hits, None], nu[stencil]
-        f = f + h[stencil] * (x - w) / (x + w)
-    return np.sum(f * slope_w, axis=1)
+    f_at, w = g[hits], nu[hits]
+    # a stencil column at a time, summed left to right as np.sum sums the
+    # rows of an (N, 4) gather, which costs about twice as much
+    for i in range(4):
+        col = hits + (i - 2)
+        f = g.take(col) - f_at
+        if h is not None:
+            x = nu.take(col)
+            f += h.take(col) * (x - w) / (x + w)
+        f *= slope_w[:, i]
+        if i:
+            slope += f
+        else:
+            slope = f
+    return slope
 
 
 def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray | None,
@@ -426,17 +441,24 @@ def _geometric_log_ratio(x: np.ndarray) -> float | None:
     return log_r if np.max(np.abs(x - ideal) / ideal) <= _GEOMETRIC_RTOL else None
 
 
+def _band(log_r: float) -> int:
+    """The direct band B of a geometric block of ratio exp(log_r): the
+    least B with B ln r >= _BAND_SPAN, at most _FFT_BAND."""
+    return min(_FFT_BAND, math.ceil(_BAND_SPAN / log_r))
+
+
 def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float):
     """The pole rows of the geometric block nu[lo:hi] of ratio exp(log_r),
     the FFT size, x = m ln r for the offsets m = j - k in wrap-around order,
-    and the masks _FFT_BAND < |m| < n and |m| < n."""
+    and the masks _band(log_r) < |m| < n and |m| < n."""
     weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
     n = hi - lo
     size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
     m = np.arange(size)
     m[n:] -= size
     inside = np.abs(m) < n
-    return weights, slope_w, logs, size, log_r * m, (np.abs(m) > _FFT_BAND) & inside, inside
+    far = (np.abs(m) > _band(log_r)) & inside
+    return weights, slope_w, logs, size, log_r * m, far, inside
 
 
 def _read_only(size: int, *plan) -> tuple:
@@ -498,13 +520,14 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
                       conv_nu[:, :hi - lo].copy(), logs)
 
 
-def _near_sums(nu, weights, slope_w, lo, hi, g, h, head, top) -> np.ndarray:
-    """The (3, n) Simpson sums of the poles w = nu[lo:hi] over their own
-    nodes, which take :func:`pv_at_nodes`' stencil slope of f_k, the band
-    0 < |j - lo - k| <= _FFT_BAND, the nodes ``head`` and the nodes ``top``.
-    Each row adds its terms in one order: by offset m, node k + m before
-    node k - m, then the head nodes one at a time, then the sum of the top
-    nodes from :func:`_top_sums`.
+def _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, head, top) -> np.ndarray:
+    """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block
+    of ratio exp(log_r), over their own nodes, which take
+    :func:`pv_at_nodes`' stencil slope of f_k, the band 0 < |j - lo - k| <=
+    _band(log_r), the nodes ``head`` and the nodes ``top``. Each row adds
+    its terms in one order: by offset m, node k + m before node k - m, then
+    the head nodes one at a time, then the sum of the top nodes from
+    :func:`_top_sums`.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
@@ -526,7 +549,7 @@ def _near_sums(nu, weights, slope_w, lo, hi, g, h, head, top) -> np.ndarray:
     def add(rows, j, q, terms):  # rows += weights[:, j] q
         np.add(rows, np.multiply(weights[:, j], q, terms), rows)
 
-    for m in range(1, _FFT_BAND + 1):
+    for m in range(1, _band(log_r) + 1):
         q, d, x = buf[:3, m:], buf[3, m:], buf[4, m:]
         right, left = slice(lo + m, hi), slice(lo, hi - m)
         np.subtract(nu[right], nu[left], d)
@@ -647,12 +670,14 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         w b / (nu^2 - w^2)  = (b/nu) r^m / (1 - r^2m)
         1 / (nu - w)        = (1/nu) / (1 - r^m),
 
-    so their block sums beyond |m| = _FFT_BAND are convolutions, taken by
-    numpy.fft, one FFT of each of a and b. For 0 < |m| <= _FFT_BAND the a
-    and b kernels carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the
-    g part there, the pole rows and the nodes below the block (kk's 3 head
-    nodes) are summed directly by :func:`_near_sums`, and the nodes above
-    it (kk's 48 top-extension nodes) by their moments (:func:`_top_sums`).
+    so their block sums beyond the band |m| = B are convolutions, taken by
+    numpy.fft, one FFT of each of a and b. The band spans a node ratio r^B
+    of 1.036, B = _band(ln r): 8 nodes at 2048 nodes per 4 decades, 32 from
+    8192 up. For 0 < |m| <= B the a and b kernels carry the pole-free h
+    part, +-(1/nu) / (2 (1 + r^m)); the g part there, the pole rows and the
+    nodes below the block (kk's 3 head nodes) are summed directly by
+    :func:`_near_sums`, and the nodes above it (kk's 48 top-extension
+    nodes) by their moments (:func:`_top_sums`).
     The full and the full-minus-half Simpson weights enter as their own
     convolutions, so the error estimate is :func:`simpson_estimate`'s; its
     rounding floor's convolved part is the upper bound with |a|, |b| and the
@@ -672,7 +697,8 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         nu.tobytes(), lo, hi, log_r)
     # the band takes the split's singular part g over nu - w; its h part is
     # in the kernels
-    sums = _near_sums(nu, weights, slope_w, lo, hi, g, h, range(lo), np.arange(hi, nu.size))
+    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, range(lo),
+                      np.arange(hi, nu.size))
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w) = g(w), are the plan's
     f_at = g[lo:hi]
@@ -694,8 +720,8 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
 
     When the poles above 0 span a geometric block nu[lo:hi], its rows are
     taken as in :func:`pv_folded_at_nodes`: on the positive half the sums
-    beyond |m| = _FFT_BAND of the kernel 1/(nu - w) = (1/nu) / (1 - r^m),
-    and on the mirrored half -nu[lo:hi] all of the kernel
+    beyond the same band |m| = _band(ln r) of the kernel 1/(nu - w) =
+    (1/nu) / (1 - r^m), and on the mirrored half -nu[lo:hi] all of the kernel
     1/(-nu - w) = -(1/nu) / (1 + r^m), which has no pole, are convolutions;
     the band, the pole rows and the nodes between the two blocks (kk's 5
     head nodes) are summed directly, and the nodes beyond them at either
@@ -723,7 +749,7 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
-    sums = _near_sums(nu, weights, slope_w, lo, hi, f, None, range(nu.size - lo, lo),
+    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, f, None, range(nu.size - lo, lo),
                       np.r_[:nu.size - hi, hi:nu.size])
     _add_far(sums, size, f_at, conv_nu,
              [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
@@ -867,7 +893,8 @@ def tail_parity(t: TailModel, poles: np.ndarray, odd: bool) -> np.ndarray:
     y = x * x
     acc = np.zeros_like(x)
     for i in range(terms - 1, -1, -1):
-        acc = acc * y + 1.0 / (t.exponent + (first + 2 * i))
+        acc *= y
+        acc += 1.0 / (t.exponent + (first + 2 * i))
     if first:
         acc *= x
     return (t.amplitude / (t.cutoff ** t.exponent)) * acc

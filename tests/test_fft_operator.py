@@ -5,7 +5,8 @@ form a geometric block and calls ``pv_at_nodes`` otherwise. Both run here on
 the extended grids of log-spaced Lorentz spectra that went through a CSV
 file, for both folded integrands. 2896 and 5793 nodes give an odd and an
 even extended node count, 2897 an even one, so Simpson's Cartwright last
-interval is covered. Values must agree to 1e-12 absolute. Error estimates
+interval is covered; 2048 and 4096 nodes give the narrowest direct bands,
+8 and 16 nodes. Values must agree to 1e-12 absolute. Error estimates
 must agree to 1e-3 relative where the blocked estimate is at least 1e-12 of
 the largest |value|: below that both are rounding noise. Both take
 |full - half| as one sum against the full-minus-half Simpson weights, so
@@ -27,8 +28,9 @@ from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
 from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
-from kklab.pvquad import (_FFT_BAND, _estimator_weights, _finish, _mirrored_plan, _top_sums,
-                          difference_quotient, pv_mirrored_at_nodes, simpson_weights)
+from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _band, _estimator_weights, _finish,
+                          _mirrored_plan, _top_sums, difference_quotient, pv_mirrored_at_nodes,
+                          simpson_weights)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -57,7 +59,8 @@ def _blocked(nu_e, a, b, lo, hi):
 
 
 @pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
-                                        (2896, 3e-7), (2897, 3e-7), (5793, 3e-7)],
+                                        (2896, 3e-7), (2897, 3e-7), (5793, 3e-7),
+                                        (2048, 0.0), (2048, 3e-7), (4096, 0.0), (4096, 3e-7)],
                 ids=lambda p: f"{p[0]}-sigma{p[1]:g}")
 def csv_lorentz(request, tmp_path_factory):
     n, sigma = request.param
@@ -211,11 +214,12 @@ def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
 @pytest.fixture
 def fresh_plans():
     """An empty plan cache before and after the test, so its hit and miss
-    counts start at zero. A plan keeps the band in force when it was built,
-    so a test that patches _FFT_BAND must not see, or leave, one built under
-    another band. The geometric decision is taken on every call, outside the
-    cache. The transform result cache is cleared too: a transform served
-    from it builds or looks up no plan."""
+    counts start at zero. A plan keeps the band that _band gave its grid's
+    ratio when it was built, so a test that patches _BAND_SPAN or _FFT_BAND
+    must not see, or leave, one built under another band. The geometric
+    decision is taken on every call, outside the cache. The transform
+    result cache is cleared too: a transform served from it builds or looks
+    up no plan."""
     _folded_plan.cache_clear()
     _at_infinity.cache_clear()
     yield _folded_plan
@@ -321,6 +325,22 @@ LADDER = (2048, 2896, 4096, 5793, 8192, 11585, 16384)
 ONE_OFF = range(2839, 2956)
 
 
+def _grid_band(grid):
+    return _band(_geometric_log_ratio(grid.values))
+
+
+def test_band_spans_a_fixed_node_ratio():
+    # the band reaches nu_(k+B) / nu_k >= exp(_BAND_SPAN) in the fewest
+    # nodes, up to _FFT_BAND: the 4-decade ladder from 2048 nodes, where a
+    # fixed band would be 32, and the one-off grids around 2896 nodes
+    assert [_grid_band(grid) for grid in _log_grids(LADDER)] == [8, 12, 16, 23, 32, 32, 32]
+    assert {_grid_band(grid) for grid in _log_grids(ONE_OFF)} == {11, 12}
+    for log_r in np.geomspace(1e-5, 10.0, 200):
+        band = _band(log_r)
+        assert 1 <= band <= _FFT_BAND
+        assert band == _FFT_BAND or (band * log_r >= _BAND_SPAN > (band - 1) * log_r)
+
+
 @pytest.mark.parametrize("grids, fast, via_csv", [
     (_log_grids([128]), True, False),
     (_log_grids([127]), False, False),
@@ -358,9 +378,9 @@ def _column_loop(nu, a, b, lo, hi):
     the stencil slope of f_k = g + h (nu - w)/(nu + w), summed against
     f_k - g(w). For every band offset m the node k + m on row k, then the
     node k on row k + m, each takes the quotient (g(nu_j) - g(w)) / (nu_j - w)
-    of its own nu - w; the pole-free h part of the band is in the plan's
-    kernels. Then one head node at a time takes
-    (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w), with its own
+    of its own nu - w, out to the grid's band _band(ln r); the pole-free h
+    part of the band is in the plan's kernels. Then one head node at a time
+    takes (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w), with its own
     nu - w and nu + w, and last the top-extension nodes add their sums from
     _top_sums, which test_top_sums_match_a_column_loop checks. The reference
     whose bits the direct part keeps."""
@@ -387,7 +407,7 @@ def _column_loop(nu, a, b, lo, hi):
     def band(j, k):
         add(j, k, (g[j] - f_at[k]) / (nu[j] - w[k]))
 
-    for m in range(1, _FFT_BAND + 1):
+    for m in range(1, _band(log_r) + 1):
         band(slice(lo + m, hi), slice(0, n - m))
         band(slice(lo, hi - m), slice(m, n))
     for j in range(lo):
@@ -575,21 +595,24 @@ def test_subtracted_path_follows_the_grid(monkeypatch, fresh_mirrored_plans, tmp
 
 
 @pytest.fixture(scope="module")
-def csv_lorentz_8192(tmp_path_factory):
-    return _lorentz_on(np.geomspace(1e-2, 1e2, 8192),
-                       tmp_path_factory.mktemp("csv") / "lorentz.csv")
+def csv_mirrored_grids(tmp_path_factory):
+    """CSV Lorentz spectra on 4-decade log grids of 2048, 4096 and 8192
+    nodes: direct bands of 8, 16 and 32 nodes."""
+    path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
+    return [_lorentz_on(np.geomspace(1e-2, 1e2, n), path) for n in (2048, 4096, 8192)]
 
 
 @pytest.mark.parametrize("w0", W0S)
-def test_mirrored_path_matches_blocked_operator(csv_lorentz_8192, w0):
-    args = _mirrored(csv_lorentz_8192, w0)
-    values, errors = pv_mirrored_at_nodes(*args)
-    ref_values, ref_errors = _blocked_shared(*args)
-    np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
-    assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
-    resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
-    assert np.count_nonzero(resolved) > 0.5 * resolved.size
-    np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+def test_mirrored_path_matches_blocked_operator(csv_mirrored_grids, w0):
+    for spec in csv_mirrored_grids:
+        args = _mirrored(spec, w0)
+        values, errors = pv_mirrored_at_nodes(*args)
+        ref_values, ref_errors = _blocked_shared(*args)
+        np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
+        assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
+        resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
+        assert np.count_nonzero(resolved) > 0.5 * resolved.size
+        np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
 
 
 def test_warm_mirrored_plan_gives_the_bits_of_a_cold_one(std_lorentz, fresh_mirrored_plans):

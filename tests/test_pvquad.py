@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -321,16 +322,23 @@ def test_cubic_rule_reproduces_cubics(x0, gaps, scale, t, coef):
     # reproduce it and its derivative to rounding
     xs = x0 + scale * np.concatenate([[0.0], np.cumsum(gaps)])
     h = xs[-1] - xs[0]
-    # the cubic in the stencil's own coordinate, so that the reference
-    # values carry no cancellation of their own
+    # the cubic in the stencil's own coordinate, evaluated exactly and
+    # rounded once, so that the samples and the reference values carry no
+    # rounding of their own: a float evaluation of u^2 - u^3 near u = 1
+    # cancels to 1.11e-16 where the cubic is 1.48e-16
     cubic = np.polynomial.Polynomial(coef)
-    f = cubic((xs - xs[0]) / h)
+
+    def exact(poly, x):
+        u = (Fraction(x) - Fraction(xs[0])) / Fraction(h)
+        return float(sum(Fraction(c) * u ** i for i, c in enumerate(poly.coef)))
+
+    f = np.array([exact(cubic, x) for x in xs])
     for x in [*xs, xs[0] + t * h]:
         value, slope = (w[0] for w in _cubic_weights(xs[None, :], np.array([x])))
         assert local_cubic_value(xs, f, x) == pytest.approx(
-            cubic((x - xs[0]) / h), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
+            exact(cubic, x), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
         assert local_cubic_slope(xs, f, x) == pytest.approx(
-            cubic.deriv()((x - xs[0]) / h) / h, rel=0,
+            exact(cubic.deriv(), x) / h, rel=0,
             abs=1e-13 * np.sum(np.abs(slope * f)) + 1e-300)
         assert abs(np.sum(value) - 1.0) <= 1e-13 * np.sum(np.abs(value))
         assert abs(np.sum(slope)) <= 1e-13 * np.sum(np.abs(slope))

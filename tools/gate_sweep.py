@@ -18,7 +18,12 @@ faster program runs more cycles and meets more of the seeded inputs. The
 sweep gates those inputs, for several seeds, before a benchmark run does.
 
 Prints every failed request and one total line per workload, and exits 1 if
-any request failed.
+any request failed. The total line also gives the largest oracle error of
+the workload's passing requests and, where their outcomes count it (the
+library's ``audit_batch``; the CLI writes no error estimate), the error
+estimate's coverage as hit/total interior nodes: the benchmark's
+``oracle_err_max`` and ``err_coverage`` over many more requests than one
+timed run, so a numerical change shows its effect on them untimed.
 """
 
 from __future__ import annotations
@@ -69,29 +74,36 @@ def cli_outcome(req: dict, tmp: Path) -> dict:
 OUTCOME = {"audit_batch": audit_outcome, "cli_large": cli_outcome}
 
 
-def sweep(workload: str, tmp: Path) -> tuple[int, int]:
-    """(failed, attempted) over the workload's seeds and cycles."""
+def sweep(workload: str, tmp: Path) -> tuple[int, int, float, int, int]:
+    """(failed, attempted, max oracle error, coverage hits, coverage total)
+    over the workload's seeds and cycles."""
     seeds, cycles = SWEEPS[workload]
-    failed = attempted = 0
+    failed = attempted = hit = total = 0
+    err = 0.0
     for seed in seeds:
         for i in range(cycles * len(schedule.WORKLOADS[workload])):
             req = schedule.request(workload, seed, i)
             got = OUTCOME[workload](req, tmp)
             attempted += 1
-            if got["outcome"] != "ok":
-                failed += 1
-                what = req["direction"] or req["kind"]
-                print(f"{workload} seed {seed} request {i} ({what}, {req['cls']}, "
-                      f"n {req['n']}): {got['outcome']}: {got['reason']}", flush=True)
-    return failed, attempted
+            if got["outcome"] == "ok":  # the benchmark's metrics read these alone
+                err = max(err, got.get("oracle_err", 0.0))
+                hit, total = hit + got.get("cov_hit", 0), total + got.get("cov_total", 0)
+                continue
+            failed += 1
+            what = req["direction"] or req["kind"]
+            print(f"{workload} seed {seed} request {i} ({what}, {req['cls']}, "
+                  f"n {req['n']}): {got['outcome']}: {got['reason']}", flush=True)
+    return failed, attempted, err, hit, total
 
 
 def run() -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
         for workload in SWEEPS:
-            failed, attempted = sweep(workload, Path(tmp))
-            print(f"{workload}: {failed} failed of {attempted} requests", flush=True)
+            failed, attempted, err, hit, total = sweep(workload, Path(tmp))
+            coverage = f"{hit}/{total} = {hit / total:.5f}" if total else "not counted"
+            print(f"{workload}: {failed} failed of {attempted} requests; "
+                  f"oracle_err max {err:.6g}; coverage {coverage}", flush=True)
             failures += failed
     return 1 if failures else 0
 
