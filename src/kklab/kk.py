@@ -44,10 +44,12 @@ relation, one integrand K(nu) on the full axis, goes through
 :func:`~kklab.pvquad.pv_mirrored_at_nodes`, by FFT and moments alike on a
 log grid; its tails on the two half-axes sum to the even part of the same
 series.
-Data grids are extended at both ends before integrating: down to nu = 0
-with the local odd (linear) or even (parabolic) model, and up to 4x the top
-node with the fitted power-law tail, so every grid node is a strictly
-interior pole. Beyond the extension the tail is summed in closed form.
+Data grids are extended at both ends before integrating: below the first
+positive node by one head model, odd (linear) or even (parabolic), on 3
+nodes that take the place of a sampled nu = 0, and up to 4x the top node
+with the fitted power-law tail, so every positive grid node is a strictly
+interior pole and every transform's pole block starts right after the
+head. Beyond the extension the tail is summed in closed form.
 
 An audit's round trip is the transform its caller asks for next, so
 :func:`kk_subtracted_at_infinity` keeps its last two results, keyed on the
@@ -69,9 +71,11 @@ from . import NumericalError
 # for tools that wrap the quadrature entry points by name
 from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     TailModel,
+    _fit_tail,
     difference_quotient,
     fit_tail,
     noise_floor,
+    pv_at_nodes,
     pv_folded_at_nodes,
     pv_integrate,
     pv_mirrored_at_nodes,
@@ -95,6 +99,8 @@ __all__ = [
 
 _TOP_EXTENSION_FACTOR = 4.0
 _TOP_EXTENSION_NODES = 48
+# nodes of the head model below the first positive node: 0, w_1/4 and w_1/2
+_HEAD_NODES = 3
 # results of kk_subtracted_at_infinity kept at once (about 128 KB each at 4096
 # nodes): "audit, then transform the same spectrum" needs one, so two suffice
 _RESULT_CACHE_SIZE = 2
@@ -135,58 +141,43 @@ class TransformResult:
 # Grid extension
 # ---------------------------------------------------------------------------
 
-def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str,
-                 opts: KkOptions) -> tuple[np.ndarray, np.ndarray, TailModel, TailModel]:
+def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, opts: KkOptions, *,
+                 subtracted: bool = False) -> tuple[np.ndarray, np.ndarray, TailModel, TailModel]:
     """Extend sampled data to [0, 4*nu_max].
 
     Returns the extended nodes and values, the tail model (``opts.tail``, or
-    a power law fitted to the top decade above its noise floor) and that
-    tail restarted at the extension cutoff, where the series completion
-    takes over.
-
-    Below the grid the integrand is modeled by its leading symmetry class:
-    ``odd`` -> linear through the origin, ``even`` -> parabola with zero
-    slope at the origin. Above the grid the fitted power-law tail supplies
-    sample values out to the extension cutoff, beyond which the series
-    completion takes over. The extension guarantees >= 2 nodes on each side
-    of every original grid node, so all of them are admissible pv poles.
+    a power law fitted to the top decade above its noise floor, which
+    refuses p <= 1, or with ``subtracted`` only p <= 0) and that tail
+    restarted at the extension cutoff, where the series completion takes
+    over. Below the first positive node w_1 one head model, on the nodes 0,
+    w_1/4 and w_1/2, takes the place of a sampled w = 0: ``odd`` -> the
+    line through (0, f(0)) and (w_1, f(w_1)), f(0) = 0 unless the grid
+    samples it; ``even`` -> the zero-slope parabola through the first two
+    samples. So every pole block starts at node _HEAD_NODES, with >= 2
+    nodes on each side of every positive grid node.
     """
     if opts.tail is not None:
         tail = opts.tail
     else:
-        sel = top_decade(nu)
-        tail = fit_tail(nu[sel], f[sel], noise_floor(nu, f))
+        sel, floor = top_decade(nu), noise_floor(nu, f)
+        tail = (_fit_tail(nu[sel], f[sel], floor, subtracted=True) if subtracted
+                else fit_tail(nu[sel], f[sel], floor))
 
-    if nu[0] > 0.0:
-        lo_nodes = np.array([0.0, nu[0] / 4.0, nu[0] / 2.0])
-        if kind == "odd":
-            lo_vals = (f[0] / nu[0]) * lo_nodes
-        else:
-            d = nu[1] ** 2 - nu[0] ** 2
-            h0 = (f[0] * nu[1] ** 2 - f[1] * nu[0] ** 2) / d
-            curv = (f[1] - f[0]) / d
-            lo_vals = h0 + curv * lo_nodes ** 2
-        head_nu, head_f = lo_nodes, lo_vals
-        body_nu, body_f = nu, f
+    first = int(nu[0] == 0.0)  # index of the first positive node
+    w1 = nu[first]
+    head_nu = np.array([0.0, w1 / 4.0, w1 / 2.0])
+    if kind == "odd":
+        f0 = f[0] if first else 0.0
+        head_f = f0 + ((f[first] - f0) / w1) * head_nu
     else:
-        mid = np.array([nu[1] / 4.0, nu[1] / 2.0])
-        if kind == "odd":
-            mid_vals = f[0] + (f[1] - f[0]) * (mid / nu[1])
-        else:
-            mid_vals = f[0] + (f[1] - f[0]) * (mid / nu[1]) ** 2
-        head_nu = np.concatenate([[0.0], mid])
-        head_f = np.concatenate([[f[0]], mid_vals])
-        body_nu, body_f = nu[1:], f[1:]
+        d = nu[1] ** 2 - nu[0] ** 2
+        h0 = (f[0] * nu[1] ** 2 - f[1] * nu[0] ** 2) / d
+        head_f = h0 + ((f[1] - f[0]) / d) * head_nu ** 2
 
     cutoff = _TOP_EXTENSION_FACTOR * nu[-1]
     hi_nodes = np.geomspace(nu[-1], cutoff, _TOP_EXTENSION_NODES + 1)[1:]
-    if tail.amplitude != 0.0:
-        hi_vals = tail.amplitude * hi_nodes ** (-tail.exponent)
-    else:
-        hi_vals = np.zeros_like(hi_nodes)
-
-    nu_e = np.concatenate([head_nu, body_nu, hi_nodes])
-    f_e = np.concatenate([head_f, body_f, hi_vals])
+    nu_e = np.concatenate([head_nu, nu[first:], hi_nodes])
+    f_e = np.concatenate([head_f, f[first:], tail.amplitude * hi_nodes ** (-tail.exponent)])
     return nu_e, f_e, tail, TailModel(tail.exponent, tail.amplitude, cutoff)
 
 
@@ -229,8 +220,7 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     pos = nu > 0.0
     w = nu[pos]
     s_even = tail_parity(series_tail, nu, odd=False)
-    lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
-    val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, lo, lo + w.size)
+    val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, _HEAD_NODES, _HEAD_NODES + w.size)
     val += s_even[pos]
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
@@ -275,8 +265,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
 
     pos = nu > 0.0
     w = nu[pos]
-    lo = int(np.searchsorted(nu_e, w[0]))  # the positive nodes follow in order
-    val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, lo, lo + w.size)
+    val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, _HEAD_NODES, _HEAD_NODES + w.size)
     s_odd = tail_parity(series_tail, w, odd=True)
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)
@@ -321,7 +310,12 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     Per node: w == w0 returns Re G(w0) by continuity; 0 < |w - w0| below
     two local grid spacings is the ill-conditioned collision zone, which
     raises :class:`PoleCollisionError` by default or, with
-    ``on_collision="continuity"``, is filled with Re G(w0).
+    ``on_collision="continuity"``, is filled with Re G(w0). The positive
+    nodes are one pole block of :func:`~kklab.pvquad.pv_mirrored_at_nodes`
+    and a sampled w = 0 one row of :func:`~kklab.pvquad.pv_at_nodes`; the
+    rows at w0 and in the collision zone are dropped here. The subtracted
+    tails converge for any fitted tail exponent p > 0; p <= 0 raises
+    :class:`~kklab.pvquad.TailFitError`.
     """
     w0, g0_re, g0_im = float(omega0), float(g0_re), float(g0_im)
     if not math.isfinite(w0) or w0 < 0:
@@ -334,7 +328,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     if w0 > nu[-1]:
         raise ValueError(f"omega0 = {w0!r} above the grid range")
 
-    nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", opts)
+    nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", opts, subtracted=True)
     cutoff = series_tail.cutoff
 
     # full real axis by crossing: Im G(-nu) = -Im G(nu)
@@ -351,9 +345,17 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
         w = float(nu[np.argmax(collide)])
         raise PoleCollisionError(
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
+    # the positive nodes are the pole block, past the node 0 of the full
+    # axis and the head; a sampled w = 0 is one row of the blocked operator
+    pos = nu > 0.0
+    centre = nu_e.size - 1
+    val, err = np.empty(nu.size), np.empty(nu.size)
+    val[pos], err[pos] = pv_mirrored_at_nodes(nu_full, kern, centre + _HEAD_NODES,
+                                              nu_full.size - _TOP_EXTENSION_NODES)
+    if not pos[0]:
+        val[:1], err[:1] = pv_at_nodes(nu_full, kern, None, np.array([centre]))
     ev = (dr != 0.0) & ~collide
-    w, dr = nu[ev], dr[ev]
-    val, err = pv_mirrored_at_nodes(nu_full, kern, np.searchsorted(nu_full, w))
+    w, dr, val, err = nu[ev], dr[ev], val[ev], err[ev]
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there: the
     # power-law parts sum to 2 (E(w) - E(w0)) / (w - w0), E the even part of
     # the simple-pole series, and the constant -Im G(w0) parts to one log

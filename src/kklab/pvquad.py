@@ -20,19 +20,20 @@ nu - w and, if any, the pole-free numerator h over nu + w.
 (nu a + w b)/(nu + w) of :mod:`kklab.kk`, whose partial fractions are g =
 (a + b)/2 and h = (a - b)/2, and :func:`pv_mirrored_at_nodes` for one
 integrand g shared by every pole on an axis symmetric about 0, that of the
-subtracted relation: on a geometric block of poles each takes the far part
-of its sums as FFT convolutions, in O(M log M) instead of O(N M), sums the
-near part directly, and caches the block's grid-only setup; any other grid
-goes to :func:`pv_at_nodes`. Of the near part, the top-extension nodes lie
-above every pole: on the rows up to a quarter of the lowest of them their
-kernels are power series in the pole, the far-field expansion of fast
-multipole methods, summed against the data's moments. All of them take
-f(w) and f'(w) at the pole from one cubic rule, the Lagrange value and
-slope weights of its four nearest nodes, and give one error estimate
-(:func:`simpson_estimate`): the full-grid Simpson sum less the
-every-other-node one, taken as one sum against the difference of their
-weights, plus a rounding floor. Simpson weights are closed-form numpy, so
-the module needs no scipy.
+subtracted relation. Both take their poles as one block of nodes
+nu[lo:hi], which kk starts right after its 3 head nodes. On a geometric
+block each takes the far part of its sums as FFT convolutions, in
+O(M log M) instead of O(N M), sums the near part directly, and caches the
+block's grid-only setup; any other grid goes to :func:`pv_at_nodes`. Of
+the near part, the top-extension nodes lie above every pole: on the rows
+up to a quarter of the lowest of them their kernels are power series in
+the pole, the far-field expansion of fast multipole methods, summed
+against the data's moments. All of them take f(w) and f'(w) at the pole
+from one cubic rule, the Lagrange value and slope weights of its four
+nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
+full-grid Simpson sum less the every-other-node one, taken as one sum
+against the difference of their weights, plus a rounding floor. Simpson
+weights are closed-form numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -708,44 +709,33 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     return _finish(*sums, f_at * logs)
 
 
-def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
-                         hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray, lo: int,
+                         hi: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pv_at_nodes` for one integrand f(nu) shared by every pole,
 
-        P int f(nu) / (nu - w) dnu,   w = nu[hits[k]],
+        P int f(nu) / (nu - w) dnu,   w = nu[k],
 
-    on an axis symmetric about 0 (nu[::-1] == -nu), the poles in ascending
-    order. Returns (values, error estimates), equal to pv_at_nodes' up to
-    rounding.
+    on an axis symmetric about 0 (nu[::-1] == -nu), with a pole at every
+    node of the block nu[lo:hi], as :func:`pv_folded_at_nodes` takes its
+    poles. Every pole needs >= 2 nodes on each side. Returns (values, error
+    estimates), equal to pv_at_nodes' up to rounding.
 
-    When the poles above 0 span a geometric block nu[lo:hi], its rows are
-    taken as in :func:`pv_folded_at_nodes`: on the positive half the sums
-    beyond the same band |m| = _band(ln r) of the kernel 1/(nu - w) =
-    (1/nu) / (1 - r^m), and on the mirrored half -nu[lo:hi] all of the kernel
-    1/(-nu - w) = -(1/nu) / (1 + r^m), which has no pole, are convolutions;
-    the band, the pole rows and the nodes between the two blocks (kk's 5
-    head nodes) are summed directly, and the nodes beyond them at either
-    end of the axis (kk's 96 top-extension nodes) by their moments
-    (:func:`_top_sums`). Rows of the block that are not poles are dropped.
-    Poles at or below 0, and any other axis, go to pv_at_nodes; the latter
-    takes no cache slot. The block's plan is cached by nu's bytes and
-    (lo, hi), as the folded one is.
+    When the block is positive and geometric, its rows are taken as in
+    pv_folded_at_nodes: on the positive half the sums beyond the same band
+    |m| = _band(ln r) of the kernel 1/(nu - w) = (1/nu) / (1 - r^m), and on
+    the mirrored half -nu[lo:hi] all of the kernel 1/(-nu - w) = -(1/nu) /
+    (1 + r^m), which has no pole, are convolutions; the band, the pole rows
+    and the nodes between the two blocks (kk's 5 head nodes) are summed
+    directly, and the nodes beyond them at either end of the axis (kk's 96
+    top-extension nodes) by their moments (:func:`_top_sums`). Any other
+    block or axis goes to pv_at_nodes and takes no cache slot. The block's
+    plan is cached by nu's bytes and (lo, hi), as the folded one is.
     """
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(f, dtype=float)
-    hits = np.asarray(hits, dtype=np.intp)
-    centre = nu.size // 2
-    rest = hits <= centre
-    block = hits[~rest]
-    log_r = None
-    if block.size and np.array_equal(nu[::-1], -nu):
-        lo, hi = int(block[0]), int(block[-1]) + 1
-        log_r = _geometric_log_ratio(nu[lo:hi])
+    log_r = _geometric_log_ratio(nu[lo:hi]) if np.array_equal(nu[::-1], -nu) else None
     if log_r is None:
-        return pv_at_nodes(nu, f, None, hits)
-    values, errors = np.empty(hits.size), np.empty(hits.size)
-    if np.any(rest):
-        values[rest], errors[rest] = pv_at_nodes(nu, f, None, hits[rest])
+        return pv_at_nodes(nu, f, None, np.arange(lo, hi))
     size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
@@ -754,9 +744,7 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray,
     _add_far(sums, size, f_at, conv_nu,
              [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
-    block_values, block_errors = _finish(*sums, f_at * logs)
-    values[~rest], errors[~rest] = block_values[block - lo], block_errors[block - lo]
-    return values, errors
+    return _finish(*sums, f_at * logs)
 
 
 # ---------------------------------------------------------------------------
@@ -801,6 +789,13 @@ def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailMode
     every |f| is at or below ``floor`` the tail is declared empty (A = 0).
     A fitted p <= 1 raises :class:`NonIntegrableTailError`.
     """
+    return _fit_tail(nu, values, floor, subtracted=False)
+
+
+def _fit_tail(nu: np.ndarray, values: np.ndarray, floor: float,
+              subtracted: bool) -> TailModel:
+    """:func:`fit_tail`, or with ``subtracted`` that of a subtracted relation,
+    whose tails converge for any p > 0: p <= 0 raises a TailFitError."""
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(values, dtype=float)
     if nu.size < 8:
@@ -825,7 +820,9 @@ def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailMode
 
     slope, intercept = np.polyfit(np.log(nu[nz]), np.log(np.abs(f[nz])), 1)
     p = -float(slope)
-    if p <= 1.0:
+    if subtracted and p <= 0.0:
+        raise TailFitError(f"fitted tail exponent p = {p:.6g} <= 0: the tail does not decay")
+    if not subtracted and p <= 1.0:
         raise NonIntegrableTailError(p)
     if abs(intercept) > 690.0:  # exp() overflow: data is not power-law-like
         raise TailFitError(

@@ -155,6 +155,18 @@ def test_validate_non_integrable_tail(tmp_path, capsys):
     assert err.startswith(NUMERICAL) and "non-integrable" in err
 
 
+def test_transform_subtracted_takes_a_slowly_decaying_tail(tmp_path):
+    # G = (1 - i w)^(-1/2): its fitted tail exponent, about 0.48, needs no
+    # more than the subtraction the direction already makes
+    nu = np.geomspace(1e-2, 1e2, 2048)
+    g = (1.0 - 1j * nu) ** -0.5
+    path = tmp_path / "sqrt.csv"
+    kklab.save_spectrum(kklab.ComplexIndexSpectrum(
+        kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED), g.real, g.imag), path, "csv")
+    assert main(["transform", "--direction", "subtracted", "--omega0", "0", "--g0-re", "1",
+                 "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+
+
 def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path, capsys):
     code = main(["transform", "--direction", "subtracted", "--omega0", "0.5",
                  "--g0-re", "0.6", "--g0-im", "0.04",

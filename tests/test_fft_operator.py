@@ -497,8 +497,8 @@ def test_top_sums_match_a_column_loop(direct_part_spectrum, kind):
     # node take the series, the rows above it the quotient block; re-from-im
     # has Im n(inf) = 1e-3, so g_j and g(w) nearly cancel on the upper rows
     if kind == "mirrored":
-        nu, g, hits = _mirrored(direct_part_spectrum, 0.5)
-        h, lo, hi = None, int(hits[0]), int(hits[-1]) + 1
+        nu, g, lo, hi = _mirrored(direct_part_spectrum, 0.5)
+        h = None
         top = np.r_[:nu.size - hi, hi:nu.size]
     else:
         nu, a, b, lo, hi = _folded(direct_part_spectrum, kind)
@@ -548,18 +548,19 @@ def _subtracted(spec, w0):
 
 
 def _mirrored(spec, w0):
-    """The full axis, K(nu) and the poles of kk_subtracted at w0, every
-    grid node a pole."""
+    """The full axis, K(nu) and the pole block (lo, hi) of kk_subtracted at
+    w0: every positive grid node."""
     nu = spec.grid.values
     nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", KkOptions())
     nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
     g_full = np.concatenate([-g_e[:0:-1], g_e])
     kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)
-    return nu_full, kern, np.searchsorted(nu_full, nu)
+    lo = int(np.searchsorted(nu_full, nu[nu > 0.0][0]))
+    return nu_full, kern, lo, lo + int(np.count_nonzero(nu > 0.0))
 
 
-def _blocked_shared(nu, f, hits):
-    return pv_at_nodes(nu, f, None, hits)
+def _blocked_shared(nu, f, lo, hi):
+    return pv_at_nodes(nu, f, None, np.arange(lo, hi))
 
 
 @pytest.fixture
@@ -624,8 +625,7 @@ def test_warm_mirrored_plan_gives_the_bits_of_a_cold_one(std_lorentz, fresh_mirr
 
 
 def test_mirrored_plan_arrays_are_read_only(std_lorentz, fresh_mirrored_plans):
-    nu_full, _, hits = _mirrored(std_lorentz, 0.5)
-    lo, hi = int(hits[0]), int(hits[-1]) + 1
+    nu_full, _, lo, hi = _mirrored(std_lorentz, 0.5)
     size, *arrays = fresh_mirrored_plans(nu_full.tobytes(), lo, hi,
                                          _geometric_log_ratio(nu_full[lo:hi]))
     assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
@@ -651,19 +651,27 @@ def test_non_geometric_subtracted_takes_no_plan_slot(fresh_plans, fresh_mirrored
 
 
 def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_mirrored_plans):
-    nu = np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 2047)])
-    args = _mirrored(_lorentz_on(nu), 0.5)
-    ref_values, ref_errors = _blocked_shared(*args)
+    # kk_subtracted takes a sampled w = 0 as one row of pv_at_nodes and the
+    # positive nodes on the FFT path; the reference runs them all blocked
+    spec = _lorentz_on(np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 2047)]))
+    monkeypatch.setattr(kklab.kk, "pv_mirrored_at_nodes", _blocked_shared)
+    ref = _subtracted(spec, 0.5)
+    monkeypatch.undo()
     calls = []
 
     def recording(nu, g, h, hits):
         calls.append(hits.tolist())
         return pv_at_nodes(nu, g, h, hits)
 
-    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", recording)
-    values, errors = pv_mirrored_at_nodes(*args)
-    centre = args[0].size // 2
-    assert args[2][0] == centre and calls == [[centre]]
+    for module in (kklab.pvquad, kklab.kk):
+        monkeypatch.setattr(module, "pv_at_nodes", recording)
+    result = _subtracted(spec, 0.5)
+    centre = _mirrored(spec, 0.5)[0].size // 2
+    assert calls == [[centre]]
     assert fresh_mirrored_plans.cache_info().currsize == 1
-    np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=1e-12)
-    np.testing.assert_allclose(errors, ref_errors, rtol=ERROR_RTOL)
+    assert result.spectrum.re[0] == ref.spectrum.re[0]
+    assert result.error_estimate[0] == ref.error_estimate[0]
+    # the rows carry (w - w0) / pi times the operator's values
+    np.testing.assert_allclose(result.spectrum.re, ref.spectrum.re, rtol=0.0,
+                               atol=VALUE_ATOL * spec.grid.values[-1])
+    np.testing.assert_allclose(result.error_estimate, ref.error_estimate, rtol=ERROR_RTOL)

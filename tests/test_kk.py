@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import simpson
 
 import kklab
@@ -19,12 +21,65 @@ from kklab import (
     lorentz_index,
     roundtrip_residual,
 )
+from kklab.kk import _extend_axis
 from conftest import interior_mask, lorentz_closed_form
 
 
 def _flat(grid, re=1.0, im=0.0):
     n = grid.size
     return ComplexIndexSpectrum(grid, np.full(n, re), np.full(n, im))
+
+
+# --- the head model of the grid extension -----------------------------------
+
+HEAD_GRIDS = dict(nodes=st.integers(2, 40), bottom=st.floats(1e-6, 1e3),
+                  ratio=st.floats(1.01, 10.0), seed=st.integers(0, 2 ** 32 - 1))
+# the tail is given, so the head alone is under test on grids of any length
+GIVEN_TAIL = KkOptions(tail=kklab.TailModel(2.0, 0.0, 1.0))
+
+
+def _head_grid(nodes, bottom, ratio, seed):
+    """Positive nodes from ``bottom`` with ratio ``ratio`` between the first
+    two, and random data on them."""
+    nu = bottom * np.cumprod(np.r_[1.0, np.full(nodes - 1, ratio)])
+    return nu, np.random.default_rng(seed).uniform(-1.0, 1.0, nodes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**HEAD_GRIDS)
+def test_odd_head_is_one_line_whether_or_not_the_grid_samples_zero(nodes, bottom, ratio,
+                                                                   seed):
+    nu, f = _head_grid(nodes, bottom, ratio, seed)
+    nu_e, f_e, _, _ = _extend_axis(nu, f, "odd", GIVEN_TAIL)
+    # Im n(0) = 0 sampled at a node of its own gives the same head
+    nu_z, f_z, _, _ = _extend_axis(np.r_[0.0, nu], np.r_[0.0, f], "odd", GIVEN_TAIL)
+    np.testing.assert_array_equal(nu_z, nu_e)
+    np.testing.assert_array_equal(f_z[3:], f_e[3:])
+    np.testing.assert_allclose(f_z[:3], f_e[:3], rtol=4e-16, atol=0.0)
+    # the line through (0, 0) and the first positive node
+    np.testing.assert_array_equal(nu_e[:4], nu[0] * np.array([0.0, 0.25, 0.5, 1.0]))
+    np.testing.assert_allclose(f_e[:3], f[0] * np.array([0.0, 0.25, 0.5]),
+                               rtol=4e-16, atol=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**HEAD_GRIDS, at_zero=st.booleans())
+def test_even_head_is_one_zero_slope_parabola(nodes, bottom, ratio, seed, at_zero):
+    nu, f = _head_grid(nodes, bottom, ratio, seed)
+    if at_zero:
+        nu = np.r_[0.0, nu[:-1]]
+    nu_e, f_e, _, _ = _extend_axis(nu, f, "even", GIVEN_TAIL)
+    w1 = nu[1] if at_zero else nu[0]
+    a = w1 / 4.0
+    np.testing.assert_array_equal(nu_e[:3], [0.0, a, 2.0 * a])
+    np.testing.assert_array_equal(nu_e[3:nu.size + 3 - at_zero], nu[at_zero:])
+    y0, y1, y2 = f_e[:3]
+    scale = max(np.max(np.abs(f_e[:3])), np.max(np.abs(f[:2])))
+    # the parabola y0 + b x + c x^2 through the head: b = 0
+    assert abs(4.0 * y1 - y2 - 3.0 * y0) <= 1e-13 * scale
+    # and it passes through the first two samples
+    curv = (y2 - 2.0 * y1 + y0) / (2.0 * a * a)
+    np.testing.assert_allclose(y0 + curv * nu[:2] ** 2, f[:2], rtol=0.0, atol=1e-12 * scale)
 
 
 # --- unsubtracted pair -------------------------------------------------------
@@ -305,6 +360,35 @@ def test_subtracted_matches_full_axis_quadrature():
         hi = quad(integrand, w + half_band, np.inf, limit=1000, epsabs=1e-13)[0]
         truth = G0.real + ((w - w0) / np.pi) * (band + lo + hi)
         assert r.spectrum.re[idx] == pytest.approx(truth, abs=1e-5)
+
+
+def _inverse_sqrt_spectrum(n=2048):
+    """G(w) = (1 - i w)^(-1/2) on log 1e-2..1e2: causal, Im G odd, and its
+    tail exponent tends to 1/2, so the tail fit reads p < 1."""
+    nu = np.geomspace(1e-2, 1e2, n)
+    g = (1.0 - 1j * nu) ** -0.5
+    return ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), g.real, g.imag), g
+
+
+def test_subtracted_takes_a_slowly_decaying_tail():
+    # the subtracted tails 2 (E(w) - E(w0)) / (w - w0) converge for any p > 0
+    spec, g = _inverse_sqrt_spectrum()
+    r = kk_subtracted(spec, 0.0, 1.0, 0.0)
+    assert 0.0 < r.tail.exponent < 1.0
+    mask = interior_mask(spec.grid)
+    assert np.max(np.abs(r.spectrum.re - g.real)[mask]) < 1e-4
+    # the unsubtracted transform still refuses the same Im G
+    with pytest.raises(NonIntegrableTailError):
+        kk_re_from_im(spec)
+
+
+def test_subtracted_refuses_a_growing_tail_without_advice_to_subtract():
+    spec, _ = _inverse_sqrt_spectrum()
+    growing = ComplexIndexSpectrum(spec.grid, spec.re, spec.grid.values ** 0.3)
+    with pytest.raises(TailFitError, match=r"p = -0\.3 <= 0") as exc:
+        kk_subtracted(growing, 0.0, 1.0, 0.0)
+    assert not isinstance(exc.value, NonIntegrableTailError)
+    assert "subtract" not in str(exc.value)
 
 
 def test_omega0_above_grid_rejected(std_lorentz):

@@ -13,6 +13,12 @@ the arrays the library returns. It runs, in this process:
   ``kk_subtracted`` at the interior points omega0 = 0.5 and 2.0 with
   ``on_collision="continuity"``, whose poles leave a gap at the collision
   zone;
+- the same spectrum and calls on ``ZERO_GRID``, ``np.r_[0.0,
+  np.geomspace(1e-2, 1e2, 2047)]``: the one grid here that samples
+  omega = 0 and is geometric above it, so its positive nodes take the FFT
+  operators and its omega = 0 node the head model and the blocked one.
+  Its ``subtracted`` call at omega0 = 0 is refused: the first positive
+  node lies in that point's collision zone;
 - two cycles of seed 0 of the benchmark's ``audit_batch`` spectra: all four
   transforms and ``audit``;
 - one cycle of seed 0 of the benchmark's ``cli_large`` spectra: each
@@ -46,6 +52,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
+import numpy as np  # noqa: E402
 import schedule  # noqa: E402
 from cli_digests import GRIDS  # noqa: E402
 from kklab import (ComplexIndexSpectrum, FrequencyGrid, GridUnit,  # noqa: E402
@@ -67,10 +74,14 @@ INTERIOR = {
     for w0 in (0.5, 2.0)
 }
 AUDIT_CYCLES = 2
+ZERO_GRID = "0+log:0.01:100:2047"
 
 
 def grid_of(spec: str) -> FrequencyGrid:
-    """The grid of a ``log:MIN:MAX:COUNT`` or ``lin:MIN:MAX:COUNT`` spec."""
+    """The grid of a ``log:MIN:MAX:COUNT`` or ``lin:MIN:MAX:COUNT`` spec,
+    with the node 0 below it for a ``0+`` prefix."""
+    if spec.startswith("0+"):
+        return FrequencyGrid(np.r_[0.0, grid_of(spec[2:]).values], GridUnit.NORMALIZED)
     kind, lo, hi, count = spec.split(":")
     make = FrequencyGrid.log_spaced if kind == "log" else FrequencyGrid.linear
     return make(float(lo), float(hi), int(count), GridUnit.NORMALIZED)
@@ -98,7 +109,7 @@ def spectra():
     """(name, spectrum, calls) of every spectrum, calls as (label, function)."""
     every = [*TRANSFORMS.items(), ("audit", audit)]
     params = LorentzOscillatorParams(1.0, 1.0, 0.1)
-    for grid in GRIDS:
+    for grid in (*GRIDS, ZERO_GRID):
         yield grid, lorentz_index(params, grid_of(grid)), [*every, *INTERIOR.items()]
     for workload, cycles in (("audit_batch", AUDIT_CYCLES), ("cli_large", 1)):
         for i in range(cycles * len(schedule.WORKLOADS[workload])):
