@@ -7,9 +7,8 @@ only its own submodule: ``import kklab`` loads no submodule and no numpy.
 _EXPORTS = {
     "causality": ("AsymptoteFitError", "CausalityReport", "Dichotomy", "audit",
                   "check_bounded", "detect_amplification", "estimate_asymptote"),
-    "kk": ("KkOptions", "PoleCollisionError", "TransformResult", "kk_im_from_re",
-           "kk_re_from_im", "kk_subtracted", "kk_subtracted_at_infinity",
-           "roundtrip_residual"),
+    "kk": ("PoleCollisionError", "TransformResult", "kk_im_from_re", "kk_re_from_im",
+           "kk_subtracted", "kk_subtracted_at_infinity", "roundtrip_residual"),
     "models": ("LorentzOscillatorParams", "PhysicalConstants", "lorentz_index",
                "scharnhorst_index_parallel", "scharnhorst_index_perp"),
     "pvquad": ("NonIntegrableTailError", "PoleIntegrand", "PoleLocationError",

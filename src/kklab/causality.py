@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .kk import KkOptions, roundtrip_residual
-from .pvquad import NonIntegrableTailError, TailFitError, noise_floor, top_decade
+from .kk import roundtrip_residual
+from .pvquad import NonIntegrableTailError, TailFitError, TailModel, noise_floor, top_decade
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
@@ -157,7 +157,7 @@ def check_bounded(s: ComplexIndexSpectrum, k0: float) -> tuple[bool, float]:
     return max_sq <= k0, max_sq
 
 
-def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
+def audit(s: ComplexIndexSpectrum, tail: TailModel | None = None,
           k0: float | None = None) -> CausalityReport:
     """Run the four sub-checks and classify the spectrum.
 
@@ -173,11 +173,12 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     of Im n's top decade (:func:`~kklab.pvquad.noise_floor`), so measurement
     noise around a vanishing Im n is not called amplification.
 
-    ``k0`` is the |n|^2 bound K0; when it is unset a generous default bound
-    of 1e6 is applied and recorded in the assumptions. The bound is checked
-    before the round-trip transform, so a bad K0 fails fast.
+    ``tail`` overrides the round trip's fitted power-law tail. ``k0`` is the
+    |n|^2 bound K0; when it is unset a generous default bound of 1e6 is
+    applied and recorded in the assumptions. The bound is checked before the
+    round-trip transform, so a bad K0 fails fast.
     """
-    assumptions = ["im_odd_assumed"]  # the round trip refuses without it
+    assumptions = ["im_odd_assumed"]  # the round trip's folded transform presupposes it
 
     fit_failed = False
     asym_re: float | None = None
@@ -204,7 +205,7 @@ def audit(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions(),
     bounded_ok, max_sq = check_bounded(s, k0)
 
     try:
-        kk_res = roundtrip_residual(s, opts)
+        kk_res = roundtrip_residual(s, tail)
     except NonIntegrableTailError:
         raise  # the spectrum needs a subtracted relation: say so, not "inconclusive"
     except TailFitError:

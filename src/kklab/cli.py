@@ -27,7 +27,7 @@ from . import _ORIGIN, NumericalError
 from .models import LorentzOscillatorParams, PhysicalConstants, lorentz_index
 
 if TYPE_CHECKING:
-    from .kk import KkOptions
+    from .pvquad import TailModel
     from .spectra import FrequencyGrid
 
 _cli = sys.modules[__name__]
@@ -80,36 +80,35 @@ def _add_constants_flags(p: argparse.ArgumentParser) -> None:
                    help="vacuum-shift coefficient k")
 
 
-def _kk_options(args: argparse.Namespace, grid_top: float) -> KkOptions:
-    tail = None
-    if args.tail_exponent is not None or args.tail_amplitude is not None:
-        if args.tail_exponent is None or args.tail_amplitude is None:
-            raise ValueError("--tail-exponent and --tail-amplitude must be given together")
-        tail = _cli.TailModel(args.tail_exponent, args.tail_amplitude, grid_top)
-    return _cli.KkOptions(assume_im_odd=args.assume_im_odd, tail=tail)
+def _tail_override(args: argparse.Namespace, grid_top: float) -> TailModel | None:
+    """The --tail-exponent/--tail-amplitude model from ``grid_top`` up, or None."""
+    if args.tail_exponent is None and args.tail_amplitude is None:
+        return None
+    if args.tail_exponent is None or args.tail_amplitude is None:
+        raise ValueError("--tail-exponent and --tail-amplitude must be given together")
+    return _cli.TailModel(args.tail_exponent, args.tail_amplitude, grid_top)
 
 
 def _cmd_transform(args: argparse.Namespace) -> int:
     spec = _cli.load_spectrum(args.input, _file_format(args.input, args.format))
-    opts = _kk_options(args, float(spec.grid.values[-1]))
+    tail = _tail_override(args, float(spec.grid.values[-1]))
     if args.direction == "re-from-im":
-        result = _cli.kk_re_from_im(spec, opts)
+        result = _cli.kk_re_from_im(spec, tail)
     elif args.direction == "im-from-re":
-        result = _cli.kk_im_from_re(spec, opts)
+        result = _cli.kk_im_from_re(spec, tail)
     elif args.direction == "subtracted":
         if args.omega0 is None:
             raise ValueError("--omega0 is required for --direction subtracted")
-        result = _cli.kk_subtracted(spec, args.omega0, args.g0_re, args.g0_im, opts)
+        result = _cli.kk_subtracted(spec, args.omega0, args.g0_re, args.g0_im, tail)
     else:  # subtracted-at-infinity
-        result = _cli.kk_subtracted_at_infinity(spec, args.re_inf, args.im_inf, opts)
+        result = _cli.kk_subtracted_at_infinity(spec, args.re_inf, args.im_inf, tail)
     _cli.save_spectrum(result.spectrum, args.output, _file_format(args.output, args.format))
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec = _cli.load_spectrum(args.input, _file_format(args.input, args.format))
-    opts = _kk_options(args, float(spec.grid.values[-1]))
-    report = _cli.audit(spec, opts, k0=args.k0)
+    report = _cli.audit(spec, _tail_override(args, float(spec.grid.values[-1])), k0=args.k0)
     Path(args.output).write_text(report.to_json() + "\n")
     return 0 if report.dichotomy is _cli.Dichotomy.CONSISTENT_WITH_UNITY else 1
 
@@ -165,8 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force file format (default: by extension)")
 
     def add_kk_flags(p):
-        p.add_argument("--assume-im-odd", action=argparse.BooleanOptionalAction,
-                       default=True, help="accept the odd extension of Im n")
         p.add_argument("--tail-exponent", type=float, default=None,
                        help="override fitted tail exponent p")
         p.add_argument("--tail-amplitude", type=float, default=None,

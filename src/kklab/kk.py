@@ -5,10 +5,10 @@ Two families are provided. The folded 0..infinity pair
     Re n(w) = 1 + (2/pi) P int_0^inf  nu Im n(nu) / (nu^2 - w^2) dnu
     Im n(w) =   - (2/pi) P int_0^inf  w [Re n(nu) - 1] / (nu^2 - w^2) dnu
 
-presupposes an odd imaginary part (even real part) under nu -> -nu; both
-refuse to run unless ``assume_im_odd`` is set, because that symmetry is a
-physical-model input, not a theorem about arbitrary data. The once-subtracted
-relation at a finite point w0,
+presupposes an odd imaginary part (even real part) under nu -> -nu, the
+crossing symmetry n(-w) = conj(n(w)); that symmetry is a physical-model
+input, not a theorem about arbitrary data, so every result records it in its
+``assumptions``. The once-subtracted relation at a finite point w0,
 
     Re G(w) = Re G(w0) + ((w - w0)/pi)
               P int_-inf^inf Im[(G(nu) - G(w0)) / (nu - w0)] dnu / (nu - w),
@@ -53,8 +53,8 @@ head. Beyond the extension the tail is summed in closed form.
 
 An audit's round trip is the transform its caller asks for next, so
 :func:`kk_subtracted_at_infinity` keeps its last two results, keyed on the
-exact bytes of the grid, Im n and both constants and on the options; a hit
-returns the bits of a cold call, and a refusal is never stored.
+exact bytes of the grid, Im n and both constants and on the tail override; a
+hit returns the bits of a cold call, and a refusal is never stored.
 """
 
 from __future__ import annotations
@@ -87,7 +87,6 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
 from .spectra import ComplexIndexSpectrum, _as_readonly
 
 __all__ = [
-    "KkOptions",
     "TransformResult",
     "PoleCollisionError",
     "kk_re_from_im",
@@ -111,18 +110,6 @@ class PoleCollisionError(NumericalError):
     point: the double subtraction is ill-conditioned there."""
 
 
-@dataclass(frozen=True)
-class KkOptions:
-    """Transform options.
-
-    ``assume_im_odd`` admits the odd extension the folded forms need.
-    ``tail`` overrides the fitted power-law tail.
-    """
-
-    assume_im_odd: bool = True
-    tail: TailModel | None = None
-
-
 @dataclass(frozen=True, eq=False)
 class TransformResult:
     """Transformed spectrum plus per-node quadrature error estimates, the
@@ -141,11 +128,11 @@ class TransformResult:
 # Grid extension
 # ---------------------------------------------------------------------------
 
-def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, opts: KkOptions, *,
+def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | None, *,
                  subtracted: bool = False) -> tuple[np.ndarray, np.ndarray, TailModel, TailModel]:
     """Extend sampled data to [0, 4*nu_max].
 
-    Returns the extended nodes and values, the tail model (``opts.tail``, or
+    Returns the extended nodes and values, the tail model (``tail``, or
     a power law fitted to the top decade above its noise floor, which
     refuses p <= 1, or with ``subtracted`` only p <= 0) and that tail
     restarted at the extension cutoff, where the series completion takes
@@ -156,9 +143,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, opts: KkOptions, *,
     samples. So every pole block starts at node _HEAD_NODES, with >= 2
     nodes on each side of every positive grid node.
     """
-    if opts.tail is not None:
-        tail = opts.tail
-    else:
+    if tail is None:
         sel, floor = top_decade(nu), noise_floor(nu, f)
         tail = (_fit_tail(nu[sel], f[sel], floor, subtracted=True) if subtracted
                 else fit_tail(nu[sel], f[sel], floor))
@@ -187,33 +172,30 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, opts: KkOptions, *,
 
 def kk_subtracted_at_infinity(im: ComplexIndexSpectrum, re_inf: float = 1.0,
                               im_inf: float = 0.0,
-                              opts: KkOptions = KkOptions()) -> TransformResult:
+                              tail: TailModel | None = None) -> TransformResult:
     """Real part from the imaginary part with the subtraction at infinity.
 
     ``re_inf`` and ``im_inf`` are Re n(inf) and Im n(inf). At their defaults
     1 and 0 this reduces exactly to the unsubtracted transform; see
-    :func:`kk_re_from_im`, which is literally that special case.
+    :func:`kk_re_from_im`, which is literally that special case. ``tail``
+    overrides the fitted power-law tail.
     """
     if not (math.isfinite(re_inf) and math.isfinite(im_inf)):
         raise ValueError("subtraction constants must be finite")
-    if not opts.assume_im_odd:
-        raise ValueError(
-            "the folded 0..inf transform presupposes an odd Im n; "
-            "set assume_im_odd=True to accept that extension")
     out, errs, tail = _at_infinity(im.grid.values.tobytes(), im.im.tobytes(),
-                                   float(re_inf).hex(), float(im_inf).hex(), opts)
+                                   float(re_inf).hex(), float(im_inf).hex(), tail)
     spec = ComplexIndexSpectrum(im.grid, out, im.im)
     return TransformResult(spec, errs, tail, ("im_odd_assumed",))
 
 
 @functools.lru_cache(maxsize=_RESULT_CACHE_SIZE)
 def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: str,
-                 opts: KkOptions) -> tuple[np.ndarray, np.ndarray, TailModel]:
+                 tail: TailModel | None) -> tuple[np.ndarray, np.ndarray, TailModel]:
     """Read-only Re n and error estimate of :func:`kk_subtracted_at_infinity`
     on the grid and Im n of these bytes, with the tail it used."""
     nu, g = np.frombuffer(nu_bytes), np.frombuffer(im_bytes)
     re_inf, im_inf = float.fromhex(re_inf_hex), float.fromhex(im_inf_hex)
-    nu_e, g_e, tail, series_tail = _extend_axis(nu, g, "odd", opts)
+    nu_e, g_e, tail, series_tail = _extend_axis(nu, g, "odd", tail)
     cutoff = series_tail.cutoff
 
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
@@ -237,16 +219,16 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     return out, errs, tail
 
 
-def kk_re_from_im(im: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> TransformResult:
+def kk_re_from_im(im: ComplexIndexSpectrum, tail: TailModel | None = None) -> TransformResult:
     """Unsubtracted transform: Re n = 1 + (2/pi) P int nu Im n/(nu^2 - w^2).
 
     Implemented as the infinite-subtraction relation with Re n(inf) = 1 and
     Im n(inf) = 0, which it equals identically.
     """
-    return kk_subtracted_at_infinity(im, opts=opts)
+    return kk_subtracted_at_infinity(im, tail=tail)
 
 
-def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> TransformResult:
+def kk_im_from_re(re: ComplexIndexSpectrum, tail: TailModel | None = None) -> TransformResult:
     """Imaginary part from the real part:
 
         Im n(w) = -(2/pi) P int_0^inf w [Re n(nu) - 1] / (nu^2 - w^2) dnu.
@@ -255,13 +237,8 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     must decay at the grid top; the tail fit enforces that and raises when
     the fitted exponent is not integrable.
     """
-    if not opts.assume_im_odd:
-        raise ValueError(
-            "the folded 0..inf transform presupposes crossing symmetry; "
-            "set assume_im_odd=True to accept that extension")
-
     nu = re.grid.values
-    nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", opts)
+    nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", tail)
 
     pos = nu > 0.0
     w = nu[pos]
@@ -276,7 +253,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> Tr
     return TransformResult(spec, errs, tail, ("im_odd_assumed", "re_even_assumed"))
 
 
-def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -> float:
+def roundtrip_residual(s: ComplexIndexSpectrum, tail: TailModel | None = None) -> float:
     """max_j |Re n_j - (KK of Im n)_j| over interior nodes.
 
     Interior excludes the top half-decade and the half-decade above the
@@ -289,7 +266,7 @@ def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -
     mask = (nu >= lo) & (nu <= hi)
     if not np.any(mask):
         raise ValueError("grid too narrow: no interior nodes outside the edge half-decades")
-    tr = kk_re_from_im(s, opts)
+    tr = kk_re_from_im(s, tail)
     return float(np.max(np.abs(s.re[mask] - tr.spectrum.re[mask])))
 
 
@@ -298,7 +275,7 @@ def roundtrip_residual(s: ComplexIndexSpectrum, opts: KkOptions = KkOptions()) -
 # ---------------------------------------------------------------------------
 
 def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: float,
-                  opts: KkOptions = KkOptions(), *,
+                  tail: TailModel | None = None, *,
                   on_collision: str = "raise") -> TransformResult:
     """Once-subtracted dispersion relation for G at finite w0 = ``omega0``.
 
@@ -307,14 +284,16 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     is supplied by the caller and never inferred from the samples. The
     negative-frequency half is synthesized from G(-nu) = conj(G(nu)).
 
-    Per node: w == w0 returns Re G(w0) by continuity; 0 < |w - w0| below
-    two local grid spacings is the ill-conditioned collision zone, which
-    raises :class:`PoleCollisionError` by default or, with
-    ``on_collision="continuity"``, is filled with Re G(w0). The positive
+    Per node: w == w0 returns Re G(w0) by continuity. For a w0 between
+    nodes, 0 < |w - w0| below two local grid spacings is the ill-conditioned
+    collision zone, which raises :class:`PoleCollisionError` by default or,
+    with ``on_collision="continuity"``, is filled with Re G(w0); a w0 on a
+    node has no such zone, as K takes its cubic slope there. The positive
     nodes are one pole block of :func:`~kklab.pvquad.pv_mirrored_at_nodes`
     and a sampled w = 0 one row of :func:`~kklab.pvquad.pv_at_nodes`; the
-    rows at w0 and in the collision zone are dropped here. The subtracted
-    tails converge for any fitted tail exponent p > 0; p <= 0 raises
+    rows at w0 and in the collision zone are dropped here. ``tail``
+    overrides the fitted power-law tail. The subtracted tails converge for
+    any fitted tail exponent p > 0; p <= 0 raises
     :class:`~kklab.pvquad.TailFitError`.
     """
     w0, g0_re, g0_im = float(omega0), float(g0_re), float(g0_im)
@@ -328,7 +307,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     if w0 > nu[-1]:
         raise ValueError(f"omega0 = {w0!r} above the grid range")
 
-    nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", opts, subtracted=True)
+    nu_e, gi_e, tail, series_tail = _extend_axis(nu, g.im, "odd", tail, subtracted=True)
     cutoff = series_tail.cutoff
 
     # full real axis by crossing: Im G(-nu) = -Im G(nu)
@@ -340,7 +319,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
 
     dr = nu - w0
     gaps = np.diff(nu)  # local spacing: to the node below (above, for the first)
-    collide = (dr != 0.0) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))
+    collide = np.all(dr != 0.0) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))
     if on_collision == "raise" and np.any(collide):
         w = float(nu[np.argmax(collide)])
         raise PoleCollisionError(

@@ -9,7 +9,6 @@ from kklab import (
     Dichotomy,
     FrequencyGrid,
     GridUnit,
-    KkOptions,
     LorentzOscillatorParams,
     TailModel,
     audit,
@@ -198,12 +197,6 @@ def test_audit_lorentz(std_lorentz):
     assert "im_odd_assumed" in rep.assumptions
 
 
-def test_audit_refuses_without_odd_assumption(std_lorentz):
-    # the round trip runs the folded transform, which needs the odd extension
-    with pytest.raises(ValueError, match="presupposes an odd Im n"):
-        audit(std_lorentz, KkOptions(assume_im_odd=False))
-
-
 def test_audit_noisy_lorentz_is_consistent():
     # white noise of 1e-6 swamps Im n's top decade (5e-8 .. 5e-5): neither
     # the tail fit nor the band search may read it as sign changes
@@ -246,7 +239,7 @@ def test_audit_inconclusive_on_misfit(std_grid):
 
 
 def test_audit_inconclusive_on_single_top_decade_node():
-    rep = audit(_sparse_top([100.0]), KkOptions(tail=TailModel(3.0, 0.05, 100.0)))
+    rep = audit(_sparse_top([100.0]), TailModel(3.0, 0.05, 100.0))
     assert rep.dichotomy is Dichotomy.INCONCLUSIVE
     assert rep.asymptote_re is None and rep.asymptote_im is None
 

@@ -167,6 +167,17 @@ def test_transform_subtracted_takes_a_slowly_decaying_tail(tmp_path):
                  "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 0
 
 
+def test_transform_subtracted_at_a_sampled_zero(tmp_path):
+    # omega0 = 0 on a grid that samples it: no node collides with a node w0
+    nu = np.r_[0.0, np.geomspace(1e-2, 1e2, 2047)]
+    s = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1),
+                            kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED))
+    path = tmp_path / "zero.csv"
+    kklab.save_spectrum(s, path, "csv")
+    assert main(["transform", "--direction", "subtracted", "--omega0", "0", "--g0-re", "1.5",
+                 "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+
+
 def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path, capsys):
     code = main(["transform", "--direction", "subtracted", "--omega0", "0.5",
                  "--g0-re", "0.6", "--g0-im", "0.04",
@@ -194,7 +205,7 @@ def test_transform_tail_override(lorentz_csv, tmp_path):
                  "--in", str(lorentz_csv), "--out", str(out)]) == 0
     spec = kklab.load_spectrum(lorentz_csv, "csv")
     tail = kklab.TailModel(3.0, 0.05, float(spec.grid.values[-1]))
-    expected = kklab.kk_re_from_im(spec, kklab.KkOptions(tail=tail))
+    expected = kklab.kk_re_from_im(spec, tail)
     np.testing.assert_array_equal(kklab.load_spectrum(out, "csv").re, expected.spectrum.re)
 
 
@@ -234,15 +245,6 @@ def test_validate_superluminal_spectrum(tmp_path):
     code = main(["validate", "--in", str(path), "--out", str(report)])
     assert code == 1
     assert json.loads(report.read_text())["dichotomy"] == "superluminal_branch"
-
-
-def test_validate_refuses_without_odd_assumption(lorentz_csv, tmp_path, capsys):
-    report = tmp_path / "report.json"
-    assert main(["validate", "--in", str(lorentz_csv), "--out", str(report),
-                 "--no-assume-im-odd"]) == 2
-    assert capsys.readouterr().err.startswith(
-        "kklab: input error: the folded 0..inf transform presupposes an odd Im n; ")
-    assert not report.exists()
 
 
 def test_validate_k0(lorentz_csv, tmp_path):
@@ -504,7 +506,7 @@ def test_help_lists_all_flags(capsys):
     text = capsys.readouterr().out
     for flag in ["--direction", "--omega0", "--g0-re", "--g0-im", "--re-inf",
                  "--im-inf", "--tail-exponent", "--tail-amplitude",
-                 "--assume-im-odd", "--in", "--out", "--format"]:
+                 "--in", "--out", "--format"]:
         assert flag in text
     main(["validate", "--help"])
     assert "--k0" in capsys.readouterr().out

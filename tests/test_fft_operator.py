@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kklab
-from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, KkOptions
+from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit
 from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
@@ -44,10 +44,10 @@ def _folded(spec, direction):
     """Extended nodes, a, b and the pole block of a folded transform."""
     nu = spec.grid.values
     if direction == "re-from-im":
-        nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", KkOptions())
+        nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", None)
         a, b = g_e, -IM_INF
     else:
-        nu_e, g_e, _, _ = _extend_axis(nu, spec.re - 1.0, "even", KkOptions())
+        nu_e, g_e, _, _ = _extend_axis(nu, spec.re - 1.0, "even", None)
         a, b = 0.0, g_e
     lo = int(np.searchsorted(nu_e, nu[0]))
     return nu_e, a, b, lo, lo + nu.size
@@ -551,7 +551,7 @@ def _mirrored(spec, w0):
     """The full axis, K(nu) and the pole block (lo, hi) of kk_subtracted at
     w0: every positive grid node."""
     nu = spec.grid.values
-    nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", KkOptions())
+    nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", None)
     nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
     g_full = np.concatenate([-g_e[:0:-1], g_e])
     kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)

@@ -19,7 +19,7 @@ import kklab
 PUBLIC = {
     "AbsorptionSpectrum", "AsymptoteFitError", "CausalityReport", "ClockComparison",
     "ComplexIndexSpectrum", "DegenerateClockError", "Dichotomy", "FrequencyGrid", "GridUnit",
-    "KkOptions", "LengthScaleRow", "LightClockScenario", "LorentzOscillatorParams",
+    "LengthScaleRow", "LightClockScenario", "LorentzOscillatorParams",
     "NonIntegrableTailError", "NumericalError", "Orientation", "PhysicalConstants",
     "PoleCollisionError", "PoleIntegrand", "PoleLocationError", "QuadratureResult",
     "ScharnhorstScenario", "SpectrumFormatError", "TailFitError", "TailModel",

@@ -20,7 +20,6 @@ from kklab import (
     ComplexIndexSpectrum,
     FrequencyGrid,
     GridUnit,
-    KkOptions,
     LorentzOscillatorParams,
     PoleCollisionError,
     PoleIntegrand,
@@ -45,7 +44,7 @@ ERROR_RTOL = 1e-4
 
 def _ref_at_infinity(s, re_inf, im_inf):
     nu = s.grid.values
-    nu_e, g_e, _, st_ = _extend_axis(nu, s.im, "odd", KkOptions())
+    nu_e, g_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
         if w == 0.0:
@@ -60,7 +59,7 @@ def _ref_at_infinity(s, re_inf, im_inf):
 
 def _ref_im_from_re(s):
     nu = s.grid.values
-    nu_e, h_e, _, st_ = _extend_axis(nu, s.re - 1.0, "even", KkOptions())
+    nu_e, h_e, _, st_ = _extend_axis(nu, s.re - 1.0, "even", None)
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
         if w == 0.0:
@@ -73,9 +72,10 @@ def _ref_im_from_re(s):
 
 
 def _ref_subtracted(s, w0, g0_re, g0_im):
-    """Nodes outside the two-spacing collision zone only (NaN inside)."""
+    """Every node but w0 when w0 is a node; else nodes outside the
+    two-spacing collision zone only (NaN inside)."""
     nu = s.grid.values
-    nu_e, gi_e, _, st_ = _extend_axis(nu, s.im, "odd", KkOptions())
+    nu_e, gi_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
     cutoff = st_.cutoff
     nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
     gi_full = np.concatenate([-gi_e[:0:-1], gi_e])
@@ -84,11 +84,12 @@ def _ref_subtracted(s, w0, g0_re, g0_im):
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = (gi_full - g0_im) / dist0
     kern[hit0] = kklab.pvquad.local_cubic_slope(nu_full, gi_full, w0)
+    on_node = w0 in nu
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
         dr = w - w0
         spacing = nu[max(j, 1)] - nu[max(j, 1) - 1]
-        if dr == 0.0 or abs(dr) < 2.0 * spacing:
+        if dr == 0.0 or (not on_node and abs(dr) < 2.0 * spacing):
             continue
         res = pv_integrate(PoleIntegrand(nu_full, kern, w))
         right = (tail_integral(st_, w) - tail_integral(st_, w0)) / dr
@@ -231,12 +232,12 @@ def test_re_from_im_is_linear_in_im(a, b, centers, widths):
     # parameters depend on the data
     g = GRIDS["log"]
     nu = g.values
-    opts = KkOptions(tail=TailModel(3.0, 0.0, nu[-1]))
+    tail = TailModel(3.0, 0.0, nu[-1])
     one = np.ones_like(nu)
     f1, f2 = (np.exp(-(((nu - c) / (w * c)) ** 2)) for c, w in zip(centers, widths))
 
     def re(im):
-        return kk_re_from_im(ComplexIndexSpectrum(g, one, im), opts).spectrum.re - 1.0
+        return kk_re_from_im(ComplexIndexSpectrum(g, one, im), tail).spectrum.re - 1.0
 
     r1, r2 = re(f1), re(f2)
     r12 = re(a * f1 + b * f2)

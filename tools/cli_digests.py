@@ -9,7 +9,8 @@ grids into DIR, then runs every transform direction and ``validate`` on
 each, plus the ``scharnhorst`` table and both ``clock`` orientations. Two
 more grids, too short for the top-decade tail fit, get ``model`` and
 ``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Last
-come the ``CONTRACT`` requests, which probe the exit codes other than 0.
+come the ``CONTRACT`` requests, which probe the exit codes other than 0 and
+pin the help texts, whose usage lines list every flag of a subcommand.
 Every request goes through ``kklab.cli.main`` in this process, with DIR as
 the working directory, so no path outside DIR enters an output. The
 program runs from this checkout's ``src/``.
@@ -43,12 +44,14 @@ from kklab.cli import main  # noqa: E402
 GRIDS = ("log:0.01:100:2048", "lin:0:100:1024", "log:0.001:1000:4096")
 # 5 and 7 nodes in the top decade, where the tail fit needs 8
 SMALL_GRIDS = ("log:0.01:100:20", "log:0.01:100:28")
-# (name, output file, argv) after the inputs above: usage errors, --help,
+# (name, output file, argv) after the inputs above: usage errors, help texts,
 # numerical failures, and inputs at the edges of the calculators and audit
 CONTRACT = (
     ("transform without --direction", "c-nodir.csv",
      ["transform", "--in", "lorentz0.csv", "--out", "c-nodir.csv"]),
     ("--help", "help.out", ["--help"]),
+    ("transform --help", "help-transform.out", ["transform", "--help"]),
+    ("validate --help", "help-validate.out", ["validate", "--help"]),
     ("transform --tail-exponent alone", "c-tail.csv",
      ["transform", "--direction", "re-from-im", "--tail-exponent", "3",
       "--in", "lorentz0.csv", "--out", "c-tail.csv"]),

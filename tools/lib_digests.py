@@ -17,8 +17,8 @@ the arrays the library returns. It runs, in this process:
   np.geomspace(1e-2, 1e2, 2047)]``: the one grid here that samples
   omega = 0 and is geometric above it, so its positive nodes take the FFT
   operators and its omega = 0 node the head model and the blocked one.
-  Its ``subtracted`` call at omega0 = 0 is refused: the first positive
-  node lies in that point's collision zone;
+  Its ``subtracted`` call at omega0 = 0 sits on that node, which leaves no
+  collision zone;
 - two cycles of seed 0 of the benchmark's ``audit_batch`` spectra: all four
   transforms and ``audit``;
 - one cycle of seed 0 of the benchmark's ``cli_large`` spectra: each
