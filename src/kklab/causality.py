@@ -24,7 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .kk import roundtrip_residual
-from .pvquad import NonIntegrableTailError, TailFitError, TailModel, noise_floor, top_decade
+from .pvquad import (NonIntegrableTailError, TailFitError, TailModel, _line_fit, noise_floor,
+                     top_decade)
 from .spectra import ComplexIndexSpectrum
 
 __all__ = [
@@ -109,19 +110,15 @@ def _top_decade_fit(nu: np.ndarray, y: np.ndarray) -> tuple[float, float]:
     x = 1.0 / nu[sel] ** 2
     if x.size < 3:
         raise AsymptoteFitError(f"top-decade 1/w^2 fit needs >= 3 nodes, got {x.size}")
-    yy = y[sel]
-    design = np.column_stack([np.ones_like(x), x])
-    coef, *_ = np.linalg.lstsq(design, yy, rcond=None)
-    resid = yy - design @ coef
+    a, _, resid, cov00 = _line_fit(x, y[sel])
     s_reg = math.sqrt(float(resid @ resid) / (x.size - 2))
-    cov = np.linalg.inv(design.T @ design)
-    unc = max(s_reg * math.sqrt(float(cov[0, 0])), s_reg)
+    unc = max(s_reg * math.sqrt(cov00), s_reg)
     max_resid = float(np.max(np.abs(resid)))
     if max_resid > 10.0 * unc:
         raise AsymptoteFitError(
             f"top-decade 1/w^2 fit misfit: max residual {max_resid:.3g} "
             f"exceeds 10 x uncertainty {unc:.3g}")
-    return float(coef[0]), unc
+    return a, unc
 
 
 def estimate_asymptote(s: ComplexIndexSpectrum) -> tuple[float, float]:

@@ -70,6 +70,7 @@ from . import NumericalError
 # pv_integrate and tail_integral are not called here: they stay kk attributes
 # for tools that wrap the quadrature entry points by name
 from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
+    _NODE_RTOL,
     TailModel,
     _fit_tail,
     difference_quotient,
@@ -284,11 +285,13 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     is supplied by the caller and never inferred from the samples. The
     negative-frequency half is synthesized from G(-nu) = conj(G(nu)).
 
-    Per node: w == w0 returns Re G(w0) by continuity. For a w0 between
-    nodes, 0 < |w - w0| below two local grid spacings is the ill-conditioned
-    collision zone, which raises :class:`PoleCollisionError` by default or,
-    with ``on_collision="continuity"``, is filled with Re G(w0); a w0 on a
-    node has no such zone, as K takes its cubic slope there. The positive
+    Per node: w == w0 returns Re G(w0) by continuity, and so does a node
+    within 1e-13 max|nu| of w0, where K takes its cubic slope as on w0's
+    own node. For a w0 between nodes, 0 < |w - w0| below two local grid
+    spacings is the ill-conditioned collision zone, which raises
+    :class:`PoleCollisionError` by default or, with
+    ``on_collision="continuity"``, is filled with Re G(w0); a w0 on a node
+    has no such zone. The positive
     nodes are one pole block of :func:`~kklab.pvquad.pv_mirrored_at_nodes`
     and a sampled w = 0 one row of :func:`~kklab.pvquad.pv_at_nodes`; the
     rows at w0 and in the collision zone are dropped here. ``tail``
@@ -318,8 +321,10 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     kern = difference_quotient(nu_full, gi_full, w0, g0_im)
 
     dr = nu - w0
+    # the nodes that K treats as w0's own, with its cubic slope
+    node = np.abs(dr) <= _NODE_RTOL * np.max(np.abs(nu_full))
     gaps = np.diff(nu)  # local spacing: to the node below (above, for the first)
-    collide = np.all(dr != 0.0) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))
+    collide = ~np.any(node) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))
     if on_collision == "raise" and np.any(collide):
         w = float(nu[np.argmax(collide)])
         raise PoleCollisionError(
@@ -333,7 +338,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
                                               nu_full.size - _TOP_EXTENSION_NODES)
     if not pos[0]:
         val[:1], err[:1] = pv_at_nodes(nu_full, kern, None, np.array([centre]))
-    ev = (dr != 0.0) & ~collide
+    ev = ~node & ~collide
     w, dr, val, err = nu[ev], dr[ev], val[ev], err[ev]
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there: the
     # power-law parts sum to 2 (E(w) - E(w0)) / (w - w0), E the even part of

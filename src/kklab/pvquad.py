@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,6 +73,9 @@ _EPS = np.finfo(float).eps
 # grid size, while each block stays large enough for numpy to run at speed
 _BLOCK_ELEMENTS = 1 << 16
 _NOISE_SIGMAS = 5.0
+# a node within this distance of a pole, relative to the largest |nu|, is the
+# pole's own node: its quotient takes the cubic slope there
+_NODE_RTOL = 1e-13
 # A pole block is geometric when every node lies within this relative
 # distance of nu_0 r^j. Log grids, read back from CSV or not, deviate by up to
 # 3.5e-15; nodes 5e-14 off left 16384-node sums 5.5e-12 off pv_at_nodes'.
@@ -90,7 +93,7 @@ _GEOMETRIC_RTOL = 1e-14
 # 1.4e-5 relative), a band of 32 3.4e-14 (3.1e-6).
 _BAND_SPAN = 0.0355
 _FFT_BAND = 32
-# grid plans of the FFT path kept at once (0.72 MB each at 4096 nodes): a
+# grid plans of the FFT path kept at once (1.24 MB each at 4096 nodes): a
 # batch alternating between two grids keeps both while a third comes and goes
 _PLAN_CACHE_SIZE = 3
 
@@ -314,7 +317,7 @@ def difference_quotient(nu: np.ndarray, f: np.ndarray, x: float, fx: float) -> n
     dist = nu - x
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (f - fx) / dist
-    q[np.abs(dist) <= 1e-13 * np.max(np.abs(nu))] = local_cubic_slope(nu, f, x)
+    q[np.abs(dist) <= _NODE_RTOL * np.max(np.abs(nu))] = local_cubic_slope(nu, f, x)
     return q
 
 
@@ -329,7 +332,7 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     """
     nu, fv, w = f.nu, f.values, float(f.pole)
     a, b = f.domain
-    tol = 1e-13 * max(abs(a), abs(b))
+    tol = _NODE_RTOL * max(abs(a), abs(b))
 
     if abs(w - a) <= tol or abs(w - b) <= tol:
         raise PoleLocationError(f"pole {w!r} lies at a domain endpoint")
@@ -462,10 +465,61 @@ def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float):
     return weights, slope_w, logs, size, log_r * m, far, inside
 
 
-def _read_only(size: int, *plan) -> tuple:
-    for arr in plan:
-        arr.flags.writeable = False
-    return size, *plan
+def _read_only(*plan) -> tuple:
+    """The plan, with every array in it, those of its tuples too, read-only."""
+    for member in plan:
+        if isinstance(member, np.ndarray):
+            member.flags.writeable = False
+        elif isinstance(member, tuple):
+            _read_only(*member)
+    return plan
+
+
+class _TopPlan(NamedTuple):
+    """Grid-only setup of :func:`_top_sums` for a pole block and the nodes
+    above it; see :func:`_top_plan`."""
+
+    nodes: np.ndarray  # indices of the top nodes nu_j
+    split: int  # the rows below it take the series
+    ratio: np.ndarray  # w / c of the series rows
+    blocks: tuple  # (start, stop, powers) of each block of series rows
+    weights: np.ndarray  # (3, T) estimator weights of the top nodes
+    floor: np.ndarray  # weights[2] sign(nu_j), the floor's moment weights
+    kernels: np.ndarray  # (1 or 2, T, P) c^p / nu_j^(p+1), and times (-1)^p
+    minus: np.ndarray  # (T, n - split) nu_j - w of the quotient rows
+    plus: np.ndarray | None  # nu_j + w, with a pole-free part
+
+
+def _top_plan(nu, weights, lo, hi, top, pole_free: bool) -> _TopPlan:
+    """The :class:`_TopPlan` of the poles w = nu[lo:hi], positive and
+    ascending, and the nodes ``top``, every |nu_j| above every pole; with
+    ``pole_free`` it serves a kernel 1/(nu_j + w) as well. c is the least
+    |nu_j|: rows with w <= c/4 take the series, in blocks that each span
+    w/c from their largest down to its square and take the powers
+    _series_power(w/c) of their largest, and the rows above the quotient
+    block. A series block is held to _BLOCK_ELEMENTS."""
+    x, w = nu[top], nu[lo:hi]
+    c = np.min(np.abs(x))
+    split = int(np.searchsorted(w, 0.25 * c, side="right"))
+    ratio = w[:split] / c
+    blocks, stop = [], split
+    while stop:
+        # down to the square of the block's largest w/c, so the block's
+        # powers are at most about twice what its lowest row needs
+        largest = ratio[stop - 1]
+        powers = _series_power(largest) + 1
+        start = max(stop - max(1, _BLOCK_ELEMENTS // powers),
+                    int(np.searchsorted(ratio, largest * largest, side="right")))
+        blocks.append((start, stop, powers))
+        stop = start
+    powers = blocks[0][2] if blocks else 0
+    scaled = np.vander(c / x, powers, increasing=True) / x[:, None]  # c^p / nu_j^(p+1)
+    # times (-1)^p, for (-w)^p: the kernel 1/(nu_j + w)
+    kernels = np.stack([scaled, scaled * (-1.0) ** np.arange(powers)] if pole_free else [scaled])
+    above = x[:, None], w[split:]
+    return _TopPlan(top, split, ratio, tuple(blocks[::-1]), weights[:, top],
+                    weights[2, top] * np.sign(x),
+                    kernels, np.subtract(*above), np.add(*above) if pole_free else None)
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -474,7 +528,8 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     geometric block nu[lo:hi] of ratio exp(log_r): FFT size, (3, M) weights,
     slope weights, a, b, |a|, |b| kernel spectra (the far kernels, and in
     the band +-(1/2) / (1 + r^m), the pole-free part of the split), (3, n)
-    weights / w, their 1/(nu - w) convolutions and the log terms."""
+    weights / w, their 1/(nu - w) convolutions, the log terms and the
+    :class:`_TopPlan` of the nodes above the block."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
@@ -493,7 +548,8 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     over_nu = weights[:, lo:hi] / nu[lo:hi]
     conv_nu = fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)
     return _read_only(size, weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
-                      conv_nu[:, :hi - lo].copy(), logs)
+                      conv_nu[:, :hi - lo].copy(), logs,
+                      _top_plan(nu, weights, lo, hi, np.arange(hi, nu.size), True))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
@@ -502,7 +558,8 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     weights, slope weights, the positive half's far kernel spectrum, the
     mirrored half's and both |kernel| spectra, the (6, n) weights / w of
     both halves (the mirrored one in block order), their summed
-    1/(nu - w) convolutions and the log terms."""
+    1/(nu - w) convolutions, the log terms and the :class:`_TopPlan` of the
+    nodes beyond the two blocks."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft
 
@@ -518,17 +575,18 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     conv_nu = fft.irfft(fft.rfft(over_nu[:3], size) * kernels[[0, 0, 2]]
                         + fft.rfft(over_nu[3:], size) * kernels[[1, 1, 3]], size)
     return _read_only(size, weights, slope_w, kernels, over_nu,
-                      conv_nu[:, :hi - lo].copy(), logs)
+                      conv_nu[:, :hi - lo].copy(), logs,
+                      _top_plan(nu, weights, lo, hi, np.r_[:nu.size - hi, hi:nu.size], False))
 
 
 def _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, head, top) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block
     of ratio exp(log_r), over their own nodes, which take
     :func:`pv_at_nodes`' stencil slope of f_k, the band 0 < |j - lo - k| <=
-    _band(log_r), the nodes ``head`` and the nodes ``top``. Each row adds
-    its terms in one order: by offset m, node k + m before node k - m, then
-    the head nodes one at a time, then the sum of the top nodes from
-    :func:`_top_sums`.
+    _band(log_r), the nodes ``head`` and the nodes of ``top``, a
+    :class:`_TopPlan`. Each row adds its terms in one order: by offset m,
+    node k + m before node k - m, then the head nodes one at a time, then
+    the sum of the top nodes from :func:`_top_sums`.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
@@ -565,81 +623,82 @@ def _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, head, top) -> np.ndarr
         if h is not None:
             q[0] += np.divide(h[col], np.add(nu[col], w, s), s)
         add(sums, col, spread(q), q)
-    sums += _top_sums(nu, weights, lo, hi, g, h, top)
+    sums += _top_sums(g, h, lo, hi, top)
     return sums
 
 
-def _top_sums(nu, weights, lo, hi, g, h, top) -> np.ndarray:
-    """The (3, n) Simpson sums over the nodes ``top`` of the poles w =
-    nu[lo:hi], positive and ascending, with every |nu_j| above every pole:
-    those of pv_at_nodes' quotient q = (g_j - g(w)) / (nu_j - w) + h_j /
-    (nu_j + w), the rounding floor's at or above its own.
+def _top_sums(g, h, lo, hi, top: _TopPlan) -> np.ndarray:
+    """The (3, n) Simpson sums over the nodes nu_j of ``top``
+    (:func:`_top_plan`) of the poles w = nu[lo:hi]: those of pv_at_nodes'
+    quotient q = (g_j - g(w)) / (nu_j - w) + h_j / (nu_j + w), the rounding
+    floor's at or above its own.
 
     With c the least |nu_j|, rows with w <= c/4 take the kernels
     1/(nu_j -+ w) as the series sum_p (+-w)^p / nu_j^(p+1), the far-field
     expansion of fast multipole methods: a Vandermonde block of w/c against
     moments c^p / nu_j^(p+1) of W_j g_j, W_j h_j and W_j, the last times
-    g(w), scaled by c^p so nothing overflows on an SI grid. Their floor is
-    the far part's upper bound (|g_j| + |g(w)|) / |nu_j - w| +
-    |h_j| / |nu_j + w| of |q|, whose kernels are the same series times
-    sign(nu_j). The rows above take a block of quotients against the
-    weights, and the exact floor. Either block is held to _BLOCK_ELEMENTS.
+    g(w), scaled by c^p so nothing overflows on an SI grid. Each block of
+    these rows, from its largest w/c down to that one's square, sums the
+    powers to _series_power(w/c) of its largest: 29 at w/c = 1/4, 8 at
+    1/256. Their floor is the far part's upper bound (|g_j| + |g(w)|) /
+    |nu_j - w| + |h_j| / |nu_j + w| of |q|, whose kernels are the same
+    series times sign(nu_j). The rows above take a block of quotients
+    against the weights, and the exact floor. Either block is held to
+    _BLOCK_ELEMENTS.
     """
-    x, wt = nu[top], weights[:, top]
-    g_j, h_j = g[top], None if h is None else h[top]
-    w, f_at = nu[lo:hi], g[lo:hi]
-    c = np.min(np.abs(x))
+    wt, floor = top.weights, top.floor
+    g_j, h_j = g[top.nodes], None if h is None else h[top.nodes]
+    f_at = g[lo:hi]
     sums = np.empty((3, hi - lo))
-    # the series converges for w < c; at w/c <= 1/4 its powers run to at
-    # most 29, and the rows above take the quotient block
-    split = int(np.searchsorted(w, 0.25 * c, side="right"))
-    if split:
-        floor = wt[2] * np.sign(x)
+    if top.blocks:
         data = np.stack([wt[0] * g_j, wt[1] * g_j, floor * np.abs(g_j), wt[0], wt[1], floor])
-        powers = _series_power(w[split - 1] / c) + 1
-        scaled = np.vander(c / x, powers, increasing=True) / x[:, None]  # c^p / nu_j^(p+1)
-        moments = data @ scaled
+        moments = data @ top.kernels[0]
         if h is not None:
-            scaled[:, 1::2] *= -1.0  # (-w)^p: the kernel 1/(nu_j + w)
-            moments[:3] += np.stack([wt[0] * h_j, wt[1] * h_j, floor * np.abs(h_j)]) @ scaled
-        step = max(1, _BLOCK_ELEMENTS // powers)
-        for start in range(0, split, step):
-            rows = slice(start, min(start + step, split))
+            h_data = np.stack([wt[0] * h_j, wt[1] * h_j, floor * np.abs(h_j)])
+            moments[:3] += h_data @ top.kernels[1]
+        for start, stop, powers in top.blocks:
+            rows = slice(start, stop)
             # (w/c)^p, a row per power: numpy's vander builds it a pole at
             # a time, several times slower
-            ratio = w[rows] / c
+            ratio = top.ratio[rows]
             vander = np.empty((powers, ratio.size))
             vander[0] = 1.0
             for p in range(1, powers):
                 np.multiply(vander[p - 1], ratio, vander[p])
-            series = moments @ vander
+            series = moments[:, :powers] @ vander
             sums[:2, rows] = series[:2] - f_at[rows] * series[3:5]
             sums[2, rows] = series[2] + np.abs(f_at[rows]) * series[5]
     # the exact floor: the terms of q cancel on the rows near the top nodes,
     # where the bound came to about ten times it
-    step = max(1, _BLOCK_ELEMENTS // x.size)
-    for start in range(split, hi - lo, step):
-        rows = slice(start, start + step)
+    step = max(1, _BLOCK_ELEMENTS // g_j.size)
+    for start in range(top.split, hi - lo, step):
+        rows, cols = slice(start, start + step), slice(start - top.split, start - top.split + step)
         q = np.subtract(g_j[:, None], f_at[rows])
-        q /= x[:, None] - w[rows]
+        q /= top.minus[:, cols]
         if h is not None:
-            q += h_j[:, None] / (x[:, None] + w[rows])
+            q += h_j[:, None] / top.plus[:, cols]
         sums[:2, rows] = wt[:2] @ q
         sums[2, rows] = wt[2] @ np.abs(q, out=q)
     return sums
 
 
-def _add_far(sums, size, f_at, conv_nu, parts) -> None:
+def _add_far(sums, size, f_at, conv_nu, kernels, parts) -> None:
     """Add to the (3, n) sums the far terms: the FFT convolutions of the
-    (rows, kernel spectra) ``parts`` of the data, less f_at times the
-    plan's 1/(nu - w) convolutions, and for the rounding floor the upper
-    bound with |f_at|, each convolution clipped at 0."""
+    (rows, kind) ``parts`` of the data, the full and full-minus-half rows
+    with the kernel spectrum kernels[kind] and the floor's row with
+    kernels[kind + 2], less f_at times the plan's 1/(nu - w) convolutions,
+    and for the rounding floor the upper bound with |f_at|, each convolution
+    clipped at 0."""
     from numpy import fft
 
-    products = np.zeros((3, size // 2 + 1), dtype=complex)
-    for rows, kernels in parts:
-        products += fft.rfft(rows, size) * kernels
-    conv = fft.irfft(products, size)[:, :sums.shape[1]]
+    products = None
+    for rows, kind in parts:
+        spectrum = fft.rfft(rows, size)
+        spectrum[:2] *= kernels[kind]
+        spectrum[2] *= kernels[kind + 2]
+        products = spectrum if products is None else np.add(products, spectrum, out=products)
+    n = sums.shape[1]
+    conv = np.zeros((3, n)) if products is None else fft.irfft(products, size)[:, :n]
     sums[:2] += conv[:2] - f_at * conv_nu[:2]
     sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
 
@@ -694,17 +753,16 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     log_r = _geometric_log_ratio(nu[lo:hi])
     if log_r is None:
         return pv_at_nodes(nu, g, h, np.arange(lo, hi))
-    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _folded_plan(
         nu.tobytes(), lo, hi, log_r)
     # the band takes the split's singular part g over nu - w; its h part is
     # in the kernels
-    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, range(lo),
-                      np.arange(hi, nu.size))
+    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, range(lo), top)
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w) = g(w), are the plan's
     f_at = g[lo:hi]
-    _add_far(sums, size, f_at, conv_nu,
-             [(over_nu * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
+    _add_far(sums, size, f_at, conv_nu, kernels,
+             [(over_nu * np.stack([d, d, np.abs(d)]), kind)
               for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)) if np.any(d)])
     return _finish(*sums, f_at * logs)
 
@@ -736,13 +794,13 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray, lo: int,
     log_r = _geometric_log_ratio(nu[lo:hi]) if np.array_equal(nu[::-1], -nu) else None
     if log_r is None:
         return pv_at_nodes(nu, f, None, np.arange(lo, hi))
-    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _mirrored_plan(
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
     sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, f, None, range(nu.size - lo, lo),
-                      np.r_[:nu.size - hi, hi:nu.size])
-    _add_far(sums, size, f_at, conv_nu,
-             [(over * np.stack([d, d, np.abs(d)]), kernels[[kind, kind, kind + 2]])
+                      top)
+    _add_far(sums, size, f_at, conv_nu, kernels,
+             [(over * np.stack([d, d, np.abs(d)]), kind)
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
     return _finish(*sums, f_at * logs)
 
@@ -777,6 +835,22 @@ def noise_floor(nu: np.ndarray, f: np.ndarray) -> float:
     part = np.partition(d2, mid if d2.size % 2 else [mid - 1, mid])
     median = part[mid] if d2.size % 2 else 0.5 * (part[mid - 1] + part[mid])
     return _NOISE_SIGMAS * 1.4826 * float(median) / math.sqrt(6.0)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, np.ndarray, float]:
+    """Least-squares line y ~ a + b x through n >= 2 points, x not all equal,
+    in closed form about the means:
+
+        b = sum (x - xm)(y - ym) / Sxx,   a = ym - b xm,   Sxx = sum (x - xm)^2.
+
+    Returns a, b, the residuals y - a - b x, taken as (y - ym) - b (x - xm),
+    and (D^T D)^-1_00 = 1/n + xm^2 / Sxx of the design D = [1, x], whose
+    root times the regression's standard error is a's standard error."""
+    xm, ym = np.mean(x), np.mean(y)
+    dx, dy = x - xm, y - ym
+    sxx = float(dx @ dx)
+    b = float(dx @ dy) / sxx
+    return float(ym - b * xm), b, dy - b * dx, 1.0 / x.size + float(xm) ** 2 / sxx
 
 
 def fit_tail(nu: np.ndarray, values: np.ndarray, floor: float = 0.0) -> TailModel:
@@ -818,8 +892,8 @@ def _fit_tail(nu: np.ndarray, values: np.ndarray, floor: float,
         raise TailFitError("sign-alternating tail: power-law model invalid")
     sign = float(signs[0])
 
-    slope, intercept = np.polyfit(np.log(nu[nz]), np.log(np.abs(f[nz])), 1)
-    p = -float(slope)
+    intercept, slope, _, _ = _line_fit(np.log(nu[nz]), np.log(np.abs(f[nz])))
+    p = -slope
     if subtracted and p <= 0.0:
         raise TailFitError(f"fitted tail exponent p = {p:.6g} <= 0: the tail does not decay")
     if not subtracted and p <= 1.0:
@@ -828,7 +902,7 @@ def _fit_tail(nu: np.ndarray, values: np.ndarray, floor: float,
         raise TailFitError(
             "tail samples decay far faster than any power law; "
             "pass a floor or an explicit TailModel")
-    amp = sign * math.exp(float(intercept))
+    amp = sign * math.exp(intercept)
     return TailModel(exponent=p, amplitude=amp, cutoff=float(nu[-1]))
 
 

@@ -1,4 +1,6 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from kklab import (
     detect_amplification,
     estimate_asymptote,
     lorentz_index,
+    pvquad,
     resample,
 )
 
@@ -52,6 +55,58 @@ def test_asymptote_of_constant_09(std_grid):
     value, unc = estimate_asymptote(_const(std_grid, 0.9))
     assert value == pytest.approx(0.9, abs=1e-12)
     assert unc == pytest.approx(0.0, abs=1e-12)
+
+
+def test_asymptote_is_the_same_in_si_units(std_lorentz):
+    # the 1/w^2 column is about 1e-30 on a grid in rad/s; the fit must not
+    # drop it as rank deficient, which left Re n(inf) 1.1e-3 off here
+    nu = std_lorentz.grid.values
+    si = ComplexIndexSpectrum(FrequencyGrid(1e15 * nu, GridUnit.SI_RAD_PER_S),
+                              std_lorentz.re, std_lorentz.im)
+    value, unc = estimate_asymptote(std_lorentz)
+    si_value, si_unc = estimate_asymptote(si)
+    assert si_value == pytest.approx(value, rel=1e-12)
+    assert si_unc == pytest.approx(unc, rel=1e-6)
+
+
+def _schedule():
+    """The benchmark's request schedule, perfbench/schedule.py."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "schedule.py"
+    spec = importlib.util.spec_from_file_location("perfbench_schedule", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_fits_match_numpy_on_the_benchmark_corpus():
+    # every audit_batch slot of seeds 0-2: the closed-form line fits give
+    # the tail exponents of np.polyfit and the asymptotes of np.linalg.lstsq,
+    # which the fits took before
+    schedule = _schedule()
+    slots = len(schedule.WORKLOADS["audit_batch"])
+    for seed in range(3):
+        for i in range(slots):
+            req = schedule.request("audit_batch", seed, i)
+            nu, sel = req["nu"], pvquad.top_decade(req["nu"])
+            for f in (req["im"], req["re"] - 1.0):
+                floor = pvquad.noise_floor(nu, f)
+                keep = np.abs(f[sel]) > floor
+                slope = np.polyfit(np.log(nu[sel][keep]), np.log(np.abs(f[sel][keep])), 1)[0]
+                if -slope <= 1.0:  # an offset spectrum's Re n - 1
+                    with pytest.raises(pvquad.TailFitError):
+                        pvquad.fit_tail(nu[sel], f[sel], floor)
+                    continue
+                tail = pvquad.fit_tail(nu[sel], f[sel], floor)
+                assert tail.exponent == pytest.approx(-slope, rel=1e-13)
+            x = 1.0 / nu[sel] ** 2
+            for y in (req["re"], req["im"]):
+                design = np.column_stack([np.ones_like(x), x])
+                want = np.linalg.lstsq(design, y[sel], rcond=None)[0][0]
+                try:
+                    got = causality._top_decade_fit(nu, y)[0]
+                except AsymptoteFitError:
+                    continue
+                assert got == pytest.approx(want, rel=1e-13, abs=1e-13)
 
 
 def test_asymptote_needs_three_decades():

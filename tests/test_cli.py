@@ -178,6 +178,15 @@ def test_transform_subtracted_at_a_sampled_zero(tmp_path):
                  "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 0
 
 
+def test_transform_subtracted_one_ulp_off_a_node(tmp_path):
+    # omega0 one ulp above a node is that node's omega0: no collision zone
+    path = tmp_path / "lor.csv"
+    assert main([*MODEL, "--grid", "log:1e-2:1e2:2048", "--out", str(path)]) == 0
+    w0 = float(np.nextafter(kklab.load_spectrum(path, "csv").grid.values[1000], 1.0))
+    assert main(["transform", "--direction", "subtracted", "--omega0", repr(w0), "--g0-re", "0.6",
+                 "--in", str(path), "--out", str(tmp_path / "o.csv")]) == 0
+
+
 def test_transform_subtracted_pole_collision(lorentz_csv, tmp_path, capsys):
     code = main(["transform", "--direction", "subtracted", "--omega0", "0.5",
                  "--g0-re", "0.6", "--g0-im", "0.04",

@@ -29,8 +29,8 @@ from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
 from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _band, _estimator_weights, _finish,
-                          _mirrored_plan, _top_sums, difference_quotient, pv_mirrored_at_nodes,
-                          simpson_weights)
+                          _mirrored_plan, _top_plan, _top_sums, _TopPlan, difference_quotient,
+                          pv_mirrored_at_nodes, simpson_weights)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -249,10 +249,20 @@ def test_odd_and_even_transforms_share_a_plan(std_lorentz, fresh_plans):
     assert fresh_plans.cache_info()[:2] == (1, 1)
 
 
+def _plan_arrays(members):
+    """Every array of a plan's members, those of its top-extension setup too."""
+    *arrays, top = members
+    assert isinstance(top, _TopPlan)
+    return arrays + [x for x in top if isinstance(x, np.ndarray)]
+
+
 def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
     nu_e, _, _, lo, hi = _folded(std_lorentz, "re-from-im")
-    size, *arrays = fresh_plans(nu_e.tobytes(), lo, hi, _geometric_log_ratio(nu_e[lo:hi]))
-    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
+    size, *members = fresh_plans(nu_e.tobytes(), lo, hi, _geometric_log_ratio(nu_e[lo:hi]))
+    arrays = _plan_arrays(members)
+    # 6 of the FFT path, 7 of the top extension's: nodes, w/c of the series
+    # rows, weights, floor, series kernels of both signs, nu_j - w and nu_j + w
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 13
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0.0
@@ -389,7 +399,7 @@ def _column_loop(nu, a, b, lo, hi):
     g, h = 0.5 * (a + b), 0.5 * (a - b)
     log_r = _geometric_log_ratio(nu[lo:hi])
     assert log_r is not None
-    size, weights, slope_w, kernels, over_nu, conv_nu, logs = _folded_plan(
+    size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _folded_plan(
         nu.tobytes(), lo, hi, log_r)
     n, w = hi - lo, nu[lo:hi]
     f_at = g[lo:hi]
@@ -413,7 +423,7 @@ def _column_loop(nu, a, b, lo, hi):
     for j in range(lo):
         col = slice(j, j + 1)
         add(col, slice(None), (g[col] - f_at) / (nu[col] - w) + h[col] / (nu[col] + w))
-    sums += _top_sums(nu, weights, lo, hi, g, h, np.arange(hi, nu.size))
+    sums += _top_sums(g, h, lo, hi, top)
 
     products = np.zeros((3, kernels.shape[1]), dtype=complex)
     for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
@@ -484,7 +494,7 @@ def _top_loop(nu, lo, hi, g, h, top):
 
 def _check_top_sums(nu, lo, hi, g, h, top):
     weights, want, scale = _top_loop(nu, lo, hi, g, h, top)
-    got = _top_sums(nu, weights, lo, hi, g, h, top)
+    got = _top_sums(g, h, lo, hi, _top_plan(nu, weights, lo, hi, top, h is not None))
     assert np.all(np.abs(got[:2] - want[:2]) <= 1e-14 * scale)
     # the floor's upper bound, at or above the exact trapezoid sum of |q|
     assert np.all(got[2] >= want[2] * (1.0 - 1e-12))
@@ -510,25 +520,32 @@ def test_top_sums_match_a_column_loop(direct_part_spectrum, kind):
     _check_top_sums(nu, lo, hi, g, h, top)
 
 
-@pytest.mark.parametrize("decades, unit", [(0.55, 1.0), (3.0, 1.0), (3.0, 1e15)],
-                         ids=["no series row", "3 decades", "3 decades in rad/s"])
-def test_top_sums_from_one_grid_step_above_the_block(decades, unit):
+@pytest.mark.parametrize("decades, unit, powers", [
+    (0.55, 1.0, []), (3.0, 1.0, [8, 15, 29]), (3.0, 1e15, [8, 15, 29]), (6.0, 1.0, [5, 8, 15, 29]),
+], ids=["no series row", "3 decades", "3 decades in rad/s", "6 decades"])
+def test_top_sums_from_one_grid_step_above_the_block(decades, unit, powers):
     # the top nodes are the block's next two, so the lowest is one grid step
     # above the highest pole; under 0.6 decade no row takes the series. At
-    # 1e15-1e18 the powers nu_j^(p+1) alone would overflow.
+    # 1e15-1e18 the powers nu_j^(p+1) alone would overflow. Each block of
+    # series rows spans w/c down to its largest one's square and takes the
+    # powers that one needs: over 6 decades, w/c from 3e-6 to 1/4, the rows
+    # fill four blocks.
     nu = unit * np.geomspace(1.0, 10.0 ** decades, 300)
     lo, hi = 2, nu.size - 2
     rng = np.random.default_rng(300)
     g, h = rng.uniform(-1.0, 1.0, (2, nu.size))
     assert np.any(nu[lo:hi] <= 0.25 * nu[hi]) == (decades > 0.6)
+    top = _top_plan(nu, _estimator_weights(nu), lo, hi, np.arange(hi, nu.size), True)
+    assert [p for _, _, p in top.blocks] == powers
     for members in ((g, h), (g, None)):
         assert np.all(np.isfinite(_check_top_sums(nu, lo, hi, *members, np.arange(hi, nu.size))))
 
 
 def test_top_sums_in_small_blocks(monkeypatch):
-    # a cap of 100 elements splits the 458 series rows (29 powers) into
-    # blocks of 3, the last one short, and the 90 rows above, against 50
-    # top nodes, into blocks of 2
+    # a cap of 100 elements splits the 458 series rows into 57 blocks of
+    # 100 // powers rows, the lowest one short: from 16 rows of 6 powers
+    # near the bottom to 3 rows of 29 at the top; and the 90 rows above,
+    # against 50 top nodes, into blocks of 2
     monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 100)
     nu = np.geomspace(1e-2, 1e2, 600)
     g, h = np.random.default_rng(600).uniform(-1.0, 1.0, (2, nu.size))
@@ -626,9 +643,11 @@ def test_warm_mirrored_plan_gives_the_bits_of_a_cold_one(std_lorentz, fresh_mirr
 
 def test_mirrored_plan_arrays_are_read_only(std_lorentz, fresh_mirrored_plans):
     nu_full, _, lo, hi = _mirrored(std_lorentz, 0.5)
-    size, *arrays = fresh_mirrored_plans(nu_full.tobytes(), lo, hi,
-                                         _geometric_log_ratio(nu_full[lo:hi]))
-    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 6
+    size, *members = fresh_mirrored_plans(nu_full.tobytes(), lo, hi,
+                                          _geometric_log_ratio(nu_full[lo:hi]))
+    arrays = _plan_arrays(members)
+    # the folded plan's, less nu_j + w: K has no pole-free part
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 12 and members[-1].plus is None
     for arr in arrays:
         with pytest.raises(ValueError, match="read-only"):
             arr.flat[0] = 0.0

@@ -309,6 +309,22 @@ def test_subtracted_at_a_sampled_zero_has_no_collision_zone():
     assert np.max(err[1:5]) <= 2.0 * np.max(err[(nu >= nu[5]) & (nu <= 0.1)])
 
 
+def test_subtracted_one_ulp_off_a_node_has_no_collision_zone(std_lorentz):
+    # K takes its cubic slope on a node within 1e-13 max|nu| of w0, so a w0
+    # one ulp above node 1000 is that node's w0: no collision zone, and its
+    # neighbours as accurate as when w0 is the node itself
+    nu = std_lorentz.grid.values
+    g = ComplexIndexSpectrum(std_lorentz.grid, std_lorentz.re - 1.0, std_lorentz.im)
+    errs = []
+    for w0 in (nu[1000], np.nextafter(nu[1000], 1.0)):
+        G0 = lorentz_closed_form(w0) - 1.0
+        r = kk_subtracted(g, w0, G0.real, G0.imag)
+        assert r.spectrum.re[1000] == G0.real
+        errs.append(np.abs(r.spectrum.re - g.re)[[998, 999, 1001, 1002]])
+    on_node, off_node = errs
+    assert np.all(off_node <= 2.0 * on_node)
+
+
 def test_subtracted_at_zero_matches_unsubtracted(std_lorentz, std_transform):
     gspec = ComplexIndexSpectrum(std_lorentz.grid, std_lorentz.re - 1.0, std_lorentz.im)
     G0 = lorentz_closed_form(0.0) - 1.0

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -18,8 +18,8 @@ from kklab import (
     pv_semi_infinite,
     tail_integral,
 )
-from kklab.pvquad import (_cubic_weights, difference_quotient, local_cubic_slope, local_cubic_value,
-                          noise_floor)
+from kklab.pvquad import (_cubic_weights, _line_fit, difference_quotient, local_cubic_slope,
+                          local_cubic_value, noise_floor)
 
 
 def pv_oracle(f, a, b, pole):
@@ -236,6 +236,39 @@ def test_fit_rejects_too_few_or_narrow():
         fit_tail(np.geomspace(10, 100, 7), np.ones(7))
     with pytest.raises(TailFitError, match="factor"):
         fit_tail(np.geomspace(10, 20, 12), np.geomspace(10, 20, 12) ** -2.0)
+
+
+def _lstsq_line(x, y):
+    """a, b, residuals and inv(D^T D)[0, 0] of the line y ~ a + b x by
+    np.linalg.lstsq and inv, on the design D = [1, x] with its x column
+    scaled to 1 as np.polyfit scales it: unscaled, lstsq's default rcond
+    drops a 1/nu^2 column at SI scale."""
+    scale = np.max(np.abs(x))
+    design = np.column_stack([np.ones_like(x), x / scale])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    return coef[0], coef[1] / scale, y - design @ coef, np.linalg.inv(design.T @ design)[0, 0]
+
+
+@settings(max_examples=200, deadline=None)
+@given(size=st.integers(3, 500), inverse_square=st.booleans(), top=st.floats(1e-3, 1e16),
+       line=st.tuples(*[st.floats(-10.0, 10.0).filter(lambda v: v == 0.0 or abs(v) >= 1e-6)] * 2),
+       noise=st.one_of(st.just(0.0), st.floats(1e-12, 1e-2)), seed=st.integers(0, 2 ** 32 - 1))
+def test_line_fit_matches_lstsq(size, inverse_square, top, line, noise, seed):
+    # x as the tail fit takes it, log nu, or as the asymptote fit, 1/nu^2,
+    # over a top decade up to SI frequencies; the slope is drawn against
+    # x's own range. Data near the underflow threshold would leave no digits
+    # to compare, so the line and the noise are 0 or of a size data takes.
+    nu = np.geomspace(top / 10.0, top, size)
+    x = 1.0 / nu ** 2 if inverse_square else np.log(nu)
+    a, b = line
+    y = a + b * x / np.max(np.abs(x)) + noise * np.random.default_rng(seed).standard_normal(size)
+    tol = 1e-10 * np.max(np.abs(y))
+    got_a, got_b, got_resid, got_cov = _line_fit(x, y)
+    want_a, want_b, want_resid, want_cov = _lstsq_line(x, y)
+    assert abs(got_a - want_a) <= tol
+    assert abs(got_b - want_b) * np.max(np.abs(x)) <= tol
+    assert np.max(np.abs(got_resid - want_resid)) <= tol
+    assert got_cov == pytest.approx(want_cov, rel=1e-10)
 
 
 # --- tail integral -------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Usage, from the root of a kklab checkout:
 
-    python3 tools/lib_digests.py
+    python3 tools/lib_digests.py [--save FILE.npz]
+    python3 tools/lib_digests.py --compare OLD.npz NEW.npz
 
 The library-side twin of ``cli_digests.py``. The CLI writes no error
 estimate, so that script cannot see a change in those bits; this one hashes
@@ -40,11 +41,21 @@ The values are the returned spectrum's Re n and Im n bytes; an audit hashes
 its report JSON and prints ``-`` for the estimate; a call that raises hashes
 its exception's type and message. Run it in two checkouts and ``diff`` the
 two printouts to show that a change keeps every bit.
+
+``--save FILE.npz`` also stores what each line hashes: the values, the
+error estimate, the report JSON or the exception's text. ``--compare``
+reads two such files, from two checkouts, and prints a line for every call
+whose outputs differ: for a transform max |dvalue| / max |value| and
+max |destimate| / max |estimate|; for an audit the report field that moved
+most, as |dfield| / |field|, or the fields that are not numbers; for a
+refusal both texts. It prints nothing for the lines whose outputs are equal.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
+import json
 import sys
 import warnings
 from pathlib import Path
@@ -91,18 +102,25 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digest(call) -> tuple[str, str]:
-    """Digests of a transform's values and error estimate, or of a report."""
+def outputs(call) -> tuple[np.ndarray | str, np.ndarray | None]:
+    """A transform's Re n and Im n, end to end, and its error estimate; an
+    audit's report JSON, or a refusal's type and message, and None."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             res = call()
     except Exception as exc:  # a refusal is an output too
-        return _sha(f"{type(exc).__name__}: {exc}".encode()), "-"
+        return f"{type(exc).__name__}: {exc}", None
     if hasattr(res, "to_json"):
-        return _sha(res.to_json().encode()), "-"
+        return res.to_json(), None
     spec = res.spectrum
-    return _sha(spec.re.tobytes() + spec.im.tobytes()), _sha(res.error_estimate.tobytes())
+    return np.concatenate([spec.re, spec.im]), res.error_estimate
+
+
+def digest(output) -> str:
+    if output is None:
+        return "-"
+    return _sha(output.encode() if isinstance(output, str) else output.tobytes())
 
 
 def spectra():
@@ -131,7 +149,8 @@ def spectra():
             yield f"{workload} {i} {req['cls']} {req['n']}", spec, calls
 
 
-def print_digests() -> None:
+def print_digests(save: str | None = None) -> None:
+    saved = {}
     # a checkout without a plan cache runs every call cold
     plans = [getattr(pvquad, name) for name in ("_folded_plan", "_mirrored_plan")
              if hasattr(pvquad, name)]
@@ -143,9 +162,87 @@ def print_digests() -> None:
             for cache in results:
                 cache.cache_clear()
             for label, fn in calls:
-                values, errors = digest(lambda: fn(spec))
-                print(values, errors, f"{name} {label} {state}", flush=True)
+                line = f"{name} {label} {state}"
+                values, errors = outputs(lambda: fn(spec))
+                print(digest(values), digest(errors), line, flush=True)
+                saved[f"v {line}"] = np.asarray(values)
+                if errors is not None:
+                    saved[f"e {line}"] = errors
+    if save:
+        np.savez_compressed(save, **saved)
+
+
+def _leaves(tree, path=""):
+    """(path, leaf) of every leaf of a parsed report."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _leaves(value, f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
+def _relative(old: np.ndarray, new: np.ndarray) -> str:
+    scale = np.max(np.abs(old)) if old.size else 0.0
+    return f"{np.max(np.abs(new - old)) / scale:.2g}" if scale else "inf"
+
+
+def _text(output: np.ndarray) -> str:
+    return str(output) if output.dtype.kind == "U" else "values"
+
+
+def _number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _report_change(old: str, new: str) -> str:
+    old_leaves, new_leaves = dict(_leaves(json.loads(old))), dict(_leaves(json.loads(new)))
+    moved = sorted(k for k in old_leaves.keys() | new_leaves.keys()
+                   if old_leaves.get(k) != new_leaves.get(k))
+    other = [k for k in moved
+             if not (_number(old_leaves.get(k)) and _number(new_leaves.get(k)))]
+    if other:
+        return "fields " + " ".join(other)
+    change = {k: abs(new_leaves[k] - old_leaves[k]) / abs(old_leaves[k]) if old_leaves[k]
+              else float("inf") for k in moved}
+    field = max(change, key=change.get)
+    return f"report {field[1:]} {change[field]:.2g}"
+
+
+def compare(old_path: str, new_path: str) -> None:
+    """Print how every call's outputs moved between two ``--save`` files."""
+    with np.load(old_path) as old, np.load(new_path) as new:
+        lines = [key[2:] for key in new.files if key.startswith("v ")]
+        for line in [key[2:] for key in old.files if key.startswith("v ")]:
+            if f"v {line}" not in new.files:
+                print(f"{line}: only in {old_path}")
+        for line in lines:
+            if f"v {line}" not in old.files:
+                print(f"{line}: only in {new_path}")
+                continue
+            a, b = old[f"v {line}"], new[f"v {line}"]
+            if a.dtype.kind == "U" or b.dtype.kind == "U":
+                if a.tobytes() == b.tobytes():
+                    continue
+                if str(a).startswith("{") and str(b).startswith("{"):
+                    print(f"{line}: {_report_change(str(a), str(b))}")
+                else:
+                    print(f"{line}: {_text(a)} -> {_text(b)}")
+                continue
+            ea, eb = old[f"e {line}"], new[f"e {line}"]
+            if a.tobytes() != b.tobytes() or ea.tobytes() != eb.tobytes():
+                print(f"{line}: value {_relative(a, b)} estimate {_relative(ea, eb)}")
 
 
 if __name__ == "__main__":
-    print_digests()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--save", metavar="FILE.npz", help="also store every line's outputs")
+    parser.add_argument("--compare", nargs=2, metavar=("OLD.npz", "NEW.npz"),
+                        help="print how the outputs moved between two saved runs")
+    args = parser.parse_args()
+    if args.compare:
+        compare(*args.compare)
+    else:
+        print_digests(args.save)
