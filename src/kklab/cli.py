@@ -226,8 +226,9 @@ def main(argv: list[str] | None = None) -> int:
     except NumericalError as exc:
         print(f"kklab: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:  # bad flag values or input files, failed writes
-        print(f"kklab: input error: {exc}", file=sys.stderr)
+    # bad flag values or input files, failed writes, grids too large to hold
+    except (ValueError, OSError, MemoryError) as exc:
+        print(f"kklab: input error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -81,17 +81,24 @@ _NODE_RTOL = 1e-13
 # 3.5e-15; nodes 5e-14 off left 16384-node sums 5.5e-12 off pv_at_nodes'.
 _GEOMETRIC_RTOL = 1e-14
 # Node pairs with |j - k| up to a band B are summed directly on a geometric
-# block: the fewest nodes whose ratio r^B reaches exp(_BAND_SPAN) = 1.036,
-# and at most _FFT_BAND (_band). Near the diagonal the kernels are largest,
-# and they magnify a node's deviation from the ideal progression by about
+# block: the fewest nodes whose ratio r^B reaches exp(span), and at most
+# _FFT_BAND (_band). Near the diagonal the kernels are largest, and they
+# magnify a node's deviation from the ideal progression by about
 # 1/(|j - k| ln r); the far part's bound on the rounding floor overshoots
 # the exact floor most there too. Both follow the span |j - k| ln r, not
-# the node count: at this span the bound comes to at most 6.3 times the
-# exact floor on re-from-im and 3.0 on im-from-re, on 2048-8192-node CSV
-# grids of 4 decades alike. On a 16384-node CSV grid a band of 4 left
-# im-from-re sums 1.8e-13 off the blocked operator's (error estimates
-# 1.4e-5 relative), a band of 32 3.4e-14 (3.1e-6).
-_BAND_SPAN = 0.0355
+# the node count. The folded operator's span is half the mirrored one's,
+# the span 16384-node 4-decade grids already ran at under the cap: B = 4,
+# 8 and 16 at 2048, 4096 and 8192 nodes, and 32 at 16384. On 2048-8192-node
+# CSV Lorentz grids of 4 decades its values sit at most 3.8e-13 off the
+# blocked operator's (1.3e-13 at the mirrored span; 5.6e-13 at 16384
+# nodes), and its floor bound at most 7.64 times the exact floor on
+# re-from-im and 4.34 on im-from-re (7.67 at 16384 nodes), under the
+# tests' 1e-12 and 8. A third of the span left 16384-node re-from-im
+# 1.9e-12 off and its bound 8.4 times the floor. The mirrored operator
+# keeps the wider span: at half of it kk_subtracted's sums at w0 = 0.5 on
+# 8192 nodes sat up to 1.5e-12 off the blocked operator's.
+_BAND_SPAN = 0.0355  # pv_mirrored_at_nodes: r^B >= 1.036
+_FOLDED_BAND_SPAN = 0.01775  # pv_folded_at_nodes: r^B >= 1.018
 _FFT_BAND = 32
 # grid plans of the FFT path kept at once (1.24 MB each at 4096 nodes): a
 # batch alternating between two grids keeps both while a third comes and goes
@@ -445,23 +452,23 @@ def _geometric_log_ratio(x: np.ndarray) -> float | None:
     return log_r if np.max(np.abs(x - ideal) / ideal) <= _GEOMETRIC_RTOL else None
 
 
-def _band(log_r: float) -> int:
+def _band(log_r: float, span: float) -> int:
     """The direct band B of a geometric block of ratio exp(log_r): the
-    least B with B ln r >= _BAND_SPAN, at most _FFT_BAND."""
-    return min(_FFT_BAND, math.ceil(_BAND_SPAN / log_r))
+    least B with B ln r >= span, at most _FFT_BAND."""
+    return min(_FFT_BAND, math.ceil(span / log_r))
 
 
-def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float):
+def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float, band: int):
     """The pole rows of the geometric block nu[lo:hi] of ratio exp(log_r),
     the FFT size, x = m ln r for the offsets m = j - k in wrap-around order,
-    and the masks _band(log_r) < |m| < n and |m| < n."""
+    and the masks band < |m| < n and |m| < n."""
     weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
     n = hi - lo
     size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
     m = np.arange(size)
     m[n:] -= size
     inside = np.abs(m) < n
-    far = (np.abs(m) > _band(log_r)) & inside
+    far = (np.abs(m) > band) & inside
     return weights, slope_w, logs, size, log_r * m, far, inside
 
 
@@ -533,7 +540,8 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
-    weights, slope_w, logs, size, x, far, inside = _plan_setup(nu, lo, hi, log_r)
+    weights, slope_w, logs, size, x, far, inside = _plan_setup(
+        nu, lo, hi, log_r, _band(log_r, _FOLDED_BAND_SPAN))
     band = inside & ~far & (x != 0.0)
     kernels = np.zeros((6, size))
     with np.errstate(over="ignore"):
@@ -563,7 +571,8 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
     nu = np.frombuffer(nu_bytes)
     from numpy import fft
 
-    weights, slope_w, logs, size, x, far, inside = _plan_setup(nu, lo, hi, log_r)
+    weights, slope_w, logs, size, x, far, inside = _plan_setup(
+        nu, lo, hi, log_r, _band(log_r, _BAND_SPAN))
     kernels = np.zeros((4, size))
     with np.errstate(over="ignore"):
         kernels[0, far] = -1.0 / np.expm1(x[far])
@@ -579,14 +588,17 @@ def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
                       _top_plan(nu, weights, lo, hi, np.r_[:nu.size - hi, hi:nu.size], False))
 
 
-def _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, head, top) -> np.ndarray:
-    """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block
-    of ratio exp(log_r), over their own nodes, which take
-    :func:`pv_at_nodes`' stencil slope of f_k, the band 0 < |j - lo - k| <=
-    _band(log_r), the nodes ``head`` and the nodes of ``top``, a
-    :class:`_TopPlan`. Each row adds its terms in one order: by offset m,
-    node k + m before node k - m, then the head nodes one at a time, then
-    the sum of the top nodes from :func:`_top_sums`.
+def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, head, top) -> np.ndarray:
+    """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block,
+    over their own nodes, which take :func:`pv_at_nodes`' stencil slope of
+    f_k, the band 0 < |j - lo - k| <= ``band``, the nodes ``head`` and the
+    nodes of ``top``, a :class:`_TopPlan`. Each row adds its terms in one
+    order: by offset m, node k + m before node k - m, then the head nodes
+    one at a time, then the sum of the top nodes from :func:`_top_sums`.
+    The band is the operator's own :func:`_band`: of span
+    _FOLDED_BAND_SPAN for :func:`pv_folded_at_nodes`, of _BAND_SPAN, twice
+    as wide, for :func:`pv_mirrored_at_nodes`. Each offset costs about 17
+    passes over arrays of the block's length.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
@@ -608,7 +620,7 @@ def _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, head, top) -> np.ndarr
     def add(rows, j, q, terms):  # rows += weights[:, j] q
         np.add(rows, np.multiply(weights[:, j], q, terms), rows)
 
-    for m in range(1, _band(log_r) + 1):
+    for m in range(1, band + 1):
         q, d, x = buf[:3, m:], buf[3, m:], buf[4, m:]
         right, left = slice(lo + m, hi), slice(lo, hi - m)
         np.subtract(nu[right], nu[left], d)
@@ -732,12 +744,13 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
 
     so their block sums beyond the band |m| = B are convolutions, taken by
     numpy.fft, one FFT of each of a and b. The band spans a node ratio r^B
-    of 1.036, B = _band(ln r): 8 nodes at 2048 nodes per 4 decades, 32 from
-    8192 up. For 0 < |m| <= B the a and b kernels carry the pole-free h
-    part, +-(1/nu) / (2 (1 + r^m)); the g part there, the pole rows and the
-    nodes below the block (kk's 3 head nodes) are summed directly by
-    :func:`_near_sums`, and the nodes above it (kk's 48 top-extension
-    nodes) by their moments (:func:`_top_sums`).
+    of 1.018, B = _band(ln r, _FOLDED_BAND_SPAN): 4 nodes at 2048 nodes per
+    4 decades, 16 at 8192 and 32 from 16384 up, half the mirrored
+    operator's band below 16384 nodes. For 0 < |m| <= B the a and b kernels
+    carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the g part there,
+    the pole rows and the nodes below the block (kk's 3 head nodes) are
+    summed directly by :func:`_near_sums`, and the nodes above it (kk's 48
+    top-extension nodes) by their moments (:func:`_top_sums`).
     The full and the full-minus-half Simpson weights enter as their own
     convolutions, so the error estimate is :func:`simpson_estimate`'s; its
     rounding floor's convolved part is the upper bound with |a|, |b| and the
@@ -757,7 +770,8 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         nu.tobytes(), lo, hi, log_r)
     # the band takes the split's singular part g over nu - w; its h part is
     # in the kernels
-    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, g, h, range(lo), top)
+    sums = _near_sums(nu, weights, slope_w, lo, hi, _band(log_r, _FOLDED_BAND_SPAN), g, h,
+                      range(lo), top)
     # the a and b terms of the three sums; the 1/(nu - w) terms, which every
     # row k multiplies by its own f_k(w) = g(w), are the plan's
     f_at = g[lo:hi]
@@ -779,15 +793,18 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray, lo: int,
     estimates), equal to pv_at_nodes' up to rounding.
 
     When the block is positive and geometric, its rows are taken as in
-    pv_folded_at_nodes: on the positive half the sums beyond the same band
-    |m| = _band(ln r) of the kernel 1/(nu - w) = (1/nu) / (1 - r^m), and on
-    the mirrored half -nu[lo:hi] all of the kernel 1/(-nu - w) = -(1/nu) /
-    (1 + r^m), which has no pole, are convolutions; the band, the pole rows
-    and the nodes between the two blocks (kk's 5 head nodes) are summed
-    directly, and the nodes beyond them at either end of the axis (kk's 96
-    top-extension nodes) by their moments (:func:`_top_sums`). Any other
-    block or axis goes to pv_at_nodes and takes no cache slot. The block's
-    plan is cached by nu's bytes and (lo, hi), as the folded one is.
+    pv_folded_at_nodes: on the positive half the sums beyond the band
+    |m| = B of the kernel 1/(nu - w) = (1/nu) / (1 - r^m), and on the
+    mirrored half -nu[lo:hi] all of the kernel 1/(-nu - w) = -(1/nu) /
+    (1 + r^m), which has no pole, are convolutions. The band spans a node
+    ratio r^B of 1.036, B = _band(ln r, _BAND_SPAN): 8 nodes at 2048 nodes
+    per 4 decades and 32 from 8192 up: twice the folded operator's span, at
+    which 8192-node sums sat up to 1.5e-12 off pv_at_nodes'. The band, the
+    pole rows and the nodes between the two blocks (kk's 5 head nodes) are
+    summed directly, and the nodes beyond them at either end of the axis
+    (kk's 96 top-extension nodes) by their moments (:func:`_top_sums`). Any
+    other block or axis goes to pv_at_nodes and takes no cache slot. The
+    block's plan is cached by nu's bytes and (lo, hi), as the folded one is.
     """
     nu = np.asarray(nu, dtype=float)
     f = np.asarray(f, dtype=float)
@@ -797,8 +814,8 @@ def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray, lo: int,
     size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _mirrored_plan(
         nu.tobytes(), lo, hi, log_r)
     f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
-    sums = _near_sums(nu, weights, slope_w, lo, hi, log_r, f, None, range(nu.size - lo, lo),
-                      top)
+    sums = _near_sums(nu, weights, slope_w, lo, hi, _band(log_r, _BAND_SPAN), f, None,
+                      range(nu.size - lo, lo), top)
     _add_far(sums, size, f_at, conv_nu, kernels,
              [(over * np.stack([d, d, np.abs(d)]), kind)
               for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])

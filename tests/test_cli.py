@@ -354,6 +354,26 @@ def test_write_failure_is_input_error(tmp_path, monkeypatch, capsys):
     assert "No space left on device" in capsys.readouterr().err
 
 
+NUMPY_REFUSAL = ("Unable to allocate 745. GiB for an array with shape (100000000000,) "
+                 "and data type float64")
+
+
+@pytest.mark.parametrize("message, shown", [(NUMPY_REFUSAL, NUMPY_REFUSAL),
+                                            ("", "out of memory")], ids=["numpy", "bare"])
+def test_grid_too_large_to_hold_is_input_error(tmp_path, monkeypatch, capsys, message, shown):
+    # numpy refuses the array of lin:0:1:100000000000 with a MemoryError;
+    # the grid constructor raises it here, so nothing is allocated
+    class Grid:
+        @staticmethod
+        def linear(*args):
+            raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "FrequencyGrid", Grid)
+    code = main(MODEL + ["--grid", "lin:0:1:100000000000", "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == f"{INPUT}{shown}\n"
+
+
 @pytest.mark.parametrize("spec, message", [
     ("foo", "bad grid spec 'foo'; expected log:MIN:MAX:COUNT or lin:MIN:MAX:COUNT"),
     ("log:0:100:64", "log-spaced grid needs lo > 0"),

@@ -6,16 +6,18 @@ the extended grids of log-spaced Lorentz spectra that went through a CSV
 file, for both folded integrands. 2896 and 5793 nodes give an odd and an
 even extended node count, 2897 an even one, so Simpson's Cartwright last
 interval is covered; 2048 and 4096 nodes give the narrowest direct bands,
-8 and 16 nodes. Values must agree to 1e-12 absolute. Error estimates
-must agree to 1e-3 relative where the blocked estimate is at least 1e-12 of
-the largest |value|: below that both are rounding noise. Both take
+4 and 8 nodes, and 8192 nodes the band furthest below the mirrored
+operator's, 16 nodes against 32. Values must agree to 1e-12 absolute.
+Error estimates must agree to 1e-3 relative where the blocked estimate is
+at least 1e-12 of the largest |value|: below that both are rounding noise. Both take
 |full - half| as one sum against the full-minus-half Simpson weights, so
 what separates them is FFT rounding and the far pairs' bound on the rounding
 floor. An unbracketed pole block is refused on either path. The FFT path's
 per-grid plan cache must give warm calls the bits of cold ones, share one
 plan between the odd and the even transform of a spectrum, key on the
 grid's exact bytes, stay within its bound and hold nothing for a grid that
-runs the blocked operator.
+runs the blocked operator. Last, sampled rows of both paths are held to the
+same discrete rule summed in 40 digits.
 """
 
 import numpy as np
@@ -28,9 +30,9 @@ from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit
 from kklab.kk import _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
-from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _band, _estimator_weights, _finish,
-                          _mirrored_plan, _top_plan, _top_sums, _TopPlan, difference_quotient,
-                          pv_mirrored_at_nodes, simpson_weights)
+from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _FOLDED_BAND_SPAN, _band, _estimator_weights,
+                          _finish, _mirrored_plan, _pole_rows, _top_plan, _top_sums, _TopPlan,
+                          difference_quotient, pv_mirrored_at_nodes, simpson_weights)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -60,7 +62,8 @@ def _blocked(nu_e, a, b, lo, hi):
 
 @pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
                                         (2896, 3e-7), (2897, 3e-7), (5793, 3e-7),
-                                        (2048, 0.0), (2048, 3e-7), (4096, 0.0), (4096, 3e-7)],
+                                        (2048, 0.0), (2048, 3e-7), (4096, 0.0), (4096, 3e-7),
+                                        (8192, 0.0), (8192, 3e-7)],
                 ids=lambda p: f"{p[0]}-sigma{p[1]:g}")
 def csv_lorentz(request, tmp_path_factory):
     n, sigma = request.param
@@ -215,8 +218,8 @@ def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
 def fresh_plans():
     """An empty plan cache before and after the test, so its hit and miss
     counts start at zero. A plan keeps the band that _band gave its grid's
-    ratio when it was built, so a test that patches _BAND_SPAN or _FFT_BAND
-    must not see, or leave, one built under another band. The geometric
+    ratio when it was built, so a test that patches _FOLDED_BAND_SPAN or
+    _FFT_BAND must not see, or leave, one built under another band. The geometric
     decision is taken on every call, outside the cache. The transform
     result cache is cleared too: a transform served from it builds or looks
     up no plan."""
@@ -335,20 +338,24 @@ LADDER = (2048, 2896, 4096, 5793, 8192, 11585, 16384)
 ONE_OFF = range(2839, 2956)
 
 
-def _grid_band(grid):
-    return _band(_geometric_log_ratio(grid.values))
+def _grid_band(grid, span):
+    return _band(_geometric_log_ratio(grid.values), span)
 
 
 def test_band_spans_a_fixed_node_ratio():
-    # the band reaches nu_(k+B) / nu_k >= exp(_BAND_SPAN) in the fewest
-    # nodes, up to _FFT_BAND: the 4-decade ladder from 2048 nodes, where a
-    # fixed band would be 32, and the one-off grids around 2896 nodes
-    assert [_grid_band(grid) for grid in _log_grids(LADDER)] == [8, 12, 16, 23, 32, 32, 32]
-    assert {_grid_band(grid) for grid in _log_grids(ONE_OFF)} == {11, 12}
-    for log_r in np.geomspace(1e-5, 10.0, 200):
-        band = _band(log_r)
-        assert 1 <= band <= _FFT_BAND
-        assert band == _FFT_BAND or (band * log_r >= _BAND_SPAN > (band - 1) * log_r)
+    # the band reaches nu_(k+B) / nu_k >= exp(span) in the fewest nodes, up
+    # to _FFT_BAND: the 4-decade ladder from 2048 nodes, where a fixed band
+    # would be 32, and the one-off grids around 2896 nodes. The mirrored
+    # operator's span, then the folded operator's, half of it: 16384 nodes
+    # reach it at the cap
+    for span, ladder, one_off in ((_BAND_SPAN, [8, 12, 16, 23, 32, 32, 32], {11, 12}),
+                                  (_FOLDED_BAND_SPAN, [4, 6, 8, 12, 16, 23, 32], {6})):
+        assert [_grid_band(grid, span) for grid in _log_grids(LADDER)] == ladder
+        assert {_grid_band(grid, span) for grid in _log_grids(ONE_OFF)} == one_off
+        for log_r in np.geomspace(1e-5, 10.0, 200):
+            band = _band(log_r, span)
+            assert 1 <= band <= _FFT_BAND
+            assert band == _FFT_BAND or (band * log_r >= span > (band - 1) * log_r)
 
 
 @pytest.mark.parametrize("grids, fast, via_csv", [
@@ -388,9 +395,10 @@ def _column_loop(nu, a, b, lo, hi):
     the stencil slope of f_k = g + h (nu - w)/(nu + w), summed against
     f_k - g(w). For every band offset m the node k + m on row k, then the
     node k on row k + m, each takes the quotient (g(nu_j) - g(w)) / (nu_j - w)
-    of its own nu - w, out to the grid's band _band(ln r); the pole-free h
-    part of the band is in the plan's kernels. Then one head node at a time
-    takes (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w), with its own
+    of its own nu - w, out to the grid's folded band
+    _band(ln r, _FOLDED_BAND_SPAN); the pole-free h part of the band is in
+    the plan's kernels. Then one head node at a time takes
+    (g(nu_j) - g(w)) / (nu_j - w) + h(nu_j) / (nu_j + w), with its own
     nu - w and nu + w, and last the top-extension nodes add their sums from
     _top_sums, which test_top_sums_match_a_column_loop checks. The reference
     whose bits the direct part keeps."""
@@ -417,7 +425,7 @@ def _column_loop(nu, a, b, lo, hi):
     def band(j, k):
         add(j, k, (g[j] - f_at[k]) / (nu[j] - w[k]))
 
-    for m in range(1, _band(log_r) + 1):
+    for m in range(1, _band(log_r, _FOLDED_BAND_SPAN) + 1):
         band(slice(lo + m, hi), slice(0, n - m))
         band(slice(lo, hi - m), slice(m, n))
     for j in range(lo):
@@ -694,3 +702,56 @@ def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_mirrore
     np.testing.assert_allclose(result.spectrum.re, ref.spectrum.re, rtol=0.0,
                                atol=VALUE_ATOL * spec.grid.values[-1])
     np.testing.assert_allclose(result.error_estimate, ref.error_estimate, rtol=ERROR_RTOL)
+
+
+# --- the folded rule in 40 digits -----------------------------------------------
+
+def _rule_in_40_digits(mpmath, nu, g, h, rows):
+    """Rows ``rows`` of pv_at_nodes' rule for g and h with every quotient and
+    sum taken in 40 digits: the full Simpson sum of (g - g(w)) / (nu - w) +
+    h / (nu + w), w = nu[k], over every node but the pole's, which takes the
+    stencil slope of f_k - g(w), f_k = g + h (nu - w)/(nu + w), plus the log
+    term g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson and slope weights
+    are the operator's own floats."""
+    weights, slope_w, _ = _pole_rows(nu, rows)
+    mpf = mpmath.mpf
+    values = []
+    with mpmath.workdps(40):
+        x, g, h, full = ([mpf(v) for v in arr] for arr in (nu, g, h, weights[0]))
+        for k, slope in zip(rows, slope_w):
+            w, g_w = x[k], g[k]
+            terms = [w_j * ((g_j - g_w) / (x_j - w) + h_j / (x_j + w))
+                     for j, (w_j, g_j, h_j, x_j) in enumerate(zip(full, g, h, x)) if j != k]
+            terms += [full[k] * mpf(s) * (g[j] - g_w + h[j] * (x[j] - w) / (x[j] + w))
+                      for s, j in zip(slope, range(k - 2, k + 2))]
+            log = mpmath.log(abs((x[-1] - w) / (x[0] - w)))
+            values.append(float(mpmath.fsum(terms) + g_w * log))
+    return np.array(values)
+
+
+@pytest.fixture(scope="module", params=[2048, 4096, 8192])
+def csv_lorentz_rows(request, tmp_path_factory):
+    """A CSV Lorentz spectrum and the rows sampled on it: 8 evenly spaced,
+    the block's ends included, and the resonance's centre and half-width
+    points (omega_res 1, gamma / 2 = 0.05)."""
+    n = request.param
+    spec = _lorentz_on(np.geomspace(1e-2, 1e2, n), tmp_path_factory.mktemp("csv") / "l.csv")
+    resonance = np.searchsorted(spec.grid.values, [0.95, 1.0, 1.05])
+    return spec, np.unique(np.r_[np.linspace(0, n - 1, 8).astype(int), resonance])
+
+
+@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
+def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
+    # the FFT path and the blocked operator against the rule they both
+    # round: the FFT path sat up to 1.0e-13 off it at the resonance and
+    # 2.4e-14 elsewhere, the blocked operator 6.1e-15
+    mpmath = pytest.importorskip("mpmath")
+    spec, rows = csv_lorentz_rows
+    nu_e, a, b, lo, hi = _folded(spec, direction)
+    assert _geometric_log_ratio(nu_e[lo:hi]) is not None  # the FFT path runs
+    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
+    g, h = 0.5 * (a + b), 0.5 * (a - b)
+    want = _rule_in_40_digits(mpmath, nu_e, g, h, lo + rows)
+    for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi)[0][rows],
+                pv_at_nodes(nu_e, g, h, lo + rows)[0]):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=VALUE_ATOL)
