@@ -40,10 +40,20 @@ power series in w against the extension's moments, like the tail beyond
 it. The closed-form tail beyond the grid splits alike: re-from-im
 needs the even powers of w of its series, im-from-re the odd ones, and
 each sums only those (:func:`~kklab.pvquad.tail_parity`). The subtracted
-relation, one integrand K(nu) on the full axis, goes through
-:func:`~kklab.pvquad.pv_mirrored_at_nodes`, by FFT and moments alike on a
-log grid; its tails on the two half-axes sum to the even part of the same
-series.
+relation, one integrand K(nu) on the full axis, folds onto the same
+operator by parity: the negative half-axis is the pole-free part with
+h(nu) = -K(-nu), a = K(nu) - K(-nu), b = K(nu) + K(-nu), and the
+full-axis rule subtracts K(w) on that half too, which adds K(w) D(w) with
+
+    D(w) = sum_j W_j / (nu_j + w) - ln((C + w) / w),
+
+the quadrature error of int_0^C dnu / (nu + w) on the extended half axis
+of cutoff C: grid-only, and one more operator call with a = 1, b = -1.
+The two calls take the negative half's term at the pole's own node by its
+stencil slope, where the full axis has the node -w; that node's exact term
+replaces it. On a half axis of an odd node count the full-axis Simpson
+panels break at 0, and the result is the full-axis rule's. Its tails on
+the two half-axes sum to the even part of the tail series.
 Data grids are extended at both ends before integrating: below the first
 positive node by one head model, odd (linear) or even (parabolic), on 3
 nodes that take the place of a sampled nu = 0, and up to 4x the top node
@@ -70,8 +80,10 @@ from . import NumericalError
 # pv_integrate and tail_integral are not called here: they stay kk attributes
 # for tools that wrap the quadrature entry points by name
 from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
+    _BAND_SPAN,
     _NODE_RTOL,
     TailModel,
+    _cubic_weights,
     _fit_tail,
     difference_quotient,
     fit_tail,
@@ -79,8 +91,8 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     pv_at_nodes,
     pv_folded_at_nodes,
     pv_integrate,
-    pv_mirrored_at_nodes,
     simpson_estimate,
+    simpson_weights,
     tail_integral,
     tail_parity,
     top_decade,
@@ -291,12 +303,15 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     spacings is the ill-conditioned collision zone, which raises
     :class:`PoleCollisionError` by default or, with
     ``on_collision="continuity"``, is filled with Re G(w0); a w0 on a node
-    has no such zone. The positive
-    nodes are one pole block of :func:`~kklab.pvquad.pv_mirrored_at_nodes`
-    and a sampled w = 0 one row of :func:`~kklab.pvquad.pv_at_nodes`; the
-    rows at w0 and in the collision zone are dropped here. ``tail``
-    overrides the fitted power-law tail. The subtracted tails converge for
-    any fitted tail exponent p > 0; p <= 0 raises
+    has no such zone. K(nu) = [Im G(nu) - Im G(w0)]/(nu - w0) is built on
+    the full axis and folded onto the positive half (module docstring): the
+    positive nodes are one pole block of
+    :func:`~kklab.pvquad.pv_folded_at_nodes`, at the direct band span
+    _BAND_SPAN, plus K(w) D(w), whose estimate adds |K(w)| times D's, and
+    the exact term of the node -w; a sampled w = 0 is one row of
+    :func:`~kklab.pvquad.pv_at_nodes` on the full axis. The rows at w0 and in the collision zone are dropped here.
+    ``tail`` overrides the fitted power-law tail. The subtracted tails
+    converge for any fitted tail exponent p > 0; p <= 0 raises
     :class:`~kklab.pvquad.TailFitError`.
     """
     w0, g0_re, g0_im = float(omega0), float(g0_re), float(g0_im)
@@ -329,13 +344,28 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
         w = float(nu[np.argmax(collide)])
         raise PoleCollisionError(
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
-    # the positive nodes are the pole block, past the node 0 of the full
-    # axis and the head; a sampled w = 0 is one row of the blocked operator
+    # the positive nodes are the pole block past the head of the half axis,
+    # on K(nu) and K(-nu); a sampled w = 0 is one row of the blocked operator
     pos = nu > 0.0
     centre = nu_e.size - 1
+    k_pos, k_neg = kern[centre:], kern[centre::-1]
+    lo, hi = _HEAD_NODES, nu_e.size - _TOP_EXTENSION_NODES
+    k_w, w = k_pos[lo:hi], nu_e[lo:hi]
     val, err = np.empty(nu.size), np.empty(nu.size)
-    val[pos], err[pos] = pv_mirrored_at_nodes(nu_full, kern, centre + _HEAD_NODES,
-                                              nu_full.size - _TOP_EXTENSION_NODES)
+    val[pos], err[pos] = pv_folded_at_nodes(nu_e, k_pos - k_neg, k_pos + k_neg, lo, hi,
+                                            _BAND_SPAN)
+    # K(w) D(w): the full-axis rule subtracts K(w) on the negative half too
+    d_val, d_err = pv_folded_at_nodes(nu_e, 1.0, -1.0, lo, hi, _BAND_SPAN)
+    val[pos] += k_w * (d_val - np.log((nu_e[-1] + w) / w))
+    err[pos] += np.abs(k_w) * d_err
+    # the pole node: both calls take the stencil slope of the negative half's
+    # (K(w) - K(-nu)) (nu - w)/(nu + w), the full axis its exact value at the
+    # node -w, (K(w) - K(-w)) / 2w, times the same Simpson weight
+    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
+    x = nu_e[stencil]
+    mirror = (k_w[:, None] - k_neg[stencil]) * (x - w[:, None]) / (x + w[:, None])
+    val[pos] += simpson_weights(nu_e)[lo:hi] * (
+        (k_w - k_neg[lo:hi]) / (2.0 * w) - np.sum(_cubic_weights(x, w)[1] * mirror, axis=1))
     if not pos[0]:
         val[:1], err[:1] = pv_at_nodes(nu_full, kern, None, np.array([centre]))
     ev = ~node & ~collide

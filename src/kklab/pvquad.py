@@ -17,12 +17,11 @@ block of rows at a time, with the scalar path as its reference. It takes
 sampled arrays that are the same for every pole: the numerator g over
 nu - w and, if any, the pole-free numerator h over nu + w.
 :func:`pv_folded_at_nodes` gives the same sums for the folded integrands
-(nu a + w b)/(nu + w) of :mod:`kklab.kk`, whose partial fractions are g =
-(a + b)/2 and h = (a - b)/2, and :func:`pv_mirrored_at_nodes` for one
-integrand g shared by every pole on an axis symmetric about 0, that of the
-subtracted relation. Both take their poles as one block of nodes
-nu[lo:hi], which kk starts right after its 3 head nodes. On a geometric
-block each takes the far part of its sums as FFT convolutions, in
+(nu a + w b)/(nu + w), whose partial fractions are g = (a + b)/2 and h =
+(a - b)/2: those of :mod:`kklab.kk`'s folded transforms and, by parity, of
+its subtracted relation on the full axis. It takes its poles as one block
+of nodes nu[lo:hi], which kk starts right after its 3 head nodes. On a
+geometric block it takes the far part of its sums as FFT convolutions, in
 O(M log M) instead of O(N M), sums the near part directly, and caches the
 block's grid-only setup; any other grid goes to :func:`pv_at_nodes`. Of
 the near part, the top-extension nodes lie above every pole: on the rows
@@ -58,7 +57,6 @@ __all__ = [
     "pv_integrate",
     "pv_at_nodes",
     "pv_folded_at_nodes",
-    "pv_mirrored_at_nodes",
     "simpson_weights",
     "top_decade",
     "noise_floor",
@@ -86,19 +84,19 @@ _GEOMETRIC_RTOL = 1e-14
 # magnify a node's deviation from the ideal progression by about
 # 1/(|j - k| ln r); the far part's bound on the rounding floor overshoots
 # the exact floor most there too. Both follow the span |j - k| ln r, not
-# the node count. The folded operator's span is half the mirrored one's,
-# the span 16384-node 4-decade grids already ran at under the cap: B = 4,
-# 8 and 16 at 2048, 4096 and 8192 nodes, and 32 at 16384. On 2048-8192-node
-# CSV Lorentz grids of 4 decades its values sit at most 3.8e-13 off the
-# blocked operator's (1.3e-13 at the mirrored span; 5.6e-13 at 16384
-# nodes), and its floor bound at most 7.64 times the exact floor on
-# re-from-im and 4.34 on im-from-re (7.67 at 16384 nodes), under the
-# tests' 1e-12 and 8. A third of the span left 16384-node re-from-im
-# 1.9e-12 off and its bound 8.4 times the floor. The mirrored operator
-# keeps the wider span: at half of it kk_subtracted's sums at w0 = 0.5 on
-# 8192 nodes sat up to 1.5e-12 off the blocked operator's.
-_BAND_SPAN = 0.0355  # pv_mirrored_at_nodes: r^B >= 1.036
-_FOLDED_BAND_SPAN = 0.01775  # pv_folded_at_nodes: r^B >= 1.018
+# the node count. The folded transforms take _FOLDED_BAND_SPAN, the span
+# 16384-node 4-decade grids already ran at under the cap: B = 4, 8 and 16
+# at 2048, 4096 and 8192 nodes, and 32 at 16384. On 2048-8192-node CSV
+# Lorentz grids of 4 decades their values sit at most 3.8e-13 off the
+# blocked operator's (1.3e-13 at twice the span; 5.6e-13 at 16384 nodes),
+# and the floor bound at most 7.64 times the exact floor on re-from-im and
+# 4.34 on im-from-re (7.67 at 16384 nodes), under the tests' 1e-12 and 8.
+# A third of the span left 16384-node re-from-im 1.9e-12 off and its bound
+# 8.4 times the floor. kk_subtracted takes _BAND_SPAN, twice as wide: at
+# the folded span its sums at w0 = 0.5 on 8192 nodes sat up to 1.52e-12
+# off the blocked operator's, against 5.0e-13 at its own.
+_BAND_SPAN = 0.0355  # kk_subtracted: r^B >= 1.036
+_FOLDED_BAND_SPAN = 0.01775  # the folded transforms: r^B >= 1.018
 _FFT_BAND = 32
 # grid plans of the FFT path kept at once (1.24 MB each at 4096 nodes): a
 # batch alternating between two grids keeps both while a third comes and goes
@@ -458,20 +456,6 @@ def _band(log_r: float, span: float) -> int:
     return min(_FFT_BAND, math.ceil(span / log_r))
 
 
-def _plan_setup(nu: np.ndarray, lo: int, hi: int, log_r: float, band: int):
-    """The pole rows of the geometric block nu[lo:hi] of ratio exp(log_r),
-    the FFT size, x = m ln r for the offsets m = j - k in wrap-around order,
-    and the masks band < |m| < n and |m| < n."""
-    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
-    n = hi - lo
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
-    m = np.arange(size)
-    m[n:] -= size
-    inside = np.abs(m) < n
-    far = (np.abs(m) > band) & inside
-    return weights, slope_w, logs, size, log_r * m, far, inside
-
-
 def _read_only(*plan) -> tuple:
     """The plan, with every array in it, those of its tuples too, read-only."""
     for member in plan:
@@ -486,27 +470,24 @@ class _TopPlan(NamedTuple):
     """Grid-only setup of :func:`_top_sums` for a pole block and the nodes
     above it; see :func:`_top_plan`."""
 
-    nodes: np.ndarray  # indices of the top nodes nu_j
     split: int  # the rows below it take the series
     ratio: np.ndarray  # w / c of the series rows
     blocks: tuple  # (start, stop, powers) of each block of series rows
     weights: np.ndarray  # (3, T) estimator weights of the top nodes
-    floor: np.ndarray  # weights[2] sign(nu_j), the floor's moment weights
-    kernels: np.ndarray  # (1 or 2, T, P) c^p / nu_j^(p+1), and times (-1)^p
+    kernels: np.ndarray  # (2, T, P) c^p / nu_j^(p+1), and times (-1)^p
     minus: np.ndarray  # (T, n - split) nu_j - w of the quotient rows
-    plus: np.ndarray | None  # nu_j + w, with a pole-free part
+    plus: np.ndarray  # nu_j + w
 
 
-def _top_plan(nu, weights, lo, hi, top, pole_free: bool) -> _TopPlan:
+def _top_plan(nu, weights, lo, hi) -> _TopPlan:
     """The :class:`_TopPlan` of the poles w = nu[lo:hi], positive and
-    ascending, and the nodes ``top``, every |nu_j| above every pole; with
-    ``pole_free`` it serves a kernel 1/(nu_j + w) as well. c is the least
-    |nu_j|: rows with w <= c/4 take the series, in blocks that each span
-    w/c from their largest down to its square and take the powers
+    ascending, and the top nodes nu[hi:] above them. c is the least top
+    node: rows with w <= c/4 take the series, in blocks that each span w/c
+    from their largest down to its square and take the powers
     _series_power(w/c) of their largest, and the rows above the quotient
     block. A series block is held to _BLOCK_ELEMENTS."""
-    x, w = nu[top], nu[lo:hi]
-    c = np.min(np.abs(x))
+    x, w = nu[hi:], nu[lo:hi]
+    c = x[0]
     split = int(np.searchsorted(w, 0.25 * c, side="right"))
     ratio = w[:split] / c
     blocks, stop = [], split
@@ -522,89 +503,67 @@ def _top_plan(nu, weights, lo, hi, top, pole_free: bool) -> _TopPlan:
     powers = blocks[0][2] if blocks else 0
     scaled = np.vander(c / x, powers, increasing=True) / x[:, None]  # c^p / nu_j^(p+1)
     # times (-1)^p, for (-w)^p: the kernel 1/(nu_j + w)
-    kernels = np.stack([scaled, scaled * (-1.0) ** np.arange(powers)] if pole_free else [scaled])
+    kernels = np.stack([scaled, scaled * (-1.0) ** np.arange(powers)])
     above = x[:, None], w[split:]
-    return _TopPlan(top, split, ratio, tuple(blocks[::-1]), weights[:, top],
-                    weights[2, top] * np.sign(x),
-                    kernels, np.subtract(*above), np.add(*above) if pole_free else None)
+    # column-major: BLAS sums a weight row strided, in the order that set the
+    # operators' bits
+    return _TopPlan(split, ratio, tuple(blocks[::-1]), np.asfortranarray(weights[:, hi:]),
+                    kernels, np.subtract(*above), np.add(*above))
 
 
 @functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
+def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float, band: int) -> tuple:
     """Read-only grid-only part of pv_folded_at_nodes' FFT path on the
-    geometric block nu[lo:hi] of ratio exp(log_r): FFT size, (3, M) weights,
-    slope weights, a, b, |a|, |b| kernel spectra (the far kernels, and in
-    the band +-(1/2) / (1 + r^m), the pole-free part of the split), (3, n)
-    weights / w, their 1/(nu - w) convolutions, the log terms and the
-    :class:`_TopPlan` of the nodes above the block."""
+    geometric block nu[lo:hi] of ratio exp(log_r) with the direct band
+    ``band``: FFT size, (3, M) weights, slope weights, a, b, |a|, |b|
+    kernel spectra (the far kernels, and in the band +-(1/2) / (1 + r^m),
+    the pole-free part of the split), (3, n) weights / w, their
+    1/(nu - w) convolutions, the log terms and the :class:`_TopPlan` of the
+    nodes above the block."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
-    weights, slope_w, logs, size, x, far, inside = _plan_setup(
-        nu, lo, hi, log_r, _band(log_r, _FOLDED_BAND_SPAN))
-    band = inside & ~far & (x != 0.0)
+    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
+    n = hi - lo
+    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
+    # x = m ln r for the offsets m = j - k in wrap-around order
+    m = np.arange(size)
+    m[n:] -= size
+    x = log_r * m
+    inside = np.abs(m) < n
+    far = (np.abs(m) > band) & inside
+    near = inside & ~far & (m != 0)
     kernels = np.zeros((6, size))
     with np.errstate(over="ignore"):
         kernels[0, far] = -1.0 / np.expm1(2.0 * x[far])
         kernels[1, far] = -0.5 / np.sinh(x[far])
         kernels[2, far] = -1.0 / np.expm1(x[far])
     # the band's pole-free part (a - b) / (2 (nu + w)): +-(1/2) / (1 + r^m)
-    kernels[0, band] = 0.5 / (1.0 + np.exp(x[band]))
-    kernels[1, band] = -kernels[0, band]
+    kernels[0, near] = 0.5 / (1.0 + np.exp(x[near]))
+    kernels[1, near] = -kernels[0, near]
     kernels[3:] = np.abs(kernels[:3])
     kernels = fft.rfft(kernels)
     over_nu = weights[:, lo:hi] / nu[lo:hi]
     conv_nu = fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)
     return _read_only(size, weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
-                      conv_nu[:, :hi - lo].copy(), logs,
-                      _top_plan(nu, weights, lo, hi, np.arange(hi, nu.size), True))
+                      conv_nu[:, :n].copy(), logs, _top_plan(nu, weights, lo, hi))
 
 
-@functools.lru_cache(maxsize=_PLAN_CACHE_SIZE)
-def _mirrored_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float) -> tuple:
-    """:func:`_folded_plan` for pv_mirrored_at_nodes: FFT size, (3, M)
-    weights, slope weights, the positive half's far kernel spectrum, the
-    mirrored half's and both |kernel| spectra, the (6, n) weights / w of
-    both halves (the mirrored one in block order), their summed
-    1/(nu - w) convolutions, the log terms and the :class:`_TopPlan` of the
-    nodes beyond the two blocks."""
-    nu = np.frombuffer(nu_bytes)
-    from numpy import fft
-
-    weights, slope_w, logs, size, x, far, inside = _plan_setup(
-        nu, lo, hi, log_r, _band(log_r, _BAND_SPAN))
-    kernels = np.zeros((4, size))
-    with np.errstate(over="ignore"):
-        kernels[0, far] = -1.0 / np.expm1(x[far])
-        kernels[1, inside] = -1.0 / (1.0 + np.exp(x[inside]))
-    kernels[2:] = np.abs(kernels[:2])
-    kernels = fft.rfft(kernels)
-    mirror = nu.size - 1 - np.arange(lo, hi)  # the node -w of each pole w
-    over_nu = np.concatenate([weights[:, lo:hi], weights[:, mirror]]) / nu[lo:hi]
-    conv_nu = fft.irfft(fft.rfft(over_nu[:3], size) * kernels[[0, 0, 2]]
-                        + fft.rfft(over_nu[3:], size) * kernels[[1, 1, 3]], size)
-    return _read_only(size, weights, slope_w, kernels, over_nu,
-                      conv_nu[:, :hi - lo].copy(), logs,
-                      _top_plan(nu, weights, lo, hi, np.r_[:nu.size - hi, hi:nu.size], False))
-
-
-def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, head, top) -> np.ndarray:
+def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block,
     over their own nodes, which take :func:`pv_at_nodes`' stencil slope of
-    f_k, the band 0 < |j - lo - k| <= ``band``, the nodes ``head`` and the
-    nodes of ``top``, a :class:`_TopPlan`. Each row adds its terms in one
-    order: by offset m, node k + m before node k - m, then the head nodes
-    one at a time, then the sum of the top nodes from :func:`_top_sums`.
-    The band is the operator's own :func:`_band`: of span
-    _FOLDED_BAND_SPAN for :func:`pv_folded_at_nodes`, of _BAND_SPAN, twice
-    as wide, for :func:`pv_mirrored_at_nodes`. Each offset costs about 17
-    passes over arrays of the block's length.
+    f_k, the band 0 < |j - lo - k| <= ``band``, the nodes below the block
+    and the nodes above it, of ``top``, a :class:`_TopPlan`. Each row adds
+    its terms in one order: by offset m, node k + m before node k - m, then
+    the nodes below one at a time, then the sum of the top nodes from
+    :func:`_top_sums`. Each offset costs about 17 passes over arrays of the
+    block's length.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
-    row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A head node j takes
-    pv_at_nodes' quotient, that shared one plus h_j / (nu_j + w_k) unless
-    h is None.
+    row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A node j below the
+    block takes pv_at_nodes' quotient, that shared one plus
+    h_j / (nu_j + w_k).
     """
     f_at = g[lo:hi]
     slope = _pole_slopes(nu, g, h, np.arange(lo, hi), slope_w)
@@ -628,24 +587,23 @@ def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, head, top) -> np.ndarra
         add(sums[:, :n - m], right, spread(q), buf[3:, m:])  # d and x are spent
         add(sums[:, m:], left, q, q)
     q, d, x, s = buf[:3], buf[3], buf[4], buf[5]
-    for j in head:
+    for j in range(lo):
         col = slice(j, j + 1)
         np.subtract(nu[col], w, d)
         np.divide(np.subtract(g[col], f_at, x), d, q[0])
-        if h is not None:
-            q[0] += np.divide(h[col], np.add(nu[col], w, s), s)
+        q[0] += np.divide(h[col], np.add(nu[col], w, s), s)
         add(sums, col, spread(q), q)
     sums += _top_sums(g, h, lo, hi, top)
     return sums
 
 
 def _top_sums(g, h, lo, hi, top: _TopPlan) -> np.ndarray:
-    """The (3, n) Simpson sums over the nodes nu_j of ``top``
+    """The (3, n) Simpson sums over the top nodes nu_j = nu[hi:]
     (:func:`_top_plan`) of the poles w = nu[lo:hi]: those of pv_at_nodes'
     quotient q = (g_j - g(w)) / (nu_j - w) + h_j / (nu_j + w), the rounding
     floor's at or above its own.
 
-    With c the least |nu_j|, rows with w <= c/4 take the kernels
+    With c the least nu_j, rows with w <= c/4 take the kernels
     1/(nu_j -+ w) as the series sum_p (+-w)^p / nu_j^(p+1), the far-field
     expansion of fast multipole methods: a Vandermonde block of w/c against
     moments c^p / nu_j^(p+1) of W_j g_j, W_j h_j and W_j, the last times
@@ -653,21 +611,19 @@ def _top_sums(g, h, lo, hi, top: _TopPlan) -> np.ndarray:
     these rows, from its largest w/c down to that one's square, sums the
     powers to _series_power(w/c) of its largest: 29 at w/c = 1/4, 8 at
     1/256. Their floor is the far part's upper bound (|g_j| + |g(w)|) /
-    |nu_j - w| + |h_j| / |nu_j + w| of |q|, whose kernels are the same
-    series times sign(nu_j). The rows above take a block of quotients
-    against the weights, and the exact floor. Either block is held to
-    _BLOCK_ELEMENTS.
+    (nu_j - w) + |h_j| / (nu_j + w) of |q|, whose kernels are the same
+    series. The rows above take a block of quotients against the weights,
+    and the exact floor. Either block is held to _BLOCK_ELEMENTS.
     """
-    wt, floor = top.weights, top.floor
-    g_j, h_j = g[top.nodes], None if h is None else h[top.nodes]
+    wt = top.weights
+    g_j, h_j = g[hi:], h[hi:]
     f_at = g[lo:hi]
     sums = np.empty((3, hi - lo))
     if top.blocks:
-        data = np.stack([wt[0] * g_j, wt[1] * g_j, floor * np.abs(g_j), wt[0], wt[1], floor])
+        data = np.stack([wt[0] * g_j, wt[1] * g_j, wt[2] * np.abs(g_j), wt[0], wt[1], wt[2]])
         moments = data @ top.kernels[0]
-        if h is not None:
-            h_data = np.stack([wt[0] * h_j, wt[1] * h_j, floor * np.abs(h_j)])
-            moments[:3] += h_data @ top.kernels[1]
+        h_data = np.stack([wt[0] * h_j, wt[1] * h_j, wt[2] * np.abs(h_j)])
+        moments[:3] += h_data @ top.kernels[1]
         for start, stop, powers in top.blocks:
             rows = slice(start, stop)
             # (w/c)^p, a row per power: numpy's vander builds it a pole at
@@ -687,36 +643,14 @@ def _top_sums(g, h, lo, hi, top: _TopPlan) -> np.ndarray:
         rows, cols = slice(start, start + step), slice(start - top.split, start - top.split + step)
         q = np.subtract(g_j[:, None], f_at[rows])
         q /= top.minus[:, cols]
-        if h is not None:
-            q += h_j[:, None] / top.plus[:, cols]
+        q += h_j[:, None] / top.plus[:, cols]
         sums[:2, rows] = wt[:2] @ q
         sums[2, rows] = wt[2] @ np.abs(q, out=q)
     return sums
 
 
-def _add_far(sums, size, f_at, conv_nu, kernels, parts) -> None:
-    """Add to the (3, n) sums the far terms: the FFT convolutions of the
-    (rows, kind) ``parts`` of the data, the full and full-minus-half rows
-    with the kernel spectrum kernels[kind] and the floor's row with
-    kernels[kind + 2], less f_at times the plan's 1/(nu - w) convolutions,
-    and for the rounding floor the upper bound with |f_at|, each convolution
-    clipped at 0."""
-    from numpy import fft
-
-    products = None
-    for rows, kind in parts:
-        spectrum = fft.rfft(rows, size)
-        spectrum[:2] *= kernels[kind]
-        spectrum[2] *= kernels[kind + 2]
-        products = spectrum if products is None else np.add(products, spectrum, out=products)
-    n = sums.shape[1]
-    conv = np.zeros((3, n)) if products is None else fft.irfft(products, size)[:, :n]
-    sums[:2] += conv[:2] - f_at * conv_nu[:2]
-    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
-
-
-def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
-                       hi: int) -> tuple[np.ndarray, np.ndarray]:
+def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int, hi: int,
+                       span: float = _FOLDED_BAND_SPAN) -> tuple[np.ndarray, np.ndarray]:
     """:func:`pv_at_nodes` for the folded integrands
 
         f_k(nu) = (nu a(nu) + w b(nu)) / (nu + w),   w = nu[k],
@@ -743,21 +677,23 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
         1 / (nu - w)        = (1/nu) / (1 - r^m),
 
     so their block sums beyond the band |m| = B are convolutions, taken by
-    numpy.fft, one FFT of each of a and b. The band spans a node ratio r^B
-    of 1.018, B = _band(ln r, _FOLDED_BAND_SPAN): 4 nodes at 2048 nodes per
-    4 decades, 16 at 8192 and 32 from 16384 up, half the mirrored
-    operator's band below 16384 nodes. For 0 < |m| <= B the a and b kernels
-    carry the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the g part there,
-    the pole rows and the nodes below the block (kk's 3 head nodes) are
-    summed directly by :func:`_near_sums`, and the nodes above it (kk's 48
+    numpy.fft, one FFT of each of a and b. The band spans a node ratio
+    r^B >= exp(``span``), B = _band(ln r, span). The folded transforms take
+    the default _FOLDED_BAND_SPAN, r^B >= 1.018: 4 nodes at 2048 nodes per
+    4 decades, 16 at 8192 and 32 from 16384 up. kk_subtracted takes
+    _BAND_SPAN, twice as wide. For 0 < |m| <= B the a and b kernels carry
+    the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the g part there, the
+    pole rows and the nodes below the block (kk's 3 head nodes) are summed
+    directly by :func:`_near_sums`, and the nodes above it (kk's 48
     top-extension nodes) by their moments (:func:`_top_sums`).
     The full and the full-minus-half Simpson weights enter as their own
     convolutions, so the error estimate is :func:`simpson_estimate`'s; its
     rounding floor's convolved part is the upper bound with |a|, |b| and the
     |kernels|, clipped at 0.
 
-    A geometric block's grid-only setup is a plan, cached by nu's bytes and
-    (lo, hi) (_PLAN_CACHE_SIZE entries): warm calls give the bits of cold ones.
+    A geometric block's grid-only setup is a plan, cached by nu's bytes,
+    (lo, hi) and the band (_PLAN_CACHE_SIZE entries): warm calls give the
+    bits of cold ones.
     """
     nu = np.asarray(nu, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), nu.shape)
@@ -766,59 +702,30 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int,
     log_r = _geometric_log_ratio(nu[lo:hi])
     if log_r is None:
         return pv_at_nodes(nu, g, h, np.arange(lo, hi))
+    from numpy import fft
+
+    band = _band(log_r, span)
     size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _folded_plan(
-        nu.tobytes(), lo, hi, log_r)
+        nu.tobytes(), lo, hi, log_r, band)
     # the band takes the split's singular part g over nu - w; its h part is
     # in the kernels
-    sums = _near_sums(nu, weights, slope_w, lo, hi, _band(log_r, _FOLDED_BAND_SPAN), g, h,
-                      range(lo), top)
-    # the a and b terms of the three sums; the 1/(nu - w) terms, which every
-    # row k multiplies by its own f_k(w) = g(w), are the plan's
-    f_at = g[lo:hi]
-    _add_far(sums, size, f_at, conv_nu, kernels,
-             [(over_nu * np.stack([d, d, np.abs(d)]), kind)
-              for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)) if np.any(d)])
-    return _finish(*sums, f_at * logs)
-
-
-def pv_mirrored_at_nodes(nu: np.ndarray, f: np.ndarray, lo: int,
-                         hi: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`pv_at_nodes` for one integrand f(nu) shared by every pole,
-
-        P int f(nu) / (nu - w) dnu,   w = nu[k],
-
-    on an axis symmetric about 0 (nu[::-1] == -nu), with a pole at every
-    node of the block nu[lo:hi], as :func:`pv_folded_at_nodes` takes its
-    poles. Every pole needs >= 2 nodes on each side. Returns (values, error
-    estimates), equal to pv_at_nodes' up to rounding.
-
-    When the block is positive and geometric, its rows are taken as in
-    pv_folded_at_nodes: on the positive half the sums beyond the band
-    |m| = B of the kernel 1/(nu - w) = (1/nu) / (1 - r^m), and on the
-    mirrored half -nu[lo:hi] all of the kernel 1/(-nu - w) = -(1/nu) /
-    (1 + r^m), which has no pole, are convolutions. The band spans a node
-    ratio r^B of 1.036, B = _band(ln r, _BAND_SPAN): 8 nodes at 2048 nodes
-    per 4 decades and 32 from 8192 up: twice the folded operator's span, at
-    which 8192-node sums sat up to 1.5e-12 off pv_at_nodes'. The band, the
-    pole rows and the nodes between the two blocks (kk's 5 head nodes) are
-    summed directly, and the nodes beyond them at either end of the axis
-    (kk's 96 top-extension nodes) by their moments (:func:`_top_sums`). Any
-    other block or axis goes to pv_at_nodes and takes no cache slot. The
-    block's plan is cached by nu's bytes and (lo, hi), as the folded one is.
-    """
-    nu = np.asarray(nu, dtype=float)
-    f = np.asarray(f, dtype=float)
-    log_r = _geometric_log_ratio(nu[lo:hi]) if np.array_equal(nu[::-1], -nu) else None
-    if log_r is None:
-        return pv_at_nodes(nu, f, None, np.arange(lo, hi))
-    size, weights, slope_w, kernels, over_nu, conv_nu, logs, top = _mirrored_plan(
-        nu.tobytes(), lo, hi, log_r)
-    f_at, f_mirror = f[lo:hi], f[nu.size - hi:nu.size - lo][::-1]
-    sums = _near_sums(nu, weights, slope_w, lo, hi, _band(log_r, _BAND_SPAN), f, None,
-                      range(nu.size - lo, lo), top)
-    _add_far(sums, size, f_at, conv_nu, kernels,
-             [(over * np.stack([d, d, np.abs(d)]), kind)
-              for d, kind, over in ((f_at, 0, over_nu[:3]), (f_mirror, 1, over_nu[3:]))])
+    sums = _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top)
+    # the far terms: the FFT convolutions of the a and b terms of the three
+    # sums, the floor's row with the |kernels|, less the 1/(nu - w) terms,
+    # which every row k multiplies by its own f_k(w) = g(w) and which are
+    # the plan's; for the rounding floor the upper bound with |f_k(w)|, each
+    # convolution clipped at 0
+    f_at, n = g[lo:hi], hi - lo
+    products = None
+    for d, kind in ((a[lo:hi], 0), (b[lo:hi], 1)):
+        if np.any(d):
+            spectrum = fft.rfft(over_nu * np.stack([d, d, np.abs(d)]), size)
+            spectrum[:2] *= kernels[kind]
+            spectrum[2] *= kernels[kind + 2]
+            products = spectrum if products is None else np.add(products, spectrum, out=products)
+    conv = np.zeros((3, n)) if products is None else fft.irfft(products, size)[:, :n]
+    sums[:2] += conv[:2] - f_at * conv_nu[:2]
+    sums[2] += np.maximum(conv[2], 0.0) + np.abs(f_at) * np.maximum(conv_nu[2], 0.0)
     return _finish(*sums, f_at * logs)
 
 

@@ -71,9 +71,15 @@ def _ref_im_from_re(s):
     return out, errs
 
 
-def _ref_subtracted(s, w0, g0_re, g0_im):
+def _ref_subtracted(s, w0, g0_re, g0_im, full_axis=False):
     """Every node but w0 when w0 is a node; else nodes outside the
-    two-spacing collision zone only (NaN inside)."""
+    two-spacing collision zone only (NaN inside). K is built on the full
+    axis. A positive node w takes it folded onto the half axis: the rule for
+    K(nu) - K(-nu) (nu - w)/(nu + w), plus K(w) times D(w), the rule for
+    (nu - w)/(nu + w) less ln((C + w)/w), plus the pole node's Simpson
+    weight times the exact value (K(w) - K(-w)) / 2w of the negative half's
+    (K(w) - K(-nu)) (nu - w)/(nu + w) there less its cubic slope. A node
+    w = 0, or with ``full_axis`` every node, takes the full-axis rule."""
     nu = s.grid.values
     nu_e, gi_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
     cutoff = st_.cutoff
@@ -84,6 +90,8 @@ def _ref_subtracted(s, w0, g0_re, g0_im):
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = (gi_full - g0_im) / dist0
     kern[hit0] = kklab.pvquad.local_cubic_slope(nu_full, gi_full, w0)
+    k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
+    weights = simpson_weights(nu_e)
     on_node = w0 in nu
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
@@ -91,13 +99,25 @@ def _ref_subtracted(s, w0, g0_re, g0_im):
         spacing = nu[max(j, 1)] - nu[max(j, 1) - 1]
         if dr == 0.0 or (not on_node and abs(dr) < 2.0 * spacing):
             continue
-        res = pv_integrate(PoleIntegrand(nu_full, kern, w))
+        if w == 0.0 or full_axis:
+            res = pv_integrate(PoleIntegrand(nu_full, kern, w))
+            value, error = res.value, res.error_estimate
+        else:
+            k = np.searchsorted(nu_e, w)
+            k_w = k_pos[k]
+            res = pv_integrate(PoleIntegrand(nu_e, k_pos - k_neg * (nu_e - w) / (nu_e + w), w))
+            d = pv_integrate(PoleIntegrand(nu_e, (nu_e - w) / (nu_e + w), w))
+            value = res.value + k_w * (d.value - math.log((cutoff + w) / w))
+            mirror = (k_w - k_neg) * (nu_e - w) / (nu_e + w)
+            value += weights[k] * ((k_w - k_neg[k]) / (2.0 * w)
+                                   - kklab.pvquad.local_cubic_slope(nu_e, mirror, w))
+            error = res.error_estimate + abs(k_w) * d.error_estimate
         right = (tail_integral(st_, w) - tail_integral(st_, w0)) / dr
         left = (tail_integral(st_, -w) - tail_integral(st_, -w0)) / dr
         right += g0_im * math.log((cutoff - w) / (cutoff - w0)) / dr
         left -= g0_im * math.log((cutoff + w) / (cutoff + w0)) / dr
-        out[j] = g0_re + (dr / math.pi) * (res.value + right + left)
-        errs[j] = (abs(dr) / math.pi) * res.error_estimate
+        out[j] = g0_re + (dr / math.pi) * (value + right + left)
+        errs[j] = (abs(dr) / math.pi) * error
     return out, errs
 
 
@@ -144,6 +164,12 @@ def test_subtracted_matches_reference(lorentz, w0):
     r = kk_subtracted(gspec, w0, G0.real, G0.imag, on_collision="continuity")
     ref = _ref_subtracted(gspec, w0, G0.real, G0.imag)
     _assert_matches(r, r.spectrum.re, ref)
+    if _extend_axis(gspec.grid.values, gspec.im, "odd", None)[0].size % 2:
+        # the full-axis Simpson panels break at 0: the folded rule is the
+        # full-axis one
+        full = _ref_subtracted(gspec, w0, G0.real, G0.imag, full_axis=True)[0]
+        done = np.isfinite(full)
+        np.testing.assert_allclose(r.spectrum.re[done], full[done], rtol=0.0, atol=VALUE_ATOL)
     skipped = ~np.isfinite(ref[0])
     np.testing.assert_array_equal(r.spectrum.re[skipped], G0.real)
     np.testing.assert_array_equal(r.error_estimate[skipped], 0.0)

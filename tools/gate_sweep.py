@@ -23,7 +23,10 @@ the workload's passing requests and, where their outcomes count it (the
 library's ``audit_batch``; the CLI writes no error estimate), the error
 estimate's coverage as hit/total interior nodes: the benchmark's
 ``oracle_err_max`` and ``err_coverage`` over many more requests than one
-timed run, so a numerical change shows its effect on them untimed.
+timed run, so a numerical change shows its effect on them untimed. A
+workload with more than one direction (``cli_large``) also gets a line of
+the largest oracle error per direction, so a change to one transform is
+not hidden under another's maximum.
 """
 
 from __future__ import annotations
@@ -74,23 +77,24 @@ def cli_outcome(req: dict, tmp: Path) -> dict:
 OUTCOME = {"audit_batch": audit_outcome, "cli_large": cli_outcome}
 
 
-def sweep(workload: str, tmp: Path) -> tuple[int, int, float, int, int]:
-    """(failed, attempted, max oracle error, coverage hits, coverage total)
-    over the workload's seeds and cycles."""
+def sweep(workload: str, tmp: Path) -> tuple[int, int, dict[str, float], int, int]:
+    """(failed, attempted, max oracle error by direction, coverage hits,
+    coverage total) over the workload's seeds and cycles."""
     seeds, cycles = SWEEPS[workload]
     failed = attempted = hit = total = 0
-    err = 0.0
+    err = {}
     for seed in seeds:
         for i in range(cycles * len(schedule.WORKLOADS[workload])):
             req = schedule.request(workload, seed, i)
             got = OUTCOME[workload](req, tmp)
             attempted += 1
+            what = req["direction"] or req["kind"]
             if got["outcome"] == "ok":  # the benchmark's metrics read these alone
-                err = max(err, got.get("oracle_err", 0.0))
+                if "oracle_err" in got:
+                    err[what] = max(err.get(what, 0.0), got["oracle_err"])
                 hit, total = hit + got.get("cov_hit", 0), total + got.get("cov_total", 0)
                 continue
             failed += 1
-            what = req["direction"] or req["kind"]
             print(f"{workload} seed {seed} request {i} ({what}, {req['cls']}, "
                   f"n {req['n']}): {got['outcome']}: {got['reason']}", flush=True)
     return failed, attempted, err, hit, total
@@ -103,7 +107,12 @@ def run() -> int:
             failed, attempted, err, hit, total = sweep(workload, Path(tmp))
             coverage = f"{hit}/{total} = {hit / total:.5f}" if total else "not counted"
             print(f"{workload}: {failed} failed of {attempted} requests; "
-                  f"oracle_err max {err:.6g}; coverage {coverage}", flush=True)
+                  f"oracle_err max {max(err.values(), default=0.0):.6g}; "
+                  f"coverage {coverage}", flush=True)
+            if len(err) > 1:
+                print(f"{workload}: oracle_err max by direction: "
+                      + "; ".join(f"{what} {e:.6g}" for what, e in sorted(err.items())),
+                      flush=True)
             failures += failed
     return 1 if failures else 0
 

@@ -152,8 +152,7 @@ def spectra():
 def print_digests(save: str | None = None) -> None:
     saved = {}
     # a checkout without a plan cache runs every call cold
-    plans = [getattr(pvquad, name) for name in ("_folded_plan", "_mirrored_plan")
-             if hasattr(pvquad, name)]
+    plans = [pvquad._folded_plan] if hasattr(pvquad, "_folded_plan") else []
     results = [kk._at_infinity] if hasattr(kk, "_at_infinity") else []
     for name, spec, calls in spectra():
         for plan in plans:
