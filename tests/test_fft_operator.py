@@ -259,20 +259,28 @@ def _plan_arrays(members):
     return arrays + [x for x in top if isinstance(x, np.ndarray)]
 
 
-def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
-    # the plans of the folded transforms' band and of kk_subtracted's
+def _assert_plan_read_only(std_lorentz, fresh_plans, span):
     nu_e, _, _, lo, hi = _folded(std_lorentz, "re-from-im")
     log_r = _geometric_log_ratio(nu_e[lo:hi])
-    for span in (_FOLDED_BAND_SPAN, _BAND_SPAN):
-        size, *members = fresh_plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
-        arrays = _plan_arrays(members)
-        # 6 of the FFT path, 5 of the top extension's: w/c of the series
-        # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
-        assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr.flat[0] = 0.0
-    assert fresh_plans.cache_info().currsize == 2
+    size, *members = fresh_plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
+    arrays = _plan_arrays(members)
+    # 6 of the FFT path, 5 of the top extension's: w/c of the series
+    # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+    assert fresh_plans.cache_info().currsize == 1
+
+
+def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
+    # the plan of the folded transforms' band
+    _assert_plan_read_only(std_lorentz, fresh_plans, _FOLDED_BAND_SPAN)
+
+
+def test_subtracted_plan_arrays_are_read_only(std_lorentz, fresh_plans):
+    # the plan of kk_subtracted's wider band
+    _assert_plan_read_only(std_lorentz, fresh_plans, _BAND_SPAN)
 
 
 def test_grid_one_ulp_off_builds_its_own_plan(std_lorentz, fresh_plans):
