@@ -49,11 +49,11 @@ full-axis rule subtracts K(w) on that half too, which adds K(w) D(w) with
 
 the quadrature error of int_0^C dnu / (nu + w) on the extended half axis
 of cutoff C: grid-only, and one more operator call with a = 1, b = -1.
-The two calls take the negative half's term at the pole's own node by its
-stencil slope, where the full axis has the node -w; that node's exact term
-replaces it. On a half axis of an odd node count the full-axis Simpson
-panels break at 0, and the result is the full-axis rule's. Its tails on
-the two half-axes sum to the even part of the tail series.
+The operator takes the pole-free part at its exact value on every node,
+the full axis's node -w too, so on a half axis of an odd node count, where
+the full-axis Simpson panels break at 0, the result is the full-axis
+rule's. Its tails on the two half-axes sum to the even part of the tail
+series.
 Data grids are extended at both ends before integrating: below the first
 positive node by one head model, odd (linear) or even (parabolic), on 3
 nodes that take the place of a sampled nu = 0, and up to 4x the top node
@@ -83,16 +83,13 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     _BAND_SPAN,
     _NODE_RTOL,
     TailModel,
-    _cubic_weights,
     _fit_tail,
     difference_quotient,
     fit_tail,
     noise_floor,
-    pv_at_nodes,
     pv_folded_at_nodes,
     pv_integrate,
     simpson_estimate,
-    simpson_weights,
     tail_integral,
     tail_parity,
     top_decade,
@@ -307,9 +304,10 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     the full axis and folded onto the positive half (module docstring): the
     positive nodes are one pole block of
     :func:`~kklab.pvquad.pv_folded_at_nodes`, at the direct band span
-    _BAND_SPAN, plus K(w) D(w), whose estimate adds |K(w)| times D's, and
-    the exact term of the node -w; a sampled w = 0 is one row of
-    :func:`~kklab.pvquad.pv_at_nodes` on the full axis. The rows at w0 and in the collision zone are dropped here.
+    _BAND_SPAN, plus K(w) D(w), whose estimate adds |K(w)| times D's; a
+    sampled w = 0 takes the scalar rule on the full axis, as
+    :func:`kk_subtracted_at_infinity`'s w = 0 does. The rows at w0 and in
+    the collision zone are dropped here.
     ``tail`` overrides the fitted power-law tail. The subtracted tails
     converge for any fitted tail exponent p > 0; p <= 0 raises
     :class:`~kklab.pvquad.TailFitError`.
@@ -345,7 +343,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
         raise PoleCollisionError(
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
     # the positive nodes are the pole block past the head of the half axis,
-    # on K(nu) and K(-nu); a sampled w = 0 is one row of the blocked operator
+    # on K(nu) and K(-nu); a sampled w = 0 takes the scalar rule
     pos = nu > 0.0
     centre = nu_e.size - 1
     k_pos, k_neg = kern[centre:], kern[centre::-1]
@@ -358,16 +356,9 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     d_val, d_err = pv_folded_at_nodes(nu_e, 1.0, -1.0, lo, hi, _BAND_SPAN)
     val[pos] += k_w * (d_val - np.log((nu_e[-1] + w) / w))
     err[pos] += np.abs(k_w) * d_err
-    # the pole node: both calls take the stencil slope of the negative half's
-    # (K(w) - K(-nu)) (nu - w)/(nu + w), the full axis its exact value at the
-    # node -w, (K(w) - K(-w)) / 2w, times the same Simpson weight
-    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    x = nu_e[stencil]
-    mirror = (k_w[:, None] - k_neg[stencil]) * (x - w[:, None]) / (x + w[:, None])
-    val[pos] += simpson_weights(nu_e)[lo:hi] * (
-        (k_w - k_neg[lo:hi]) / (2.0 * w) - np.sum(_cubic_weights(x, w)[1] * mirror, axis=1))
     if not pos[0]:
-        val[:1], err[:1] = pv_at_nodes(nu_full, kern, None, np.array([centre]))
+        val[0], err[0] = simpson_estimate(
+            difference_quotient(nu_full, kern, 0.0, kern[centre]), nu_full)
     ev = ~node & ~collide
     w, dr, val, err = nu[ev], dr[ev], val[ev], err[ev]
     # tails of K/(nu - w) on both half-axes, with Im G ~ A nu^-p there: the

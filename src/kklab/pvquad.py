@@ -15,7 +15,7 @@ integrand that :mod:`kklab.kk` also takes at w = 0 and at a subtraction point.
 :func:`pv_at_nodes` evaluates the same rule for many poles on grid nodes, a
 block of rows at a time, with the scalar path as its reference. It takes
 sampled arrays that are the same for every pole: the numerator g over
-nu - w and, if any, the pole-free numerator h over nu + w.
+nu - w and the pole-free numerator h over nu + w.
 :func:`pv_folded_at_nodes` gives the same sums for the folded integrands
 (nu a + w b)/(nu + w), whose partial fractions are g = (a + b)/2 and h =
 (a - b)/2: those of :mod:`kklab.kk`'s folded transforms and, by parity, of
@@ -27,12 +27,13 @@ block's grid-only setup; any other grid goes to :func:`pv_at_nodes`. Of
 the near part, the top-extension nodes lie above every pole: on the rows
 up to a quarter of the lowest of them their kernels are power series in
 the pole, the far-field expansion of fast multipole methods, summed
-against the data's moments. All of them take f(w) and f'(w) at the pole
+against the data's moments. All of them take g(w) and g'(w) at the pole
 from one cubic rule, the Lagrange value and slope weights of its four
-nearest nodes, and give one error estimate (:func:`simpson_estimate`): the
-full-grid Simpson sum less the every-other-node one, taken as one sum
-against the difference of their weights, plus a rounding floor. Simpson
-weights are closed-form numpy, so the module needs no scipy.
+nearest nodes, h / (nu + w) at its exact value on every node, and give
+one error estimate (:func:`simpson_estimate`): the full-grid Simpson sum
+less the every-other-node one, taken as one sum against the difference of
+their weights, plus a rounding floor. Simpson weights are closed-form
+numpy, so the module needs no scipy.
 """
 
 from __future__ import annotations
@@ -230,9 +231,9 @@ def local_cubic_value(nu: np.ndarray, f: np.ndarray, x: float) -> float:
 
 def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     """Derivative at x of the cubic through the 4 nearest nodes, summed as
-    :func:`pv_at_nodes` sums its pole rows: the weights sum to 0, so they
-    take the stencil values less the third, the node at or just above x
-    unless the stencil is clipped at an end."""
+    :func:`pv_at_nodes` sums g's slope on its pole nodes: the weights sum to
+    0, so they take the stencil values less the third, the node at or just
+    above x unless the stencil is clipped at an end."""
     sl = _stencil(nu, x)
     fs = f[sl]
     return float(np.sum(_cubic_weights(nu[None, sl], np.array([x]))[1][0] * (fs - fs[2])))
@@ -366,21 +367,16 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     return QuadratureResult(*simpson_estimate(q, nu, log_term))
 
 
-def _pole_slopes(nu, g, h, hits, slope_w) -> np.ndarray:
-    """The stencil slope at each pole w = nu[hits[k]] of its integrand
-    f_k = g + h (nu - w)/(nu + w), or g alone when h is None. The weights
-    sum to 0, so they are summed against f_k - f_k(w), f_k(w) = g(w): at the
-    lowest data node they reach about 1e5 and would magnify the rounding of
-    f_k itself into the slope."""
-    f_at, w = g[hits], nu[hits]
+def _pole_slopes(g, hits, slope_w) -> np.ndarray:
+    """The stencil slope of g at each pole w = nu[hits[k]]. The weights sum
+    to 0, so they are summed against g - g(w): at the lowest data node they
+    reach about 1e5 and would magnify the rounding of g itself into the
+    slope."""
+    g_at = g[hits]
     # a stencil column at a time, summed left to right as np.sum sums the
     # rows of an (N, 4) gather, which costs about twice as much
     for i in range(4):
-        col = hits + (i - 2)
-        f = g.take(col) - f_at
-        if h is not None:
-            x = nu.take(col)
-            f += h.take(col) * (x - w) / (x + w)
+        f = g.take(hits + (i - 2)) - g_at
         f *= slope_w[:, i]
         if i:
             slope += f
@@ -389,24 +385,23 @@ def _pole_slopes(nu, g, h, hits, slope_w) -> np.ndarray:
     return slope
 
 
-def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray | None,
+def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray,
                 hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P int [g(nu)/(nu - w) + h(nu)/(nu + w)] dnu at every pole w = nu[hits[k]].
 
-    ``g`` and ``h`` are arrays of nu's shape, the same for every pole; h is
-    None for a kernel with no 1/(nu + w) part. The row of pole w is the
-    integrand f_k(nu) = g + h (nu - w)/(nu + w) over nu - w, with f_k(w) =
-    g(w), so its subtracted quotient is
+    ``g`` and ``h`` are arrays of nu's shape, the same for every pole. Only
+    the g part has a pole, so the row of pole w sums the quotient
 
         q = (g - g(w)) / (nu - w) + h / (nu + w),
 
-    and on the pole node the stencil slope of f_k. Every pole needs >= 2
-    nodes on each side. Row k gets the value and the
-    :func:`simpson_estimate` error estimate of
-    ``pv_integrate(PoleIntegrand(nu, f_k, w))``, up to rounding. Rows are
-    evaluated a block at a time in the same two buffers, so the operator
-    holds about 2 * _BLOCK_ELEMENTS elements whatever the number of poles.
-    Returns (values, error estimates).
+    whose first term takes the stencil slope of g on the pole node, and the
+    second its exact value h(w) / 2w there, plus the log term
+    g(w) ln|(nu[-1] - w)/(nu[0] - w)|. Every pole needs >= 2 nodes on each
+    side. Row k gets, up to rounding, the value and error estimate of
+    ``simpson_estimate(difference_quotient(nu, g, w, g(w)) + h / (nu + w),
+    nu, log term)``. Rows are evaluated a block at a time in the same two
+    buffers, so the operator holds about 2 * _BLOCK_ELEMENTS elements
+    whatever the number of poles. Returns (values, error estimates).
     """
     nu = np.asarray(nu, dtype=float)
     hits = np.asarray(hits, dtype=np.intp)
@@ -414,7 +409,7 @@ def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray | None,
     if hits.size == 0:
         return values, errors
     weights, slope_w, logs = _pole_rows(nu, hits)
-    slopes = _pole_slopes(nu, g, h, hits, slope_w)
+    slopes = _pole_slopes(g, hits, slope_w)
     # a C-contiguous copy: BLAS sums the transposed view in another order
     pair = np.ascontiguousarray(weights[:2].T)
     poles, g_at = nu[hits], g[hits]
@@ -430,9 +425,9 @@ def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray | None,
         np.subtract(g, g_at[blk, None], out=q)
         with np.errstate(divide="ignore", invalid="ignore"):
             q /= np.subtract(nu, w, out=work)
-            if h is not None:
-                q += np.divide(h, np.add(nu, w, out=work), out=work)
         q[np.arange(k.size), k] = slopes[blk]
+        # no pole here: the pole node takes h(w) / 2w too
+        q += np.divide(h, np.add(nu, w, out=work), out=work)
         sums = q @ pair
         values[blk], errors[blk] = _finish(sums[:, 0], sums[:, 1],
                                            np.abs(q, out=work) @ weights[2], g_at[blk] * logs[blk])
@@ -552,12 +547,12 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float, band: int) -> 
 def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     """The (3, n) Simpson sums of the poles w = nu[lo:hi], a geometric block,
     over their own nodes, which take :func:`pv_at_nodes`' stencil slope of
-    f_k, the band 0 < |j - lo - k| <= ``band``, the nodes below the block
-    and the nodes above it, of ``top``, a :class:`_TopPlan`. Each row adds
-    its terms in one order: by offset m, node k + m before node k - m, then
-    the nodes below one at a time, then the sum of the top nodes from
-    :func:`_top_sums`. Each offset costs about 17 passes over arrays of the
-    block's length.
+    g plus h(w) / 2w, the band 0 < |j - lo - k| <= ``band``, the nodes below
+    the block and the nodes above it, of ``top``, a :class:`_TopPlan`. Each
+    row adds its terms in one order: by offset m, node k + m before node
+    k - m, then the nodes below one at a time, then the sum of the top nodes
+    from :func:`_top_sums`. Each offset costs about 17 passes over arrays of
+    the block's length.
 
     The band sums the quotient of ``g`` alone, one integrand for every
     pole: the two members of an offset, node k + m on row k and node k on
@@ -565,10 +560,9 @@ def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     block takes pv_at_nodes' quotient, that shared one plus
     h_j / (nu_j + w_k).
     """
-    f_at = g[lo:hi]
-    slope = _pole_slopes(nu, g, h, np.arange(lo, hi), slope_w)
+    f_at, n, w = g[lo:hi], hi - lo, nu[lo:hi]
+    slope = _pole_slopes(g, np.arange(lo, hi), slope_w) + h[lo:hi] / (2.0 * w)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
-    n, w = hi - lo, nu[lo:hi]
     buf = np.empty((6, n))  # (q, q, |q|), d = nu - w, the numerator x of x / d, nu + w
 
     def spread(q):  # q = (q[0], q[0], |q[0]|)

@@ -16,10 +16,11 @@ floor. An unbracketed pole block is refused on either path. The FFT path's
 per-grid plan cache must give warm calls the bits of cold ones, share one
 plan between the odd and the even transform of a spectrum, key on the
 grid's exact bytes, stay within its bound and hold nothing for a grid that
-runs the blocked operator. Last, sampled rows of both paths are held to the
-same discrete rule summed in 40 digits. kk_subtracted folds its full-axis
-integrand onto the same operator at twice the band span, and its section
-holds that caller to the same checks.
+runs the blocked operator. Last, both paths are held to the same discrete
+rule summed in 40 digits, on every row of small grids and sampled rows of
+large ones. kk_subtracted folds its full-axis integrand onto the same
+operator at twice the band span, and its section holds that caller to the
+same checks.
 """
 
 import numpy as np
@@ -34,7 +35,7 @@ from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, 
                           pv_folded_at_nodes)
 from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _FOLDED_BAND_SPAN, _band, _estimator_weights,
                           _finish, _pole_rows, _top_plan, _top_sums, _TopPlan,
-                          difference_quotient, simpson_weights)
+                          difference_quotient, simpson_estimate, simpson_weights)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -155,7 +156,7 @@ def test_blocked_branch_keeps_the_lowest_rows_of_the_split(monkeypatch, tmp_path
 def _long_double_row(nu, g, h, k):
     """Row k of pv_at_nodes' rule in long double: the full Simpson sum of
     (g - g(w)) / (nu - w) + h / (nu + w), w = nu[k], with the cubic slope of
-    f_k = g + h (nu - w)/(nu + w) at the pole node, plus the log term
+    g plus h(w) / 2w at the pole node, plus the log term
     g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson weights are the
     operator's; the slope weights sum to 0 to long-double rounding."""
     x, g, h = (np.asarray(v, dtype=np.longdouble) for v in (nu, g, h))
@@ -163,8 +164,8 @@ def _long_double_row(nu, g, h, k):
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (g - g[k]) / (x - w) + h / (x + w)
     xs = x[k - 2:k + 2]
-    fs = g[k - 2:k + 2] + h[k - 2:k + 2] * (xs - w) / (xs + w)
-    q[k] = 0.0
+    fs = g[k - 2:k + 2]
+    q[k] = h[k] / (2 * w)
     for j in range(4):
         for m in set(range(4)) - {j}:
             term = 1.0 / (xs[j] - xs[m])
@@ -180,7 +181,7 @@ def _long_double_row(nu, g, h, k):
 def test_lowest_pole_rows_keep_their_digits(tmp_path):
     # im-from-re on a 16384-node CSV grid: the stencils of rows 0-1 reach the
     # head nodes nu_0/4 and nu_0/2, so their slope weights are about 1e5;
-    # summed against f_k itself rather than f_k - g(w) they magnified its
+    # summed against g itself rather than g - g(w) they magnified its
     # rounding to 4e-12-5e-12 on either path
     spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
     nu_e, a, b, lo, hi = _folded(spec, "im-from-re")
@@ -404,9 +405,9 @@ def _column_loop(nu, a, b, lo, hi, span=_FOLDED_BAND_SPAN):
 
         f_k(nu) / (nu - w) = g(nu) / (nu - w) + h(nu) / (nu + w),
 
-    g = (a + b)/2 and h = (a - b)/2, so f_k(w) = g(w) and the pole row takes
-    the stencil slope of f_k = g + h (nu - w)/(nu + w), summed against
-    f_k - g(w). For every band offset m the node k + m on row k, then the
+    g = (a + b)/2 and h = (a - b)/2: on its own node the pole row takes the
+    stencil slope of g, summed against g - g(w), plus h(w) / 2w, the
+    pole-free part's exact value. For every band offset m the node k + m on row k, then the
     node k on row k + m, each takes the quotient (g(nu_j) - g(w)) / (nu_j - w)
     of its own nu - w, out to the grid's band _band(ln r, span); the
     pole-free h part of the band is in the plan's kernels. Then one head node at a time takes
@@ -425,9 +426,7 @@ def _column_loop(nu, a, b, lo, hi, span=_FOLDED_BAND_SPAN):
     f_at = g[lo:hi]
 
     stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
-    x = nu[stencil]
-    f_stencil = g[stencil] - f_at[:, None] + h[stencil] * (x - w[:, None]) / (x + w[:, None])
-    slope = np.sum(f_stencil * slope_w, axis=1)
+    slope = np.sum((g[stencil] - f_at[:, None]) * slope_w, axis=1) + h[lo:hi] / (2.0 * w)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 
     def add(j, k, q):
@@ -578,16 +577,22 @@ def _subtracted(spec, w0):
     return kklab.kk_subtracted(g, w0, g0.real, g0.imag, on_collision="continuity")
 
 
-def _subtracted_operands(spec, w0):
-    """The extended half axis, a, b and the pole block (lo, hi) of
-    kk_subtracted at w0: K(nu) = [Im G(nu) - Im G(w0)]/(nu - w0) on the
-    full axis, a = K(nu) - K(-nu), b = K(nu) + K(-nu), and every positive
-    grid node."""
-    nu = spec.grid.values
-    nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", None, subtracted=True)
+def _full_axis_kernel(spec, w0):
+    """The full axis of kk_subtracted at w0 and K(nu) = [Im G(nu) -
+    Im G(w0)]/(nu - w0) on it, with the extended half axis."""
+    nu_e, g_e, _, _ = _extend_axis(spec.grid.values, spec.im, "odd", None, subtracted=True)
     nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
     g_full = np.concatenate([-g_e[:0:-1], g_e])
     kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)
+    return nu_full, kern, nu_e
+
+
+def _subtracted_operands(spec, w0):
+    """The extended half axis, a, b and the pole block (lo, hi) of
+    kk_subtracted at w0: K(nu) on the full axis (:func:`_full_axis_kernel`),
+    a = K(nu) - K(-nu), b = K(nu) + K(-nu), and every positive grid node."""
+    nu = spec.grid.values
+    _, kern, nu_e = _full_axis_kernel(spec, w0)
     k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
     lo = int(np.searchsorted(nu_e, nu[nu > 0.0][0]))
     return nu_e, k_pos - k_neg, k_pos + k_neg, lo, lo + int(np.count_nonzero(nu > 0.0))
@@ -668,28 +673,30 @@ def test_non_geometric_subtracted_takes_no_plan_slot(fresh_plans):
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
 
-def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_plans):
-    # kk_subtracted takes a sampled w = 0 as one row of pv_at_nodes on the
-    # full axis and the positive nodes on the FFT path; the reference runs
-    # them all blocked
+def test_zero_frequency_row_takes_the_scalar_rule(monkeypatch, fresh_plans):
+    # kk_subtracted takes a sampled w = 0 by pv_integrate's rule on the full
+    # axis, at the pole 0 of K, and the positive nodes on the FFT path; the
+    # blocked operator runs on none of them. The reference runs the
+    # positive nodes blocked.
     spec = _lorentz_on(np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 2047)]))
     monkeypatch.setattr(kklab.kk, "pv_folded_at_nodes", lambda *args: _blocked(*args[:5]))
     ref = _subtracted(spec, 0.5)
     monkeypatch.undo()
-    calls = []
+    nu_full, kern, _ = _full_axis_kernel(spec, 0.5)
+    scalar = kklab.pv_integrate(kklab.PoleIntegrand(nu_full, kern, 0.0))
+    rows = []
 
-    def recording(nu, g, h, hits):
-        calls.append(hits.tolist())
-        return pv_at_nodes(nu, g, h, hits)
+    def recording(q, nu, *offset):
+        rows.append(simpson_estimate(q, nu, *offset))
+        return rows[-1]
 
-    for module in (kklab.pvquad, kklab.kk):
-        monkeypatch.setattr(module, "pv_at_nodes", recording)
+    monkeypatch.setattr(kklab.kk, "simpson_estimate", recording)
+    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
     result = _subtracted(spec, 0.5)
-    centre = _subtracted_operands(spec, 0.5)[0].size - 1  # nu = 0 on the full axis
-    assert calls == [[centre]]
+    assert rows == [(scalar.value, scalar.error_estimate)]
     assert fresh_plans.cache_info().currsize == 1
     assert result.spectrum.re[0] == ref.spectrum.re[0]
-    assert result.error_estimate[0] == ref.error_estimate[0]
+    assert result.error_estimate[0] == (0.5 / np.pi) * scalar.error_estimate
     # the rows carry (w - w0) / pi times the operator's values
     np.testing.assert_allclose(result.spectrum.re, ref.spectrum.re, rtol=0.0,
                                atol=VALUE_ATOL * spec.grid.values[-1])
@@ -701,10 +708,10 @@ def test_zero_frequency_row_stays_on_blocked_operator(monkeypatch, fresh_plans):
 def _rule_in_40_digits(mpmath, nu, g, h, rows):
     """Rows ``rows`` of pv_at_nodes' rule for g and h with every quotient and
     sum taken in 40 digits: the full Simpson sum of (g - g(w)) / (nu - w) +
-    h / (nu + w), w = nu[k], over every node but the pole's, which takes the
-    stencil slope of f_k - g(w), f_k = g + h (nu - w)/(nu + w), plus the log
-    term g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson and slope weights
-    are the operator's own floats."""
+    h / (nu + w), w = nu[k], where the pole's own node takes the stencil
+    slope of g - g(w) in place of the first quotient, plus the log term
+    g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson and slope weights are the
+    operator's own floats."""
     weights, slope_w, _ = _pole_rows(nu, rows)
     mpf = mpmath.mpf
     values = []
@@ -712,22 +719,26 @@ def _rule_in_40_digits(mpmath, nu, g, h, rows):
         x, g, h, full = ([mpf(v) for v in arr] for arr in (nu, g, h, weights[0]))
         for k, slope in zip(rows, slope_w):
             w, g_w = x[k], g[k]
-            terms = [w_j * ((g_j - g_w) / (x_j - w) + h_j / (x_j + w))
-                     for j, (w_j, g_j, h_j, x_j) in enumerate(zip(full, g, h, x)) if j != k]
-            terms += [full[k] * mpf(s) * (g[j] - g_w + h[j] * (x[j] - w) / (x[j] + w))
-                      for s, j in zip(slope, range(k - 2, k + 2))]
+            terms = [w_j * h_j / (x_j + w) for w_j, h_j, x_j in zip(full, h, x)]
+            terms += [w_j * (g_j - g_w) / (x_j - w)
+                      for j, (w_j, g_j, x_j) in enumerate(zip(full, g, x)) if j != k]
+            terms += [full[k] * mpf(s) * (g[j] - g_w) for s, j in zip(slope, range(k - 2, k + 2))]
             log = mpmath.log(abs((x[-1] - w) / (x[0] - w)))
             values.append(float(mpmath.fsum(terms) + g_w * log))
     return np.array(values)
 
 
-@pytest.fixture(scope="module", params=[2048, 4096, 8192])
+@pytest.fixture(scope="module", params=[128, 300, 2048, 4096, 8192])
 def csv_lorentz_rows(request, tmp_path_factory):
-    """A CSV Lorentz spectrum and the rows sampled on it: 8 evenly spaced,
-    the block's ends included, and the resonance's centre and half-width
-    points (omega_res 1, gamma / 2 = 0.05)."""
+    """A CSV Lorentz spectrum and the rows checked on it: every row on the
+    small grids, 128 nodes being the FFT path's least pole block; on the
+    large ones 8 evenly spaced, the block's ends included, and the
+    resonance's centre and half-width points (omega_res 1, gamma / 2 =
+    0.05)."""
     n = request.param
     spec = _lorentz_on(np.geomspace(1e-2, 1e2, n), tmp_path_factory.mktemp("csv") / "l.csv")
+    if n <= 300:
+        return spec, np.arange(n)
     resonance = np.searchsorted(spec.grid.values, [0.95, 1.0, 1.05])
     return spec, np.unique(np.r_[np.linspace(0, n - 1, 8).astype(int), resonance])
 
@@ -742,7 +753,9 @@ def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
     # these rows, the blocked operator 1.6e-14. Over every row the FFT path
     # sat 5.0e-13 off the blocked operator at kk_subtracted's span and
     # 1.52e-12 at the folded transforms' half of it, 4 values past
-    # VALUE_ATOL. That gap is why kk_subtracted keeps the wider span.
+    # VALUE_ATOL. That gap is why kk_subtracted keeps the wider span. On
+    # every row of the 128- and 300-node grids the FFT path sat up to
+    # 2.9e-14 off the rule, the blocked operator 1.1e-14.
     mpmath = pytest.importorskip("mpmath")
     spec, rows = csv_lorentz_rows
     if direction.startswith("subtracted"):

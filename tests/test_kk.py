@@ -466,6 +466,22 @@ def test_interior_error_falls_under_refinement(omega_p, omega_res, gamma):
     assert np.all(_interior_errors(params, 4096) <= _interior_errors(params, 2048) / 8.0)
 
 
+@pytest.mark.parametrize("n", [512, 2048, 16384])
+def test_lowest_data_node_is_as_accurate_as_the_next(n):
+    # the lowest data node w is the middle node of the very uneven Simpson
+    # panel (w/2, w, w r), whose weight does not fall under refinement
+    # (about 0.1 at 2048 nodes, 0.75 at 16384): a stencil slope of the
+    # pole-free h / (nu + w) there left its error 2.05-2.60 times the next
+    # node's at every size, where the exact h(w) / 2w leaves 1.00-1.12
+    g = FrequencyGrid.log_spaced(1e-2, 1e2, n, GridUnit.NORMALIZED)
+    s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), g)
+    im_err = np.abs(kk_im_from_re(s).spectrum.im - s.im)
+    s = lorentz_index(LorentzOscillatorParams(2.0, 0.5, 0.5), g)
+    re_err = np.abs(kk_re_from_im(s).spectrum.re - s.re)
+    for err in (im_err, re_err):
+        assert err[0] <= 1.25 * err[1]
+
+
 # --- residual ---------------------------------------------------------------
 
 def test_residual_on_oracle(std_lorentz):

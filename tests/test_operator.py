@@ -1,10 +1,12 @@
 """The blocked dispersion operator against the scalar reference path.
 
-Every transform is recomputed by a per-node loop over the scalar reference
-path, ``pv_integrate`` and ``tail_integral``, on the same extended grid.
-Values must agree to rounding and error estimates to 1e-4 relative: the
-full-minus-half Simpson difference they carry cancels most digits, so
-summation order shows there.
+Every transform is recomputed by a per-node loop over the scalar rule on
+the same extended grid: the singularity-subtracted quotient of the part
+with the pole, ``difference_quotient``, plus the pole-free part at its
+exact value on every node, summed by ``simpson_estimate``, and
+``tail_integral`` beyond the grid. Values must agree to rounding and error
+estimates to 1e-4 relative: the full-minus-half Simpson difference they
+carry cancels most digits, so summation order shows there.
 """
 
 import math
@@ -33,7 +35,8 @@ from kklab import (
     tail_integral,
 )
 from kklab.kk import _extend_axis
-from kklab.pvquad import pv_at_nodes, simpson_weights, tail_parity
+from kklab.pvquad import (difference_quotient, pv_at_nodes, simpson_estimate, simpson_weights,
+                          tail_parity)
 from conftest import lorentz_closed_form
 
 VALUE_ATOL = 1e-12
@@ -42,6 +45,16 @@ ERROR_RTOL = 1e-4
 
 # --- scalar reference loops ---------------------------------------------------
 
+def _ref_rule(nu, g, h, w):
+    """(value, estimate) of P int [g/(nu - w) + h/(nu + w)] dnu at the node
+    w: g's subtracted quotient, with its cubic slope on w's node, plus
+    h / (nu + w), which has no pole, and the log term
+    g(w) ln|(nu[-1] - w)/(nu[0] - w)|."""
+    g_w = g[np.searchsorted(nu, w)]
+    q = difference_quotient(nu, g, w, g_w) + h / (nu + w)
+    return simpson_estimate(q, nu, g_w * math.log(abs((nu[-1] - w) / (nu[0] - w))))
+
+
 def _ref_at_infinity(s, re_inf, im_inf):
     nu = s.grid.values
     nu_e, g_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
@@ -49,11 +62,12 @@ def _ref_at_infinity(s, re_inf, im_inf):
     for j, w in enumerate(nu):
         if w == 0.0:
             continue
-        res = pv_integrate(PoleIntegrand(nu_e, (nu_e * g_e - w * im_inf) / (nu_e + w), w))
-        val = res.value + 0.5 * (tail_integral(st_, w) + tail_integral(st_, -w))
+        # (nu g_e - w im_inf) / (nu^2 - w^2) by partial fractions
+        value, error = _ref_rule(nu_e, 0.5 * (g_e - im_inf), 0.5 * (g_e + im_inf), w)
+        val = value + 0.5 * (tail_integral(st_, w) + tail_integral(st_, -w))
         val += 0.5 * im_inf * math.log((st_.cutoff - w) / (st_.cutoff + w))
         out[j] = re_inf + (2.0 / math.pi) * val
-        errs[j] = (2.0 / math.pi) * res.error_estimate
+        errs[j] = (2.0 / math.pi) * error
     return out, errs
 
 
@@ -64,10 +78,11 @@ def _ref_im_from_re(s):
     for j, w in enumerate(nu):
         if w == 0.0:
             continue
-        res = pv_integrate(PoleIntegrand(nu_e, w * h_e / (nu_e + w), w))
+        # w h_e / (nu^2 - w^2) by partial fractions
+        value, error = _ref_rule(nu_e, 0.5 * h_e, -0.5 * h_e, w)
         s_odd = 0.5 * (tail_integral(st_, w) - tail_integral(st_, -w))
-        out[j] = -(2.0 / math.pi) * (res.value + s_odd)
-        errs[j] = (2.0 / math.pi) * res.error_estimate
+        out[j] = -(2.0 / math.pi) * (value + s_odd)
+        errs[j] = (2.0 / math.pi) * error
     return out, errs
 
 
@@ -75,11 +90,9 @@ def _ref_subtracted(s, w0, g0_re, g0_im, full_axis=False):
     """Every node but w0 when w0 is a node; else nodes outside the
     two-spacing collision zone only (NaN inside). K is built on the full
     axis. A positive node w takes it folded onto the half axis: the rule for
-    K(nu) - K(-nu) (nu - w)/(nu + w), plus K(w) times D(w), the rule for
-    (nu - w)/(nu + w) less ln((C + w)/w), plus the pole node's Simpson
-    weight times the exact value (K(w) - K(-w)) / 2w of the negative half's
-    (K(w) - K(-nu)) (nu - w)/(nu + w) there less its cubic slope. A node
-    w = 0, or with ``full_axis`` every node, takes the full-axis rule."""
+    g = K(nu) and h = -K(-nu), plus K(w) times D(w), the rule for g = 0 and
+    h = 1 less ln((C + w)/w). A node w = 0, or with ``full_axis`` every
+    node, takes the full-axis rule."""
     nu = s.grid.values
     nu_e, gi_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
     cutoff = st_.cutoff
@@ -91,7 +104,6 @@ def _ref_subtracted(s, w0, g0_re, g0_im, full_axis=False):
         kern = (gi_full - g0_im) / dist0
     kern[hit0] = kklab.pvquad.local_cubic_slope(nu_full, gi_full, w0)
     k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
-    weights = simpson_weights(nu_e)
     on_node = w0 in nu
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
@@ -103,15 +115,11 @@ def _ref_subtracted(s, w0, g0_re, g0_im, full_axis=False):
             res = pv_integrate(PoleIntegrand(nu_full, kern, w))
             value, error = res.value, res.error_estimate
         else:
-            k = np.searchsorted(nu_e, w)
-            k_w = k_pos[k]
-            res = pv_integrate(PoleIntegrand(nu_e, k_pos - k_neg * (nu_e - w) / (nu_e + w), w))
-            d = pv_integrate(PoleIntegrand(nu_e, (nu_e - w) / (nu_e + w), w))
-            value = res.value + k_w * (d.value - math.log((cutoff + w) / w))
-            mirror = (k_w - k_neg) * (nu_e - w) / (nu_e + w)
-            value += weights[k] * ((k_w - k_neg[k]) / (2.0 * w)
-                                   - kklab.pvquad.local_cubic_slope(nu_e, mirror, w))
-            error = res.error_estimate + abs(k_w) * d.error_estimate
+            k_w = k_pos[np.searchsorted(nu_e, w)]
+            value, error = _ref_rule(nu_e, k_pos, -k_neg, w)
+            d_value, d_error = _ref_rule(nu_e, np.zeros(nu_e.size), np.ones(nu_e.size), w)
+            value += k_w * (d_value - math.log((cutoff + w) / w))
+            error += abs(k_w) * d_error
         right = (tail_integral(st_, w) - tail_integral(st_, w0)) / dr
         left = (tail_integral(st_, -w) - tail_integral(st_, -w0)) / dr
         right += g0_im * math.log((cutoff - w) / (cutoff - w0)) / dr
@@ -189,22 +197,21 @@ def test_subtracted_collision_names_first_node():
 def test_pv_at_nodes_needs_bracketed_poles():
     nu = np.linspace(0.0, 1.0, 16)
     with pytest.raises(kklab.PoleLocationError):
-        pv_at_nodes(nu, np.ones(nu.size), None, np.array([1]))
+        pv_at_nodes(nu, np.ones(nu.size), np.zeros(nu.size), np.array([1]))
 
 
 def test_pv_at_nodes_slices_a_one_row_last_block(monkeypatch):
     # 7-row blocks over 596 poles: the last block is a 1-row slice of the
-    # buffers. Every row, the last one included, is the scalar path's on
-    # its own integrand f_k = g + h (nu - w)/(nu + w).
+    # buffers. Every row, the last one included, is the scalar rule's.
     nu = np.geomspace(1e-2, 1e2, 600)
     monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 7 * nu.size)
     g = np.sin(nu) * np.exp(-0.1 * nu)
     h = np.cos(nu) / (1.0 + nu)
     hits = np.arange(2, nu.size - 2)
     values, errors = pv_at_nodes(nu, g, h, hits)
-    refs = [pv_integrate(PoleIntegrand(nu, g + h * (nu - w) / (nu + w), w)) for w in nu[hits]]
-    np.testing.assert_allclose(values, [r.value for r in refs], rtol=0.0, atol=VALUE_ATOL)
-    np.testing.assert_allclose(errors, [r.error_estimate for r in refs], rtol=ERROR_RTOL)
+    refs = np.array([_ref_rule(nu, g, h, w) for w in nu[hits]])
+    np.testing.assert_allclose(values, refs[:, 0], rtol=0.0, atol=VALUE_ATOL)
+    np.testing.assert_allclose(errors, refs[:, 1], rtol=ERROR_RTOL)
 
 
 # --- closed-form pieces -----------------------------------------------------------

@@ -17,7 +17,7 @@ the arrays the library returns. It runs, in this process:
 - the same spectrum and calls on ``ZERO_GRID``, ``np.r_[0.0,
   np.geomspace(1e-2, 1e2, 2047)]``: the one grid here that samples
   omega = 0 and is geometric above it, so its positive nodes take the FFT
-  operators and its omega = 0 node the head model and the blocked one.
+  operators and its omega = 0 node the head model and the scalar rule.
   Its ``subtracted`` call at omega0 = 0 sits on that node, which leaves no
   collision zone;
 - two cycles of seed 0 of the benchmark's ``audit_batch`` spectra: all four
