@@ -18,15 +18,14 @@ such as a tracing wrapper, is the one called.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import _ORIGIN, NumericalError
-from .models import LorentzOscillatorParams, PhysicalConstants, lorentz_index
 
 if TYPE_CHECKING:
+    from .models import PhysicalConstants
     from .pvquad import TailModel
     from .spectra import FrequencyGrid
 
@@ -60,24 +59,16 @@ def _parse_grid(spec: str) -> FrequencyGrid:
 
 
 def _constants(args: argparse.Namespace) -> PhysicalConstants:
-    return PhysicalConstants(
-        c=args.c_light,
-        alpha=args.alpha,
-        lambda_c=args.lambda_c,
-        k_coeff=args.k_coeff,
-    )
+    """The flags given, over the defaults that PhysicalConstants holds."""
+    given = dict(c=args.c_light, alpha=args.alpha, lambda_c=args.lambda_c, k_coeff=args.k_coeff)
+    return _cli.PhysicalConstants(**{k: v for k, v in given.items() if v is not None})
 
 
 def _add_constants_flags(p: argparse.ArgumentParser) -> None:
-    defaults = PhysicalConstants()
-    p.add_argument("--c-light", type=float, default=defaults.c,
-                   help="speed of light in m/s")
-    p.add_argument("--alpha", type=float, default=defaults.alpha,
-                   help="fine-structure constant")
-    p.add_argument("--lambda-c", type=float, default=defaults.lambda_c,
-                   help="Compton wavelength in m")
-    p.add_argument("--k-coeff", type=float, default=defaults.k_coeff,
-                   help="vacuum-shift coefficient k")
+    p.add_argument("--c-light", type=float, help="speed of light in m/s")
+    p.add_argument("--alpha", type=float, help="fine-structure constant")
+    p.add_argument("--lambda-c", type=float, help="Compton wavelength in m")
+    p.add_argument("--k-coeff", type=float, help="vacuum-shift coefficient k")
 
 
 def _tail_override(args: argparse.Namespace, grid_top: float) -> TailModel | None:
@@ -115,8 +106,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_model(args: argparse.Namespace) -> int:
     grid = _parse_grid(args.grid)
-    params = LorentzOscillatorParams(args.omega_p, args.omega_res, args.gamma)
-    spec = lorentz_index(params, grid)
+    params = _cli.LorentzOscillatorParams(args.omega_p, args.omega_res, args.gamma)
+    spec = _cli.lorentz_index(params, grid)
     _cli.save_spectrum(spec, args.output, _file_format(args.output, args.format))
     return 0
 
@@ -145,6 +136,7 @@ def _cmd_clock(args: argparse.Namespace) -> int:
         "orientation": scenario.orientation.value,
         **comparison.to_dict(),
     }
+    import json
     Path(args.output).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 

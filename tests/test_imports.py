@@ -33,14 +33,16 @@ PUBLIC = {
 }
 SUBMODULES = {"causality", "kk", "models", "pvquad", "scharnhorst", "spectra"}
 
-# prints the numpy, numpy.ma, numpy.fft and kklab modules loaded after running
-# the CLI on argv
+# prints the json, numpy, numpy.ma, numpy.fft and kklab modules loaded after
+# running the CLI on the arguments; json is imported only to print them
 CLI = """
-import json, sys
+import sys
 from kklab.cli import main
-code = main(json.loads(sys.argv[1]))
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kklab")
-                               or m in ("numpy", "numpy.ma", "numpy.fft"))]))
+code = main(sys.argv[1:])
+modules = sorted(m for m in sys.modules if m.startswith("kklab")
+                 or m in ("json", "numpy", "numpy.ma", "numpy.fft"))
+import json
+print(json.dumps([code, modules]))
 """
 
 
@@ -51,7 +53,7 @@ def _python(code: str, *args: str, cwd=None) -> str:
 
 
 def _cli(argv: list[str], cwd) -> tuple[int, set[str]]:
-    code, modules = json.loads(_python(CLI, json.dumps(argv), cwd=cwd))
+    code, modules = json.loads(_python(CLI, *argv, cwd=cwd))
     return code, set(modules)
 
 
@@ -61,18 +63,19 @@ def test_import_loads_no_submodule():
     assert out.strip() == "['kklab']"
 
 
-@pytest.mark.parametrize("argv, exit_code", [
-    (["scharnhorst", "--L", "1e-6,1e-15", "--out", "t.csv"], 0),
+@pytest.mark.parametrize("argv, exit_code, extra", [
+    (["scharnhorst", "--L", "1e-6,1e-15", "--out", "t.csv"], 0, set()),
+    # json loads to write the clock's report
     (["clock", "--L", "1e-6", "--beta", "0.3", "--orientation", "parallel",
-      "--out", "c.json"], 0),
+      "--out", "c.json"], 0, {"json"}),
     # the degenerate clock: main classifies it as numerical without numpy
     (["clock", "--L", "1e-14", "--beta", "0.6", "--orientation", "perpendicular",
-      "--out", "c.json"], 3),
+      "--out", "c.json"], 3, set()),
 ], ids=["scharnhorst", "clock", "clock degenerate"])
-def test_calculators_leave_numpy_unloaded(tmp_path, argv, exit_code):
+def test_calculators_leave_numpy_unloaded(tmp_path, argv, exit_code, extra):
     code, modules = _cli(argv, tmp_path)
     assert code == exit_code
-    assert modules == {"kklab", "kklab.cli", "kklab.models", "kklab.scharnhorst"}
+    assert modules == {"kklab", "kklab.cli", "kklab.models", "kklab.scharnhorst", *extra}
 
 
 def test_spectrum_commands_load_only_their_modules(tmp_path):
@@ -81,30 +84,33 @@ def test_spectrum_commands_load_only_their_modules(tmp_path):
              "--grid", "log:1e-2:1e2:256", "--out", "in.csv"]
     assert _cli(model, tmp_path) == (0, {"numpy", "kklab", "kklab.cli", "kklab.models",
                                          "kklab.spectra"})
+    # transform loads neither models nor json
+    unused = {"kklab.causality", "kklab.models", "kklab.scharnhorst", "json", "numpy.ma"}
     for direction in ("re-from-im", "im-from-re", "subtracted-at-infinity"):
         code, modules = _cli(["transform", "--direction", direction, "--in", "in.csv",
                               "--out", "out.csv"], tmp_path)
         assert code == 0
         assert "kklab.kk" in modules
-        assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma"}
+        assert not modules & unused
     subtracted = ["transform", "--direction", "subtracted", "--omega0", "0", "--g0-re", "0.5",
                   "--g0-im", "0.01", "--out", "out.csv"]
     # on a log grid the subtracted relation takes the FFT path as well
     code, modules = _cli([*subtracted, "--in", "in.csv"], tmp_path)
     assert code == 0
     assert {"kklab.kk", "numpy.fft"} <= modules
-    assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma"}
+    assert not modules & unused
     # the blocked operator alone, on a linear grid: numpy.fft loads with the
     # FFT path's first plan
     assert _cli([*model[:-4], "--grid", "lin:1:100:256", "--out", "lin.csv"], tmp_path)[0] == 0
     code, modules = _cli([*subtracted, "--in", "lin.csv"], tmp_path)
     assert code == 0
     assert "kklab.kk" in modules
-    assert not modules & {"kklab.causality", "kklab.scharnhorst", "numpy.ma", "numpy.fft"}
+    assert not modules & {*unused, "numpy.fft"}
+    # the audit's report is JSON
     code, modules = _cli(["validate", "--in", "in.csv", "--out", "r.json"], tmp_path)
     assert code == 0
-    assert "kklab.causality" in modules
-    assert not modules & {"kklab.scharnhorst", "numpy.ma"}
+    assert {"kklab.causality", "json"} <= modules
+    assert not modules & {"kklab.models", "kklab.scharnhorst", "numpy.ma"}
 
 
 def test_every_public_name_resolves():

@@ -8,18 +8,26 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kklab import (
+    ComplexIndexSpectrum,
+    FrequencyGrid,
+    GridUnit,
     NonIntegrableTailError,
     PoleIntegrand,
     PoleLocationError,
     TailFitError,
     TailModel,
     fit_tail,
+    load_spectrum,
     pv_integrate,
     pv_semi_infinite,
+    save_spectrum,
     tail_integral,
 )
-from kklab.pvquad import (_cubic_weights, _line_fit, difference_quotient, local_cubic_slope,
-                          local_cubic_value, noise_floor)
+from kklab.pvquad import (_cubic_weights, _line_fit, _stencil, difference_quotient,
+                          local_cubic_slope, local_cubic_value, noise_floor, simpson_weights)
+from conftest import lorentz_closed_form
+
+VALUE_ATOL = 1e-12  # the operators' bound against the rule in 40 digits
 
 
 def pv_oracle(f, a, b, pole):
@@ -90,6 +98,56 @@ def test_non_uniform_log_grid():
     w = 1.0
     r = pv_integrate(PoleIntegrand.from_callable(f, nu, w))
     assert r.value == pytest.approx(pv_oracle(f, 0.01, 100.0, w), abs=1e-7)
+
+
+# --- the rule in 40 digits ---------------------------------------------------
+
+def _rule_in_40_digits(mpmath, nu, f, w):
+    """pv_integrate's rule for the pole w with every quotient and sum taken in
+    40 digits: the full Simpson sum of (f - f(w)) / (nu - w) plus the log term
+    f(w) ln|(nu[-1] - w)/(nu[0] - w)|. f(w) is f's node value on a node and
+    the local cubic's value between nodes; the pole's own node takes the
+    stencil slope of f - f(w) in place of the quotient. The Simpson and slope
+    weights are the operator's own floats."""
+    k = np.flatnonzero(nu == w)
+    f_w = float(f[k[0]]) if k.size else local_cubic_value(nu, f, w)
+    sl = _stencil(nu, w)
+    slope_w = _cubic_weights(nu[None, sl], np.array([w]))[1][0]
+    mpf = mpmath.mpf
+    with mpmath.workdps(40):
+        x, fs, full = ([mpf(v) for v in arr] for arr in (nu, f, simpson_weights(nu)))
+        w, f_w = mpf(w), mpf(f_w)
+        terms = [w_j * (f_j - f_w) / (x_j - w)
+                 for j, (w_j, f_j, x_j) in enumerate(zip(full, fs, x)) if j not in k]
+        if k.size:
+            j = range(sl.start, sl.stop)
+            slope = mpmath.fsum(mpf(s) * (fs[i] - f_w) for s, i in zip(slope_w, j))
+            terms.append(full[k[0]] * slope)
+        return float(mpmath.fsum(terms) + f_w * mpmath.log(abs((x[-1] - w) / (x[0] - w))))
+
+
+@pytest.fixture(scope="module")
+def csv_lorentz_300(tmp_path_factory):
+    """The Lorentz spectrum on a 300-node log grid, read back from a CSV file."""
+    nu = np.geomspace(1e-2, 1e2, 300)
+    idx = lorentz_closed_form(nu)
+    path = tmp_path_factory.mktemp("csv") / "l.csv"
+    save_spectrum(ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED),
+                                       idx.real, idx.imag), path)
+    return load_spectrum(path)
+
+
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_pv_integrate_matches_its_rule_in_40_digits(csv_lorentz_300, part):
+    # poles on the lowest and highest nodes a pole may take, on the two
+    # nodes either side of the resonance at 1 and between; and midway
+    # between nodes low, at the resonance and high
+    mpmath = pytest.importorskip("mpmath")
+    nu, f = csv_lorentz_300.grid.values, getattr(csv_lorentz_300, part)
+    poles = [*nu[[2, 75, 149, 150, 297]], *(0.5 * (nu[[3, 149, 295]] + nu[[4, 150, 296]]))]
+    got = [pv_integrate(PoleIntegrand(nu, f, w)).value for w in poles]
+    want = [_rule_in_40_digits(mpmath, nu, f, w) for w in poles]
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=VALUE_ATOL)
 
 
 # --- pole placement errors --------------------------------------------------

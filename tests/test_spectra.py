@@ -145,6 +145,20 @@ def test_json_format_fields(tmp_path):
     assert doc["unit"] == "si_rad_per_s"
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_load_after_a_byte_order_mark(tmp_path, fmt):
+    # spreadsheet exports often start with the UTF-8 byte-order mark
+    s = ComplexIndexSpectrum(FrequencyGrid([1.0, 2.0, 4.0], GridUnit.NORMALIZED),
+                             [1.5, 1.25, 1.0], [0.1, 0.2, 0.05])
+    path = tmp_path / f"s.{fmt}"
+    save_spectrum(s, path, fmt)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_spectrum(path, fmt)
+    assert back.grid.unit is GridUnit.NORMALIZED
+    for got, want in ((back.grid.values, s.grid.values), (back.re, s.re), (back.im, s.im)):
+        np.testing.assert_array_equal(got, want)
+
+
 # --- absorption maps -------------------------------------------------------
 
 def test_absorption_zero_im():

@@ -8,9 +8,14 @@ Writes dilute Lorentz (omega_p 1, omega_res 1, gamma 0.1) inputs on three
 grids into DIR, then runs every transform direction and ``validate`` on
 each, plus the ``scharnhorst`` table and both ``clock`` orientations. Two
 more grids, too short for the top-decade tail fit, get ``model`` and
-``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Last
+``validate`` alone; ``lib_digests.py`` takes ``GRIDS`` without them. Then
 come the ``CONTRACT`` requests, which probe the exit codes other than 0 and
-pin the help texts, whose usage lines list every flag of a subcommand.
+pin the help texts, whose usage lines list every flag of a subcommand. Last,
+the ``READER`` inputs, written into DIR by this script, take the CSV
+reader's other paths: spaced cells, blank and comment lines between rows, a
+unit tag after the data and a cell only Python's ``float`` reads get
+``transform``; a header-only file and a non-numeric cell get ``transform``
+and ``validate``.
 Every request goes through ``kklab.cli.main`` in this process, with DIR as
 the working directory, so no path outside DIR enters an output. The
 program runs from this checkout's ``src/``.
@@ -70,6 +75,37 @@ CONTRACT = (
     ("log:1:100:400 validate", "c-band.json",
      ["validate", "--in", "band.csv", "--out", "c-band.json"]),
 )
+
+
+def _reader_inputs(n: int = 512) -> dict[str, str]:
+    """CSV texts of a dilute Lorentz spectrum on n log nodes over 0.01..100,
+    by file name, each taking one of the reader's paths."""
+    rows = []
+    for k in range(n):
+        w = 0.01 * 10.0 ** (4.0 * k / (n - 1))
+        idx = 1.0 + 0.5 / (1.0 - w * w - 0.1j * w)
+        rows.append([f"{w:.17g}", f"{idx.real:.17g}", f"{idx.imag:.17g}"])
+    header = "omega,re_n,im_n"
+
+    def text(lines):
+        return "\n".join([header, *lines]) + "\n"
+
+    plain = [",".join(r) for r in rows]
+    underscore = [r[:] for r in rows]
+    underscore[200][2] = "1_0"  # Im n, which every transform reads
+    non_numeric = [r[:] for r in rows]
+    non_numeric[300][2] = "abc"
+    return {
+        "r-spaced.csv": text(" , ".join(r) for r in rows),
+        "r-gaps.csv": text([*plain[:100], "", "# a comment", *plain[100:]]),
+        "r-unit-after.csv": text([*plain, "# unit: normalized"]),
+        "r-underscore.csv": text(",".join(r) for r in underscore),
+        "r-header-only.csv": text([]),
+        "r-non-numeric.csv": text(",".join(r) for r in non_numeric),
+    }
+
+
+READER = _reader_inputs()
 TRANSFORMS = {
     "re-from-im": [],
     "im-from-re": [],
@@ -100,7 +136,16 @@ def requests() -> list[tuple[str, str, list[str]]]:
         reqs.append((f"clock {orientation}", out,
                      ["clock", "--L", "1e-14", "--beta", "0.3",
                       "--orientation", orientation, "--out", out]))
-    return [*reqs, *CONTRACT]
+    reqs += CONTRACT
+    for src in READER:
+        stem = src.removesuffix(".csv")
+        out = f"{stem}-re-from-im.csv"
+        reqs.append((f"{src} transform re-from-im", out,
+                     ["transform", "--direction", "re-from-im", "--in", src, "--out", out]))
+        if src in ("r-header-only.csv", "r-non-numeric.csv"):
+            reqs.append((f"{src} validate", f"{stem}-validate.json",
+                         ["validate", "--in", src, "--out", f"{stem}-validate.json"]))
+    return reqs
 
 
 def run(argv: list[str], out: Path) -> tuple[int | str, str, str]:
@@ -125,6 +170,8 @@ def print_digests(directory: str) -> None:
     os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal's width
     os.makedirs(directory, exist_ok=True)
     os.chdir(directory)
+    for src, text in READER.items():
+        Path(src).write_text(text)
     for name, out, argv in requests():
         code, out_digest, err_digest = run(argv, Path(out))
         print(code, out_digest, err_digest, name, flush=True)
