@@ -120,8 +120,8 @@ def _rule_in_40_digits(mpmath, nu, f, w):
         terms = [w_j * (f_j - f_w) / (x_j - w)
                  for j, (w_j, f_j, x_j) in enumerate(zip(full, fs, x)) if j not in k]
         if k.size:
-            j = range(sl.start, sl.stop)
-            slope = mpmath.fsum(mpf(s) * (fs[i] - f_w) for s, i in zip(slope_w, j))
+            stencil = range(sl.start, sl.stop)
+            slope = mpmath.fsum(mpf(s) * (fs[i] - f_w) for s, i in zip(slope_w, stencil))
             terms.append(full[k[0]] * slope)
         return float(mpmath.fsum(terms) + f_w * mpmath.log(abs((x[-1] - w) / (x[0] - w))))
 
