@@ -206,28 +206,37 @@ def _stencil(nu: np.ndarray, x: float) -> slice:
     lo = max(0, min(i - 2, nu.size - 4))
     return slice(lo, lo + 4)
 
-def _cubic_weights(xs: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Value and derivative weights, each (N, 4), at the points x (N,) of the
-    cubic through each row of the stencils xs (N, 4): the Lagrange basis
-    l_j(x) and its slope l_j'(x) = sum_{m != j} 1/(xs_j - xs_m) prod_{k != j, m}
-    (x - xs_k)/(xs_j - xs_k)."""
-    value, slope = np.ones(xs.shape), np.zeros(xs.shape)
+def _cubic_weights(xs: np.ndarray, x: np.ndarray, slope: bool) -> np.ndarray:
+    """(4, N) weights at the points x (N,) of the cubic through the stencils
+    xs (4, N), a row per stencil node: the Lagrange basis l_j(x) = prod_{m != j}
+    (x - xs_m)/(xs_j - xs_m) or, with ``slope``, its slope l_j'(x) =
+    sum_{m != j} 1/(xs_j - xs_m) prod_{k != j, m} (x - xs_k)/(xs_j - xs_k).
+    Every difference is taken once, on contiguous rows; the products and the
+    sum run over m and k in ascending order."""
+    to_x = x - xs  # x - xs_k
+    apart = xs[:, None] - xs  # xs_j - xs_m
+    # x on stencil node k on every row, as on the pole rows of the operators:
+    # the slope terms with the factor x - xs_k are 0, and adding 0 moves no sum
+    zero = [not np.any(row) for row in to_x]
+    out = np.zeros(xs.shape) if slope else np.ones(xs.shape)
     for j in range(4):
-        for m in range(4):
-            if m == j:
-                continue
-            value[:, j] *= (x - xs[:, m]) / (xs[:, j] - xs[:, m])
-            term = 1.0 / (xs[:, j] - xs[:, m])
-            for k in range(4):
-                if k != j and k != m:
-                    term = term * (x - xs[:, k]) / (xs[:, j] - xs[:, k])
-            slope[:, j] += term
-    return value, slope
+        others = [m for m in range(4) if m != j]
+        for m in others:
+            rest = [k for k in others if k != m]
+            if not slope:
+                out[j] *= to_x[m] / apart[j, m]
+            elif not any(zero[k] for k in rest):
+                term = 1.0 / apart[j, m]
+                for k in rest:
+                    term *= to_x[k]
+                    term /= apart[j, k]
+                out[j] += term
+    return out
 
 def local_cubic_value(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     """Cubic Lagrange interpolation of f at x through the 4 nearest nodes."""
     sl = _stencil(nu, x)
-    return float(_cubic_weights(nu[None, sl], np.array([x]))[0][0] @ f[sl])
+    return float(_cubic_weights(nu[sl, None], np.array([x]), slope=False)[:, 0] @ f[sl])
 
 def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     """Derivative at x of the cubic through the 4 nearest nodes, summed as
@@ -236,7 +245,8 @@ def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     above x unless the stencil is clipped at an end."""
     sl = _stencil(nu, x)
     fs = f[sl]
-    return float(np.sum(_cubic_weights(nu[None, sl], np.array([x]))[1][0] * (fs - fs[2])))
+    return float(np.sum(_cubic_weights(nu[sl, None], np.array([x]), slope=True)[:, 0]
+                        * (fs - fs[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -274,12 +284,18 @@ def _estimator_weights(nu: np.ndarray) -> np.ndarray:
     """(3, M) weight rows of the Simpson estimator on the nodes nu: the
     full-grid Simpson weights, those less the every-other-node grid's (zero
     off its nodes), and the trapezoid weights of the rounding floor."""
-    ci = np.append(np.arange(0, nu.size - 1, 2), nu.size - 1)  # and the last node
-    full, half = simpson_weights(nu), np.zeros(nu.size)
-    half[ci] = simpson_weights(nu[ci])
-    h = np.diff(nu)
-    trap = 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))
-    return np.stack([full, full - half, trap])
+    weights = np.empty((3, nu.size))
+    weights[:2] = simpson_weights(nu)
+    # the every-other-node grid: the even nodes, and the last
+    half = simpson_weights(np.append(nu[:-1:2], nu[-1]))
+    weights[1, :-1:2] -= half[:-1]
+    weights[1, -1] -= half[-1]
+    h, trap = np.diff(nu), weights[2]
+    trap[:-1] = h
+    trap[-1] = 0.0
+    trap[1:] += h
+    trap *= 0.5
+    return weights
 
 
 def _finish(full, diff, abs_sum, offset):
@@ -292,11 +308,12 @@ def _finish(full, diff, abs_sum, offset):
 def _pole_rows(nu: np.ndarray, hits: np.ndarray):
     """Estimator weights (3, M), stencil slope weights (N, 4) and log terms
     ln|(b - w)/(a - w)| of the poles w = nu[hits], N >= 1 of them, which
-    must have >= 2 nodes on each side."""
+    must have >= 2 nodes on each side. The slope weights are column-major:
+    :func:`_pole_slopes` reads them a stencil column at a time."""
     if hits.min() < 2 or hits.max() > nu.size - 3:
         raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
     poles = nu[hits]
-    slope_w = _cubic_weights(nu[hits[:, None] + np.arange(-2, 2)], poles)[1]
+    slope_w = _cubic_weights(nu[hits + np.arange(-2, 2)[:, None]], poles, slope=True).T
     return (_estimator_weights(nu), slope_w,
             np.log(np.abs((nu[-1] - poles) / (nu[0] - poles))))
 
@@ -514,34 +531,47 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float, band: int) -> 
     kernel spectra (the far kernels, and in the band +-(1/2) / (1 + r^m),
     the pole-free part of the split), (3, n) weights / w, their
     1/(nu - w) convolutions, the log terms and the :class:`_TopPlan` of the
-    nodes above the block."""
+    nodes above the block. The kernel rows are filled on slices of their
+    offsets and each spectrum is transformed once, with the bits of a build
+    through masks over the whole FFT length, which cost about a third more."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
     weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
     n = hi - lo
-    size = 1 << (2 * n - 2).bit_length()  # >= 2n - 1: no wrap-around
-    # x = m ln r for the offsets m = j - k in wrap-around order
+    # >= 2n - 1: no wrap-around. A power of two: a 3 2^a length built the
+    # plan faster, but left kk_subtracted's sums at 11585 nodes and w0 = 0.5
+    # 1.14e-12 off the blocked operator's, against 7.53e-13
+    size = 1 << (2 * n - 2).bit_length()
+    # x = m ln r for the offsets m = j - k in wrap-around order: 0 < m < n
+    # at [m], -n < m < 0 at [size + m]
     m = np.arange(size)
     m[n:] -= size
     x = log_r * m
-    inside = np.abs(m) < n
-    far = (np.abs(m) > band) & inside
-    near = inside & ~far & (m != 0)
+    # the far offsets band < |m| < n and the band 0 < |m| <= band, as
+    # slices: a geometric block has n >= 4 _FFT_BAND > band nodes
+    far = slice(band + 1, n), slice(size - n + 1, size - band)
+    near = slice(1, band + 1), slice(size - band, size)
+    # rows a, b, |a|, |b| of the a and b terms, then 1/(nu - w) and its |.|
     kernels = np.zeros((6, size))
     with np.errstate(over="ignore"):
-        kernels[0, far] = -1.0 / np.expm1(2.0 * x[far])
-        kernels[1, far] = -0.5 / np.sinh(x[far])
-        kernels[2, far] = -1.0 / np.expm1(x[far])
+        for s in far:
+            kernels[0, s] = -1.0 / np.expm1(2.0 * x[s])
+            kernels[1, s] = -0.5 / np.sinh(x[s])
+            kernels[4, s] = -1.0 / np.expm1(x[s])
     # the band's pole-free part (a - b) / (2 (nu + w)): +-(1/2) / (1 + r^m)
-    kernels[0, near] = 0.5 / (1.0 + np.exp(x[near]))
-    kernels[1, near] = -kernels[0, near]
-    kernels[3:] = np.abs(kernels[:3])
-    kernels = fft.rfft(kernels)
+    for s in near:
+        kernels[0, s] = 0.5 / (1.0 + np.exp(x[s]))
+        kernels[1, s] = -kernels[0, s]
+    np.abs(kernels[:2], out=kernels[2:4])
+    np.abs(kernels[4], out=kernels[5])
     over_nu = weights[:, lo:hi] / nu[lo:hi]
-    conv_nu = fft.irfft(fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)
-    return _read_only(size, weights, slope_w, kernels[[0, 1, 3, 4]], over_nu,
-                      conv_nu[:, :n].copy(), logs, _top_plan(nu, weights, lo, hi))
+    spectrum, nu_kernels = fft.rfft(over_nu, size), fft.rfft(kernels[4:])
+    spectrum[:2] *= nu_kernels[0]
+    spectrum[2] *= nu_kernels[1]
+    return _read_only(size, weights, slope_w, fft.rfft(kernels[:4]), over_nu,
+                      fft.irfft(spectrum, size)[:, :n].copy(), logs,
+                      _top_plan(nu, weights, lo, hi))
 
 
 def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
@@ -558,7 +588,9 @@ def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     pole: the two members of an offset, node k + m on row k and node k on
     row k + m, share (g(nu_j) - g(w_k)) / (nu_j - w_k). A node j below the
     block takes pv_at_nodes' quotient, that shared one plus
-    h_j / (nu_j + w_k).
+    h_j / (nu_j + w_k). A g that is 0 on the whole block, as kk_subtracted's
+    D(w) call has, skips the band: its quotients are all 0, and adding 0
+    moves no sum.
     """
     f_at, n, w = g[lo:hi], hi - lo, nu[lo:hi]
     slope = _pole_slopes(g, np.arange(lo, hi), slope_w) + h[lo:hi] / (2.0 * w)
@@ -573,6 +605,8 @@ def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     def add(rows, j, q, terms):  # rows += weights[:, j] q
         np.add(rows, np.multiply(weights[:, j], q, terms), rows)
 
+    if not np.any(f_at):
+        band = 0  # every band quotient is 0
     for m in range(1, band + 1):
         q, d, x = buf[:3, m:], buf[3, m:], buf[4, m:]
         right, left = slice(lo + m, hi), slice(lo, hi - m)

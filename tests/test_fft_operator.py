@@ -16,9 +16,10 @@ floor. An unbracketed pole block is refused on either path. The FFT path's
 per-grid plan cache must give warm calls the bits of cold ones, share one
 plan between the odd and the even transform of a spectrum, key on the
 grid's exact bytes, stay within its bound and hold nothing for a grid that
-runs the blocked operator. Last, both paths are held to the same discrete
-rule summed in 40 digits, on every row of small grids and sampled rows of
-large ones. kk_subtracted folds its full-axis integrand onto the same
+runs the blocked operator, and every plan member must keep the bits of a
+build by the plan's first, masked formulas. Last, both paths are held to
+the same discrete rule summed in 40 digits, on every row of small grids and
+sampled rows of large ones. kk_subtracted folds its full-axis integrand onto the same
 operator at twice the band span, and its section holds that caller to the
 same checks.
 """
@@ -30,7 +31,7 @@ from hypothesis import strategies as st
 
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit
-from kklab.kk import _at_infinity, _extend_axis
+from kklab.kk import _HEAD_NODES, _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
 from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _FOLDED_BAND_SPAN, _band, _estimator_weights,
@@ -282,6 +283,87 @@ def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
 def test_subtracted_plan_arrays_are_read_only(std_lorentz, fresh_plans):
     # the plan of kk_subtracted's wider band
     _assert_plan_read_only(std_lorentz, fresh_plans, _BAND_SPAN)
+
+
+def _reference_plan(nu, lo, hi, log_r, band):
+    """_folded_plan's members by their first formulas: the estimator weights
+    stacked from a scattered half grid, the slope weights summed on (N, 4)
+    stencils with every difference taken afresh, the kernel rows filled
+    through masks over the whole FFT length, and conv_nu multiplied by a
+    fancy-indexed copy of its kernel rows."""
+    ci = np.append(np.arange(0, nu.size - 1, 2), nu.size - 1)
+    full, half = simpson_weights(nu), np.zeros(nu.size)
+    half[ci] = simpson_weights(nu[ci])
+    h = np.diff(nu)
+    weights = np.stack([full, full - half, 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))])
+    hits = np.arange(lo, hi)
+    xs, poles = nu[hits[:, None] + np.arange(-2, 2)], nu[hits]
+    slope_w = np.zeros(xs.shape)
+    for j in range(4):
+        for m in range(4):
+            if m == j:
+                continue
+            term = 1.0 / (xs[:, j] - xs[:, m])
+            for k in range(4):
+                if k != j and k != m:
+                    term = term * (poles - xs[:, k]) / (xs[:, j] - xs[:, k])
+            slope_w[:, j] += term
+    n = hi - lo
+    size = 1 << (2 * n - 2).bit_length()
+    m = np.arange(size)
+    m[n:] -= size
+    x = log_r * m
+    inside = np.abs(m) < n
+    far = (np.abs(m) > band) & inside
+    near = inside & ~far & (m != 0)
+    kernels = np.zeros((6, size))
+    with np.errstate(over="ignore"):
+        kernels[0, far] = -1.0 / np.expm1(2.0 * x[far])
+        kernels[1, far] = -0.5 / np.sinh(x[far])
+        kernels[2, far] = -1.0 / np.expm1(x[far])
+    kernels[0, near] = 0.5 / (1.0 + np.exp(x[near]))
+    kernels[1, near] = -kernels[0, near]
+    kernels[3:] = np.abs(kernels[:3])
+    kernels = np.fft.rfft(kernels)
+    over_nu = weights[:, lo:hi] / nu[lo:hi]
+    conv_nu = np.fft.irfft(np.fft.rfft(over_nu, size) * kernels[[2, 2, 5]], size)
+    return (size, weights, slope_w, kernels[[0, 1, 3, 4]], over_nu, conv_nu[:, :n],
+            np.log(np.abs((nu[-1] - poles) / (nu[0] - poles))), _top_plan(nu, weights, lo, hi))
+
+
+def _same_bits(got, want) -> bool:
+    """Equal types, shapes and bytes, member by member through tuples."""
+    if isinstance(want, tuple):
+        return (type(got) is type(want) and len(got) == len(want)
+                and all(_same_bits(g, w) for g, w in zip(got, want)))
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+@pytest.fixture(scope="module", params=["csv 2896", "log 4096", "csv 16384", "0+log 2048"])
+def plan_grid(request, tmp_path_factory):
+    """A Lorentz spectrum on a 4-decade log grid, read back from CSV for
+    "csv"; "0+log" samples omega = 0 below it, as tools/lib_digests.py's
+    ZERO_GRID does."""
+    kind, n = request.param.split()
+    nu = np.geomspace(1e-2, 1e2, int(n) - (kind == "0+log"))
+    if kind == "0+log":
+        return _lorentz_on(np.r_[0.0, nu])
+    return _lorentz_on(nu, tmp_path_factory.mktemp("csv") / "l.csv" if kind == "csv" else None)
+
+
+@pytest.mark.parametrize("span", [_FOLDED_BAND_SPAN, _BAND_SPAN], ids=["folded", "subtracted"])
+def test_plan_members_keep_their_bits(plan_grid, fresh_plans, span):
+    nu = plan_grid.grid.values
+    nu_e = _extend_axis(nu, plan_grid.im, "odd", None)[0]
+    lo, hi = _HEAD_NODES, _HEAD_NODES + int(np.count_nonzero(nu > 0.0))
+    log_r = _geometric_log_ratio(nu_e[lo:hi])
+    args = nu_e, lo, hi, log_r, _band(log_r, span)
+    got, want = _folded_plan(nu_e.tobytes(), *args[1:]), _reference_plan(*args)
+    for i, (member, ref) in enumerate(zip(got, want)):
+        assert _same_bits(member, ref), f"plan member {i}"
+    # the lowest stencil reaches the head nodes: slope weights over 1e4
+    assert np.max(np.abs(got[2][0])) > 1e4
 
 
 def test_grid_one_ulp_off_builds_its_own_plan(std_lorentz, fresh_plans):
@@ -624,10 +706,13 @@ def test_subtracted_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path,
 
 @pytest.fixture(scope="module")
 def csv_subtracted_grids(tmp_path_factory):
-    """CSV Lorentz spectra on 4-decade log grids of 2048, 4096 and 8192
-    nodes: direct bands of 8, 16 and 32 nodes at kk_subtracted's span."""
+    """CSV Lorentz spectra on 4-decade log grids of 2048, 2896, 4096, 5793
+    and 8192 nodes: direct bands of 8, 12, 16, 23 and 32 nodes at
+    kk_subtracted's span. At 2896 and 5793 nodes the FFT length is not 2n
+    but the next power of two above it."""
     path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
-    return [_lorentz_on(np.geomspace(1e-2, 1e2, n), path) for n in (2048, 4096, 8192)]
+    return [_lorentz_on(np.geomspace(1e-2, 1e2, n), path)
+            for n in (2048, 2896, 4096, 5793, 8192)]
 
 
 @pytest.mark.parametrize("w0", W0S)

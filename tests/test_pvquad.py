@@ -112,7 +112,7 @@ def _rule_in_40_digits(mpmath, nu, f, w):
     k = np.flatnonzero(nu == w)
     f_w = float(f[k[0]]) if k.size else local_cubic_value(nu, f, w)
     sl = _stencil(nu, w)
-    slope_w = _cubic_weights(nu[None, sl], np.array([w]))[1][0]
+    slope_w = _cubic_weights(nu[sl, None], np.array([w]), slope=True)[:, 0]
     mpf = mpmath.mpf
     with mpmath.workdps(40):
         x, fs, full = ([mpf(v) for v in arr] for arr in (nu, f, simpson_weights(nu)))
@@ -425,7 +425,8 @@ def test_cubic_rule_reproduces_cubics(x0, gaps, scale, t, coef):
 
     f = np.array([exact(cubic, x) for x in xs])
     for x in [*xs, xs[0] + t * h]:
-        value, slope = (w[0] for w in _cubic_weights(xs[None, :], np.array([x])))
+        value, slope = (_cubic_weights(xs[:, None], np.array([x]), s)[:, 0]
+                        for s in (False, True))
         assert local_cubic_value(xs, f, x) == pytest.approx(
             exact(cubic, x), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
         assert local_cubic_slope(xs, f, x) == pytest.approx(

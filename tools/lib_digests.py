@@ -48,7 +48,10 @@ reads two such files, from two checkouts, and prints a line for every call
 whose outputs differ: for a transform max |dvalue| / max |value| and
 max |destimate| / max |estimate|; for an audit the report field that moved
 most, as |dfield| / |field|, or the fields that are not numbers; for a
-refusal both texts. It prints nothing for the lines whose outputs are equal.
+refusal both texts. It prints nothing for the lines whose outputs are equal,
+and last "N of M lines moved", a line only in one file counting as moved.
+It exits 1 when any line moved and 0 when none did, so a script can gate on
+it as on ``gate_sweep.py``.
 """
 
 from __future__ import annotations
@@ -210,38 +213,50 @@ def _report_change(old: str, new: str) -> str:
     return f"report {field[1:]} {change[field]:.2g}"
 
 
-def compare(old_path: str, new_path: str) -> None:
-    """Print how every call's outputs moved between two ``--save`` files."""
+def compare(old_path: str, new_path: str) -> int:
+    """Print how every call's outputs moved between two ``--save`` files, and
+    last "N of M lines moved"; return N."""
+    moved = 0
     with np.load(old_path) as old, np.load(new_path) as new:
-        lines = [key[2:] for key in new.files if key.startswith("v ")]
-        for line in [key[2:] for key in old.files if key.startswith("v ")]:
+        old_lines = [key[2:] for key in old.files if key.startswith("v ")]
+        new_lines = [key[2:] for key in new.files if key.startswith("v ")]
+        for line in old_lines:
             if f"v {line}" not in new.files:
                 print(f"{line}: only in {old_path}")
-        for line in lines:
-            if f"v {line}" not in old.files:
-                print(f"{line}: only in {new_path}")
-                continue
-            a, b = old[f"v {line}"], new[f"v {line}"]
-            if a.dtype.kind == "U" or b.dtype.kind == "U":
-                if a.tobytes() == b.tobytes():
-                    continue
-                if str(a).startswith("{") and str(b).startswith("{"):
-                    print(f"{line}: {_report_change(str(a), str(b))}")
-                else:
-                    print(f"{line}: {_text(a)} -> {_text(b)}")
-                continue
-            ea, eb = old[f"e {line}"], new[f"e {line}"]
-            if a.tobytes() != b.tobytes() or ea.tobytes() != eb.tobytes():
-                print(f"{line}: value {_relative(a, b)} estimate {_relative(ea, eb)}")
+                moved += 1
+        for line in new_lines:
+            change = _change(line, old, new, old_path, new_path)
+            if change:
+                print(f"{line}: {change}")
+                moved += 1
+    print(f"{moved} of {len(set(old_lines) | set(new_lines))} lines moved")
+    return moved
+
+
+def _change(line: str, old, new, old_path: str, new_path: str) -> str | None:
+    """How one line's outputs moved, or None where they are equal."""
+    if f"v {line}" not in old.files:
+        return f"only in {new_path}"
+    a, b = old[f"v {line}"], new[f"v {line}"]
+    if a.dtype.kind == "U" or b.dtype.kind == "U":
+        if a.tobytes() == b.tobytes():
+            return None
+        if str(a).startswith("{") and str(b).startswith("{"):
+            return _report_change(str(a), str(b))
+        return f"{_text(a)} -> {_text(b)}"
+    ea, eb = old[f"e {line}"], new[f"e {line}"]
+    if a.tobytes() != b.tobytes() or ea.tobytes() != eb.tobytes():
+        return f"value {_relative(a, b)} estimate {_relative(ea, eb)}"
+    return None
 
 
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--save", metavar="FILE.npz", help="also store every line's outputs")
     parser.add_argument("--compare", nargs=2, metavar=("OLD.npz", "NEW.npz"),
-                        help="print how the outputs moved between two saved runs")
+                        help="print how the outputs moved between two saved runs; exit 1 if any did")
     args = parser.parse_args()
     if args.compare:
-        compare(*args.compare)
+        sys.exit(1 if compare(*args.compare) else 0)
     else:
         print_digests(args.save)
