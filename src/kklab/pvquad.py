@@ -217,7 +217,7 @@ def _cubic_weights(xs: np.ndarray, x: np.ndarray, slope: bool) -> np.ndarray:
     apart = xs[:, None] - xs  # xs_j - xs_m
     # x on stencil node k on every row, as on the pole rows of the operators:
     # the slope terms with the factor x - xs_k are 0, and adding 0 moves no sum
-    zero = [not np.any(row) for row in to_x]
+    zero = [not np.any(row) for row in to_x] if slope else None
     out = np.zeros(xs.shape) if slope else np.ones(xs.shape)
     for j in range(4):
         others = [m for m in range(4) if m != j]
@@ -532,8 +532,8 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float, band: int) -> 
     the pole-free part of the split), (3, n) weights / w, their
     1/(nu - w) convolutions, the log terms and the :class:`_TopPlan` of the
     nodes above the block. The kernel rows are filled on slices of their
-    offsets and each spectrum is transformed once, with the bits of a build
-    through masks over the whole FFT length, which cost about a third more."""
+    offsets, and each spectrum is transformed once. Every member keeps the
+    bits of a build through masks over the whole FFT length."""
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
