@@ -177,13 +177,12 @@ def audit(s: ComplexIndexSpectrum, tail: TailModel | None = None,
     """
     assumptions = ["im_odd_assumed"]  # the round trip's folded transform presupposes it
 
-    fit_failed = False
     asym_re: float | None = None
     asym_re_unc: float | None = None
     try:
         asym_re, asym_re_unc = estimate_asymptote(s)
     except AsymptoteFitError:
-        fit_failed = True
+        pass
 
     asym_im: float | None = None
     asym_im_unc: float | None = None
@@ -209,7 +208,7 @@ def audit(s: ComplexIndexSpectrum, tail: TailModel | None = None,
         kk_res = None
 
     has_bands = len(band_nodes) > 0
-    if fit_failed or kk_res is None:
+    if asym_re is None or kk_res is None:
         verdict = Dichotomy.INCONCLUSIVE
     else:
         superluminal = asym_re < 1.0 - 3.0 * asym_re_unc

@@ -81,6 +81,7 @@ from . import NumericalError
 # for tools that wrap the quadrature entry points by name
 from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     _BAND_SPAN,
+    _EPS,
     _NODE_RTOL,
     TailModel,
     _fit_tail,
@@ -142,9 +143,9 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | Non
                  subtracted: bool = False) -> tuple[np.ndarray, np.ndarray, TailModel, TailModel]:
     """Extend sampled data to [0, 4*nu_max].
 
-    Returns the extended nodes and values, the tail model (``tail``, or
-    a power law fitted to the top decade above its noise floor, which
-    refuses p <= 1, or with ``subtracted`` only p <= 0) and that tail
+    Returns the extended nodes and values, the tail model (``tail``, or a
+    power law fitted to the top decade above max(noise floor, eps max|f|),
+    refusing p <= 1, or with ``subtracted`` only p <= 0) and that tail
     restarted at the extension cutoff, where the series completion takes
     over. Below the first positive node w_1 one head model, on the nodes 0,
     w_1/4 and w_1/2, takes the place of a sampled w = 0: ``odd`` -> the
@@ -154,7 +155,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | Non
     nodes on each side of every positive grid node.
     """
     if tail is None:
-        sel, floor = top_decade(nu), noise_floor(nu, f)
+        sel, floor = top_decade(nu), max(noise_floor(nu, f), _EPS * np.max(np.abs(f)))
         tail = (_fit_tail(nu[sel], f[sel], floor, subtracted=True) if subtracted
                 else fit_tail(nu[sel], f[sel], floor))
 
@@ -209,18 +210,18 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     cutoff = series_tail.cutoff
 
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
-    pos = nu > 0.0
-    w = nu[pos]
+    first = int(nu[0] == 0.0)  # the positive nodes are nu[first:]
+    w = nu[first:]
     s_even = tail_parity(series_tail, nu, odd=False)
     val, err = pv_folded_at_nodes(nu_e, g_e, -im_inf, _HEAD_NODES, _HEAD_NODES + w.size)
-    val += s_even[pos]
+    val += s_even[first:]
     if im_inf != 0.0:
         val += 0.5 * im_inf * np.log((cutoff - w) / (cutoff + w))
     out = np.empty(nu.size)
     errs = np.empty(nu.size)
-    out[pos] = re_inf + (2.0 / math.pi) * val
-    errs[pos] = (2.0 / math.pi) * err
-    if not pos[0]:
+    out[first:] = re_inf + (2.0 / math.pi) * val
+    errs[first:] = (2.0 / math.pi) * err
+    if first:
         # kernel degenerates to g(nu)/nu, regular when g is odd
         val0, err0 = simpson_estimate(difference_quotient(nu_e, g_e, 0.0, 0.0), nu_e)
         out[0] = re_inf + (2.0 / math.pi) * (val0 + s_even[0])
@@ -250,14 +251,14 @@ def kk_im_from_re(re: ComplexIndexSpectrum, tail: TailModel | None = None) -> Tr
     nu = re.grid.values
     nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", tail)
 
-    pos = nu > 0.0
-    w = nu[pos]
+    first = int(nu[0] == 0.0)  # the positive nodes are nu[first:]
+    w = nu[first:]
     val, err = pv_folded_at_nodes(nu_e, 0.0, h_e, _HEAD_NODES, _HEAD_NODES + w.size)
     s_odd = tail_parity(series_tail, w, odd=True)
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)
-    out[pos] = -(2.0 / math.pi) * (val + s_odd)
-    errs[pos] = (2.0 / math.pi) * err
+    out[first:] = -(2.0 / math.pi) * (val + s_odd)
+    errs[first:] = (2.0 / math.pi) * err
 
     spec = ComplexIndexSpectrum(re.grid, re.re, out)
     return TransformResult(spec, errs, tail, ("im_odd_assumed", "re_even_assumed"))
@@ -344,19 +345,19 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
             f"evaluation point {w!r} within two grid spacings of omega0 = {w0!r}")
     # the positive nodes are the pole block past the head of the half axis,
     # on K(nu) and K(-nu); a sampled w = 0 takes the scalar rule
-    pos = nu > 0.0
+    first = int(nu[0] == 0.0)
     centre = nu_e.size - 1
     k_pos, k_neg = kern[centre:], kern[centre::-1]
     lo, hi = _HEAD_NODES, nu_e.size - _TOP_EXTENSION_NODES
     k_w, w = k_pos[lo:hi], nu_e[lo:hi]
     val, err = np.empty(nu.size), np.empty(nu.size)
-    val[pos], err[pos] = pv_folded_at_nodes(nu_e, k_pos - k_neg, k_pos + k_neg, lo, hi,
-                                            _BAND_SPAN)
+    val[first:], err[first:] = pv_folded_at_nodes(nu_e, k_pos - k_neg, k_pos + k_neg, lo, hi,
+                                                  _BAND_SPAN)
     # K(w) D(w): the full-axis rule subtracts K(w) on the negative half too
     d_val, d_err = pv_folded_at_nodes(nu_e, 1.0, -1.0, lo, hi, _BAND_SPAN)
-    val[pos] += k_w * (d_val - np.log((nu_e[-1] + w) / w))
-    err[pos] += np.abs(k_w) * d_err
-    if not pos[0]:
+    val[first:] += k_w * (d_val - np.log((nu_e[-1] + w) / w))
+    err[first:] += np.abs(k_w) * d_err
+    if first:
         val[0], err[0] = simpson_estimate(
             difference_quotient(nu_full, kern, 0.0, kern[centre]), nu_full)
     ev = ~node & ~collide

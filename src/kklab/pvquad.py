@@ -19,8 +19,8 @@ nu - w and the pole-free numerator h over nu + w.
 :func:`pv_folded_at_nodes` gives the same sums for the folded integrands
 (nu a + w b)/(nu + w), whose partial fractions are g = (a + b)/2 and h =
 (a - b)/2: those of :mod:`kklab.kk`'s folded transforms and, by parity, of
-its subtracted relation on the full axis. It takes its poles as one block
-of nodes nu[lo:hi], which kk starts right after its 3 head nodes. On a
+its subtracted relation on the full axis. Every operator takes its poles
+as one block of nodes nu[lo:hi], which kk starts after its 3 head nodes. On a
 geometric block it takes the far part of its sums as FFT convolutions, in
 O(M log M) instead of O(N M), sums the near part directly, and caches the
 block's grid-only setup; any other grid goes to :func:`pv_at_nodes`. Of
@@ -305,15 +305,16 @@ def _finish(full, diff, abs_sum, offset):
     return full + offset, np.abs(diff) + 4.0 * _EPS * abs_sum
 
 
-def _pole_rows(nu: np.ndarray, hits: np.ndarray):
+def _pole_rows(nu: np.ndarray, lo: int, hi: int):
     """Estimator weights (3, M), stencil slope weights (N, 4) and log terms
-    ln|(b - w)/(a - w)| of the poles w = nu[hits], N >= 1 of them, which
-    must have >= 2 nodes on each side. The slope weights are column-major:
-    :func:`_pole_slopes` reads them a stencil column at a time."""
-    if hits.min() < 2 or hits.max() > nu.size - 3:
+    ln|(b - w)/(a - w)| of the poles w = nu[k], lo <= k < hi, each with >= 2
+    nodes on each side and the stencil nu[k - 2:k + 2]. The slope weights are
+    column-major: :func:`_pole_slopes` reads them a stencil column at a time."""
+    if lo < 2 or hi > nu.size - 2:
         raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
-    poles = nu[hits]
-    slope_w = _cubic_weights(nu[hits + np.arange(-2, 2)[:, None]], poles, slope=True).T
+    poles = nu[lo:hi]
+    stencils = np.stack([nu[lo + i:hi + i] for i in range(-2, 2)])
+    slope_w = _cubic_weights(stencils, poles, slope=True).T
     return (_estimator_weights(nu), slope_w,
             np.log(np.abs((nu[-1] - poles) / (nu[0] - poles))))
 
@@ -384,27 +385,23 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
     return QuadratureResult(*simpson_estimate(q, nu, log_term))
 
 
-def _pole_slopes(g, hits, slope_w) -> np.ndarray:
-    """The stencil slope of g at each pole w = nu[hits[k]]. The weights sum
-    to 0, so they are summed against g - g(w): at the lowest data node they
-    reach about 1e5 and would magnify the rounding of g itself into the
-    slope."""
-    g_at = g[hits]
-    # a stencil column at a time, summed left to right as np.sum sums the
-    # rows of an (N, 4) gather, which costs about twice as much
-    for i in range(4):
-        f = g.take(hits + (i - 2)) - g_at
-        f *= slope_w[:, i]
-        if i:
-            slope += f
-        else:
-            slope = f
+def _pole_slopes(g, lo, hi, slope_w) -> np.ndarray:
+    """The stencil slope of g at each pole w = nu[lo:hi] (:func:`_pole_rows`).
+    The weights sum to 0, so they are summed against g - g(w): at the lowest
+    data node they reach about 1e5 and would magnify the rounding of g
+    itself into the slope."""
+    g_at = g[lo:hi]
+    # a stencil column, a shifted slice of g, at a time, summed left to right
+    # as np.sum sums the rows of an (N, 4) array
+    slope = (g[lo - 2:hi - 2] - g_at) * slope_w[:, 0]
+    for i in range(1, 4):
+        slope += (g[lo + i - 2:hi + i - 2] - g_at) * slope_w[:, i]
     return slope
 
 
 def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray,
-                hits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P int [g(nu)/(nu - w) + h(nu)/(nu + w)] dnu at every pole w = nu[hits[k]].
+                lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """P int [g(nu)/(nu - w) + h(nu)/(nu + w)] dnu at every pole w in nu[lo:hi].
 
     ``g`` and ``h`` are arrays of nu's shape, the same for every pole. Only
     the g part has a pole, so the row of pole w sums the quotient
@@ -414,35 +411,33 @@ def pv_at_nodes(nu: np.ndarray, g: np.ndarray, h: np.ndarray,
     whose first term takes the stencil slope of g on the pole node, and the
     second its exact value h(w) / 2w there, plus the log term
     g(w) ln|(nu[-1] - w)/(nu[0] - w)|. Every pole needs >= 2 nodes on each
-    side. Row k gets, up to rounding, the value and error estimate of
+    side. Row k - lo gets, up to rounding, the value and error estimate of
     ``simpson_estimate(difference_quotient(nu, g, w, g(w)) + h / (nu + w),
     nu, log term)``. Rows are evaluated a block at a time in the same two
     buffers, so the operator holds about 2 * _BLOCK_ELEMENTS elements
     whatever the number of poles. Returns (values, error estimates).
     """
     nu = np.asarray(nu, dtype=float)
-    hits = np.asarray(hits, dtype=np.intp)
-    values, errors = np.empty(hits.size), np.empty(hits.size)
-    if hits.size == 0:
-        return values, errors
-    weights, slope_w, logs = _pole_rows(nu, hits)
-    slopes = _pole_slopes(g, hits, slope_w)
+    weights, slope_w, logs = _pole_rows(nu, lo, hi)
+    slopes = _pole_slopes(g, lo, hi, slope_w)
     # a C-contiguous copy: BLAS sums the transposed view in another order
     pair = np.ascontiguousarray(weights[:2].T)
-    poles, g_at = nu[hits], g[hits]
+    poles, g_at = nu[lo:hi], g[lo:hi]
+    values, errors = np.empty(poles.size), np.empty(poles.size)
     step = max(1, _BLOCK_ELEMENTS // nu.size)
     # two block buffers, reused by every block: fresh temporaries of this
     # size go back to the OS and fault in again, block after block
-    q_buf = np.empty((min(step, hits.size), nu.size))
+    q_buf = np.empty((min(step, poles.size), nu.size))
     work_buf = np.empty_like(q_buf)
-    for start in range(0, hits.size, step):
+    for start in range(0, poles.size, step):
         blk = slice(start, start + step)
-        k, w = hits[blk], poles[blk, None]
-        q, work = q_buf[:k.size], work_buf[:k.size]
+        w = poles[blk, None]
+        q, work = q_buf[:w.size], work_buf[:w.size]
         np.subtract(g, g_at[blk, None], out=q)
         with np.errstate(divide="ignore", invalid="ignore"):
             q /= np.subtract(nu, w, out=work)
-        q[np.arange(k.size), k] = slopes[blk]
+        # the pole nodes lo + start + i, on the diagonal from that column
+        np.fill_diagonal(q[:, lo + start:], slopes[blk])
         # no pole here: the pole node takes h(w) / 2w too
         q += np.divide(h, np.add(nu, w, out=work), out=work)
         sums = q @ pair
@@ -537,7 +532,7 @@ def _folded_plan(nu_bytes: bytes, lo: int, hi: int, log_r: float, band: int) -> 
     nu = np.frombuffer(nu_bytes)
     from numpy import fft  # on first use: ``import kklab`` stays without it
 
-    weights, slope_w, logs = _pole_rows(nu, np.arange(lo, hi))
+    weights, slope_w, logs = _pole_rows(nu, lo, hi)
     n = hi - lo
     # >= 2n - 1: no wrap-around. A power of two: a 3 2^a length built the
     # plan faster, but left kk_subtracted's sums at 11585 nodes and w0 = 0.5
@@ -593,7 +588,7 @@ def _near_sums(nu, weights, slope_w, lo, hi, band, g, h, top) -> np.ndarray:
     moves no sum.
     """
     f_at, n, w = g[lo:hi], hi - lo, nu[lo:hi]
-    slope = _pole_slopes(g, np.arange(lo, hi), slope_w) + h[lo:hi] / (2.0 * w)
+    slope = _pole_slopes(g, lo, hi, slope_w) + h[lo:hi] / (2.0 * w)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
     buf = np.empty((6, n))  # (q, q, |q|), d = nu - w, the numerator x of x / d, nu + w
 
@@ -729,7 +724,7 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int, hi: int,
     g, h = 0.5 * (a + b), 0.5 * (a - b)
     log_r = _geometric_log_ratio(nu[lo:hi])
     if log_r is None:
-        return pv_at_nodes(nu, g, h, np.arange(lo, hi))
+        return pv_at_nodes(nu, g, h, lo, hi)
     from numpy import fft
 
     band = _band(log_r, span)

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +23,7 @@ from kklab import (
     pvquad,
     resample,
 )
+from conftest import gaussian_closed_form
 
 
 def _sparse_top(extra):
@@ -203,6 +205,11 @@ def test_bands_match_node_loop(std_grid, seed):
     assert all(type(i) is int and type(j) is int for i, j in bands)
 
 
+def test_bands_need_a_nonnegative_floor(std_lorentz):
+    with pytest.raises(ValueError, match="floor must be >= 0"):
+        detect_amplification(std_lorentz, floor=-1e-12)
+
+
 def test_band_at_grid_edges(std_grid):
     im = np.full(std_grid.size, -0.5)
     s = ComplexIndexSpectrum(std_grid, np.ones_like(im), im)
@@ -262,6 +269,20 @@ def test_audit_noisy_lorentz_is_consistent():
         noisy = ComplexIndexSpectrum(g, s.re + 1e-6 * rng.standard_normal(g.size),
                                      s.im + 1e-6 * rng.standard_normal(g.size))
         assert audit(noisy).dichotomy == Dichotomy.CONSISTENT_WITH_UNITY
+
+
+@pytest.mark.parametrize("line", [(0.1, 3.0, 0.3), (0.05, 5.0, 1.0), (0.03, 4.5, 2.0)])
+def test_audit_gaussian_line_is_consistent(std_grid, line):
+    # Im n's top decade falls to rounding level: what lies under eps max|Im n|
+    # is not tail data. The first two lines read inconclusive before, their
+    # round trip's tail fit refusing the top decade; the third fitted p = 137
+    # to values down to 1e-300, and the tail series warned of an overflow in
+    # c^p. It now fits p = 55.6, on the values above rounding.
+    n = gaussian_closed_form(std_grid.values, *line)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = audit(ComplexIndexSpectrum(std_grid, n.real, n.imag))
+    assert rep.dichotomy is Dichotomy.CONSISTENT_WITH_UNITY
 
 
 def test_audit_constant_09(std_grid):

@@ -120,6 +120,16 @@ def test_transform_rejects_malformed_input_file(tmp_path, capsys, name, text, fl
     assert not out.exists()
 
 
+def test_validate_rejects_nested_json_arrays(tmp_path, capsys):
+    # equal lengths and finite, increasing rows: the grid's own guard refuses them
+    path, report = tmp_path / "in.json", tmp_path / "r.json"
+    path.write_text(json.dumps({"unit": "normalized", "omega": [[1, 2], [3, 4]],
+                                "re_n": [[1, 1], [1, 1]], "im_n": [[0, 0], [0, 0]]}))
+    assert main(["validate", "--in", str(path), "--out", str(report)]) == 2
+    assert capsys.readouterr().err == INPUT + "frequency grid must be one-dimensional\n"
+    assert not report.exists()
+
+
 def test_format_flag_overrides_extension(lorentz_csv, tmp_path):
     src, out = tmp_path / "in.dat", tmp_path / "out.dat"
     kklab.save_spectrum(kklab.load_spectrum(lorentz_csv, "csv"), src, "json")

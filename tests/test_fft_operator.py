@@ -35,9 +35,9 @@ from kklab.kk import _HEAD_NODES, _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
 from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _FOLDED_BAND_SPAN, _band, _estimator_weights,
-                          _finish, _pole_rows, _top_plan, _top_sums, _TopPlan,
+                          _finish, _top_plan, _top_sums, _TopPlan,
                           difference_quotient, simpson_estimate, simpson_weights)
-from conftest import lorentz_closed_form
+from conftest import lorentz_closed_form, rule_in_40_digits
 
 VALUE_ATOL = 1e-12
 ERROR_RTOL = 1e-3
@@ -61,7 +61,7 @@ def _folded(spec, direction):
 
 def _blocked(nu_e, a, b, lo, hi):
     a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
-    return pv_at_nodes(nu_e, (a + b) / 2, (a - b) / 2, np.arange(lo, hi))
+    return pv_at_nodes(nu_e, (a + b) / 2, (a - b) / 2, lo, hi)
 
 
 @pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
@@ -189,7 +189,7 @@ def test_lowest_pole_rows_keep_their_digits(tmp_path):
     g, h = 0.5 * (a + b), 0.5 * (a - b)
     want = [_long_double_row(nu_e, g, h, lo + k) for k in range(2)]
     for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi)[0][:2],
-                pv_at_nodes(nu_e, g, h, np.arange(lo, lo + 2))[0]):
+                pv_at_nodes(nu_e, g, h, lo, lo + 2)[0]):
         assert np.max(np.abs(got - np.array(want))) <= 1e-13
 
 
@@ -790,29 +790,6 @@ def test_zero_frequency_row_takes_the_scalar_rule(monkeypatch, fresh_plans):
 
 # --- the folded rule in 40 digits -----------------------------------------------
 
-def _rule_in_40_digits(mpmath, nu, g, h, rows):
-    """Rows ``rows`` of pv_at_nodes' rule for g and h with every quotient and
-    sum taken in 40 digits: the full Simpson sum of (g - g(w)) / (nu - w) +
-    h / (nu + w), w = nu[k], where the pole's own node takes the stencil
-    slope of g - g(w) in place of the first quotient, plus the log term
-    g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson and slope weights are the
-    operator's own floats."""
-    weights, slope_w, _ = _pole_rows(nu, rows)
-    mpf = mpmath.mpf
-    values = []
-    with mpmath.workdps(40):
-        x, g, h, full = ([mpf(v) for v in arr] for arr in (nu, g, h, weights[0]))
-        for k, slope in zip(rows, slope_w):
-            w, g_w = x[k], g[k]
-            terms = [w_j * h_j / (x_j + w) for w_j, h_j, x_j in zip(full, h, x)]
-            terms += [w_j * (g_j - g_w) / (x_j - w)
-                      for j, (w_j, g_j, x_j) in enumerate(zip(full, g, x)) if j != k]
-            terms += [full[k] * mpf(s) * (g[j] - g_w) for s, j in zip(slope, range(k - 2, k + 2))]
-            log = mpmath.log(abs((x[-1] - w) / (x[0] - w)))
-            values.append(float(mpmath.fsum(terms) + g_w * log))
-    return np.array(values)
-
-
 @pytest.fixture(scope="module", params=[128, 300, 2048, 4096, 8192])
 def csv_lorentz_rows(request, tmp_path_factory):
     """A CSV Lorentz spectrum and the rows checked on it: every row on the
@@ -841,7 +818,6 @@ def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
     # VALUE_ATOL. That gap is why kk_subtracted keeps the wider span. On
     # every row of the 128- and 300-node grids the FFT path sat up to
     # 2.9e-14 off the rule, the blocked operator 1.1e-14.
-    mpmath = pytest.importorskip("mpmath")
     spec, rows = csv_lorentz_rows
     if direction.startswith("subtracted"):
         w0 = 0.5 if direction.endswith("0.5") else 0.0
@@ -851,7 +827,8 @@ def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
     assert _geometric_log_ratio(nu_e[lo:hi]) is not None  # the FFT path runs
     a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
     g, h = 0.5 * (a + b), 0.5 * (a - b)
-    want = _rule_in_40_digits(mpmath, nu_e, g, h, lo + rows)
+    want = rule_in_40_digits(nu_e, g, nu_e[lo + rows], h)
+    # the blocked operator on each row as a block of one
     for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi, span)[0][rows],
-                pv_at_nodes(nu_e, g, h, lo + rows)[0]):
+                np.concatenate([pv_at_nodes(nu_e, g, h, k, k + 1)[0] for k in lo + rows])):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=VALUE_ATOL)

@@ -21,7 +21,7 @@ from kklab import (
     roundtrip_residual,
 )
 from kklab.kk import _extend_axis
-from conftest import interior_mask, lorentz_closed_form
+from conftest import gaussian_closed_form, interior_mask, lorentz_closed_form
 
 
 def _flat(grid, re=1.0, im=0.0):
@@ -141,6 +141,19 @@ def test_oscillating_tail_still_raises(std_grid, std_lorentz):
     s = ComplexIndexSpectrum(std_grid, std_lorentz.re, std_lorentz.im * np.cos(nu))
     with pytest.raises(TailFitError, match="sign"):
         kk_re_from_im(s)
+
+
+@pytest.mark.parametrize("line", [(0.1, 3.0, 0.3), (0.05, 5.0, 1.0)])
+def test_re_from_im_of_a_gaussian_line(std_grid, line):
+    # Im n's top decade holds values of 1e-64 or less, at a noise floor of
+    # 0: under eps max|Im n| they are rounding, an empty tail, and not data
+    # decaying faster than any power law (a TailFitError before). Errors
+    # read 1.8e-7 and 9.0e-9.
+    nu = std_grid.values
+    n = gaussian_closed_form(nu, *line)
+    re = kk_re_from_im(ComplexIndexSpectrum(std_grid, n.real, n.imag)).spectrum.re
+    inside = (nu >= 0.1) & (nu <= 10.0)
+    assert np.max(np.abs(re - n.real)[inside]) <= 1e-6
 
 
 def test_linearity_on_compact_bumps():

@@ -197,7 +197,13 @@ def test_subtracted_collision_names_first_node():
 def test_pv_at_nodes_needs_bracketed_poles():
     nu = np.linspace(0.0, 1.0, 16)
     with pytest.raises(kklab.PoleLocationError):
-        pv_at_nodes(nu, np.ones(nu.size), np.zeros(nu.size), np.array([1]))
+        pv_at_nodes(nu, np.ones(nu.size), np.zeros(nu.size), 1, 2)
+
+
+def test_pv_at_nodes_on_an_empty_block_returns_empty_arrays():
+    nu = np.linspace(0.0, 1.0, 16)
+    values, errors = pv_at_nodes(nu, np.ones(nu.size), np.zeros(nu.size), 5, 5)
+    assert values.shape == errors.shape == (0,)
 
 
 def test_pv_at_nodes_slices_a_one_row_last_block(monkeypatch):
@@ -207,9 +213,8 @@ def test_pv_at_nodes_slices_a_one_row_last_block(monkeypatch):
     monkeypatch.setattr(kklab.pvquad, "_BLOCK_ELEMENTS", 7 * nu.size)
     g = np.sin(nu) * np.exp(-0.1 * nu)
     h = np.cos(nu) / (1.0 + nu)
-    hits = np.arange(2, nu.size - 2)
-    values, errors = pv_at_nodes(nu, g, h, hits)
-    refs = np.array([_ref_rule(nu, g, h, w) for w in nu[hits]])
+    values, errors = pv_at_nodes(nu, g, h, 2, nu.size - 2)
+    refs = np.array([_ref_rule(nu, g, h, w) for w in nu[2:-2]])
     np.testing.assert_allclose(values, refs[:, 0], rtol=0.0, atol=VALUE_ATOL)
     np.testing.assert_allclose(errors, refs[:, 1], rtol=ERROR_RTOL)
 

@@ -14,6 +14,7 @@ from kklab import (
     NonIntegrableTailError,
     PoleIntegrand,
     PoleLocationError,
+    QuadratureResult,
     TailFitError,
     TailModel,
     fit_tail,
@@ -23,9 +24,9 @@ from kklab import (
     save_spectrum,
     tail_integral,
 )
-from kklab.pvquad import (_cubic_weights, _line_fit, _stencil, difference_quotient,
-                          local_cubic_slope, local_cubic_value, noise_floor, simpson_weights)
-from conftest import lorentz_closed_form
+from kklab.pvquad import (_cubic_weights, _line_fit, difference_quotient, local_cubic_slope,
+                          local_cubic_value, noise_floor, simpson_weights, tail_parity, top_decade)
+from conftest import gaussian_closed_form, lorentz_closed_form, rule_in_40_digits
 
 VALUE_ATOL = 1e-12  # the operators' bound against the rule in 40 digits
 
@@ -102,30 +103,6 @@ def test_non_uniform_log_grid():
 
 # --- the rule in 40 digits ---------------------------------------------------
 
-def _rule_in_40_digits(mpmath, nu, f, w):
-    """pv_integrate's rule for the pole w with every quotient and sum taken in
-    40 digits: the full Simpson sum of (f - f(w)) / (nu - w) plus the log term
-    f(w) ln|(nu[-1] - w)/(nu[0] - w)|. f(w) is f's node value on a node and
-    the local cubic's value between nodes; the pole's own node takes the
-    stencil slope of f - f(w) in place of the quotient. The Simpson and slope
-    weights are the operator's own floats."""
-    k = np.flatnonzero(nu == w)
-    f_w = float(f[k[0]]) if k.size else local_cubic_value(nu, f, w)
-    sl = _stencil(nu, w)
-    slope_w = _cubic_weights(nu[sl, None], np.array([w]), slope=True)[:, 0]
-    mpf = mpmath.mpf
-    with mpmath.workdps(40):
-        x, fs, full = ([mpf(v) for v in arr] for arr in (nu, f, simpson_weights(nu)))
-        w, f_w = mpf(w), mpf(f_w)
-        terms = [w_j * (f_j - f_w) / (x_j - w)
-                 for j, (w_j, f_j, x_j) in enumerate(zip(full, fs, x)) if j not in k]
-        if k.size:
-            stencil = range(sl.start, sl.stop)
-            slope = mpmath.fsum(mpf(s) * (fs[i] - f_w) for s, i in zip(slope_w, stencil))
-            terms.append(full[k[0]] * slope)
-        return float(mpmath.fsum(terms) + f_w * mpmath.log(abs((x[-1] - w) / (x[0] - w))))
-
-
 @pytest.fixture(scope="module")
 def csv_lorentz_300(tmp_path_factory):
     """The Lorentz spectrum on a 300-node log grid, read back from a CSV file."""
@@ -142,12 +119,10 @@ def test_pv_integrate_matches_its_rule_in_40_digits(csv_lorentz_300, part):
     # poles on the lowest and highest nodes a pole may take, on the two
     # nodes either side of the resonance at 1 and between; and midway
     # between nodes low, at the resonance and high
-    mpmath = pytest.importorskip("mpmath")
     nu, f = csv_lorentz_300.grid.values, getattr(csv_lorentz_300, part)
     poles = [*nu[[2, 75, 149, 150, 297]], *(0.5 * (nu[[3, 149, 295]] + nu[[4, 150, 296]]))]
     got = [pv_integrate(PoleIntegrand(nu, f, w)).value for w in poles]
-    want = [_rule_in_40_digits(mpmath, nu, f, w) for w in poles]
-    np.testing.assert_allclose(got, want, rtol=0.0, atol=VALUE_ATOL)
+    np.testing.assert_allclose(got, rule_in_40_digits(nu, f, poles), rtol=0.0, atol=VALUE_ATOL)
 
 
 # --- pole placement errors --------------------------------------------------
@@ -384,6 +359,48 @@ def test_tail_model_validation():
         TailModel(2.0, 1.0, -1.0)
     # exponent 1 is constructible: the combined kernel stays integrable
     TailModel(1.0, 1.0, 10.0)
+
+
+TAIL_NU = np.geomspace(10.0, 100.0, 16)
+# the top decade of a Gaussian line (0.1, 3, 0.3) on 2048 log nodes on
+# 0.01-100: values of 1e-64 down to 0
+LOG_NU = np.geomspace(1e-2, 1e2, 2048)
+TOP = top_decade(LOG_NU)
+GAUSSIAN_TOP = LOG_NU[TOP], gaussian_closed_form(LOG_NU, 0.1, 3.0, 0.3).imag[TOP]
+# a pole 1e-9 below the cutoff: the series ratio is 1 - 1e-9
+NEAR_CUTOFF = TailModel(2.0, 1.0, 1.0), 1.0 - 1e-9
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: PoleIntegrand(np.arange(3.0), np.zeros(3), 0.5), ValueError, "need >= 4 nodes"),
+    (lambda: PoleIntegrand(np.arange(5.0), np.zeros(4), 0.5), ValueError,
+     "values must match node count"),
+    (lambda: PoleIntegrand(np.arange(5.0), np.r_[0.0, np.nan, 0.0, 0.0, 0.0], 0.5), ValueError,
+     "nodes and values must be finite"),
+    (lambda: PoleIntegrand(np.r_[0.0, 1.0, 1.0, 2.0, 3.0], np.zeros(5), 0.5), ValueError,
+     "nodes must be strictly increasing"),
+    (lambda: PoleIntegrand(np.arange(5.0), np.zeros(5), np.nan), ValueError,
+     "pole must be finite"),
+    (lambda: TailModel(2.0, np.inf, 10.0), ValueError, "tail parameters must be finite"),
+    (lambda: QuadratureResult(1.0, -1e-300), ValueError, "error_estimate must be >= 0"),
+    (lambda: simpson_weights(np.arange(2.0)), ValueError, "Simpson weights need >= 3 nodes"),
+    (lambda: fit_tail(np.linspace(0.0, 100.0, 16), np.ones(16)), TailFitError,
+     "tail nodes must be positive and strictly increasing"),
+    (lambda: fit_tail(np.r_[TAIL_NU[:8], TAIL_NU[7:]], np.ones(17)), TailFitError,
+     "tail nodes must be positive and strictly increasing"),
+    (lambda: fit_tail(TAIL_NU, np.where(np.arange(16) == 3, 1.0, 0.0)), TailFitError,
+     "too few samples above the floor"),
+    (lambda: fit_tail(*GAUSSIAN_TOP), TailFitError, "decay far faster than any power law"),
+    (lambda: tail_integral(*NEAR_CUTOFF), ValueError, "tail series failed to converge"),
+    (lambda: tail_parity(NEAR_CUTOFF[0], np.array([NEAR_CUTOFF[1]]), False), ValueError,
+     "too close to 1"),
+], ids=["integrand 3 nodes", "integrand shapes", "integrand nan", "integrand nodes repeat",
+        "integrand nan pole", "tail model inf", "negative estimate", "simpson 2 nodes",
+        "tail node 0", "tail nodes repeat", "one tail sample", "gaussian top decade",
+        "tail series", "tail parity series"])
+def test_input_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # --- semi-infinite composition ---------------------------------------------

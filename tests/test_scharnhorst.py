@@ -113,6 +113,17 @@ def test_ratio_infinite_without_shift(L, constants):
 
 # --- invariant length ---------------------------------------------------------------
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: invariant_length(0.0, C), "target_ratio must be > 0"),
+    (lambda: invariant_length(-1e-6, C), "target_ratio must be > 0"),
+    (lambda: invariant_length(1e-6, PhysicalConstants(k_coeff=0.0)),
+     "k_coeff = 0: no length reaches a positive shift"),
+], ids=["target 0", "target negative", "k_coeff 0"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_invariant_length_anchor_inversion():
     assert invariant_length(KA2, C) == pytest.approx(C.lambda_c, rel=1e-12)
 

@@ -247,6 +247,22 @@ def test_resample_lorentz_against_closed_form():
     assert np.max(np.abs(out.im - exact.im)) < 1e-4
 
 
+SI = FrequencyGrid.linear(1.0, 2.0, 16)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: FrequencyGrid(np.ones((2, 8))), "frequency grid must be one-dimensional"),
+    (lambda: AbsorptionSpectrum(SI, np.ones(15)), "alpha0 must have grid length 16"),
+    (lambda: AbsorptionSpectrum(SI, np.r_[np.ones(15), np.inf]), "alpha0 entries must be finite"),
+    (lambda: im_from_absorption(AbsorptionSpectrum(FrequencyGrid(SI.values, GridUnit.NORMALIZED),
+                                                   np.ones(16)), PhysicalConstants()),
+     "absorption conversion needs an si_rad_per_s grid"),
+], ids=["grid 2-d", "alpha0 length", "alpha0 inf", "normalized absorption"])
+def test_input_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_resample_refuses_extrapolation():
     g = FrequencyGrid.linear(1.0, 2.0, 16, GridUnit.NORMALIZED)
     s = ComplexIndexSpectrum(g, np.ones(16), np.zeros(16))

@@ -27,29 +27,46 @@ timed run, so a numerical change shows its effect on them untimed. A
 workload with more than one direction (``cli_large``) also gets a line of
 the largest oracle error per direction, so a change to one transform is
 not hidden under another's maximum.
+
+Last comes a class that no workload holds: 300 seeded Gaussian absorption
+lines (``gaussian_closed_form`` in ``tests/conftest.py``), draw i from
+``np.random.default_rng(i)``. Each draws an amplitude A = 10^U(-2, -0.5), a
+centre nu0 = 10^U(-0.7, 0.7), a width s = nu0 10^U(-2, -0.3) and
+round(10^U(log10 512, log10 4096)) log nodes on 0.01-100; odd draws add
+white noise of sigma = 10^U(-9, -4) to both parts. A draw passes when
+``audit`` raises nothing, warnings included, and reads
+``consistent_with_unity``. Its total line also gives the largest
+re-from-im error against the closed form on the interior nodes
+(``interior_mask``) of the clean draws, reported and not gated.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import math
 import sys
 import tempfile
 import traceback
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parents[1]
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import checks  # noqa: E402
 import schedule  # noqa: E402
 import worker  # noqa: E402
-from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit  # noqa: E402
+from conftest import gaussian_closed_form, interior_mask  # noqa: E402
+from kklab import (ComplexIndexSpectrum, Dichotomy, FrequencyGrid, GridUnit, audit,  # noqa: E402
+                   kk_re_from_im)
 from kklab.cli import main  # noqa: E402
 
 # workload -> (seeds, cycles)
 SWEEPS = {"audit_batch": (range(10), 20), "cli_large": (range(5), 10)}
+GAUSSIAN_DRAWS = 300
 
 
 def audit_outcome(req: dict, tmp: Path) -> dict:
@@ -100,6 +117,43 @@ def sweep(workload: str, tmp: Path) -> tuple[int, int, dict[str, float], int, in
     return failed, attempted, err, hit, total
 
 
+def gaussian_draw(i: int) -> tuple[tuple[float, float, float], float, ComplexIndexSpectrum]:
+    """Draw i of the Gaussian class: the line (A, nu0, s), the noise sigma
+    (0 on even draws) and the spectrum."""
+    rng = np.random.default_rng(i)
+    amplitude, centre = 10.0 ** rng.uniform(-2.0, -0.5), 10.0 ** rng.uniform(-0.7, 0.7)
+    line = amplitude, centre, centre * 10.0 ** rng.uniform(-2.0, -0.3)
+    nu = np.geomspace(1e-2, 1e2, round(10.0 ** rng.uniform(math.log10(512), math.log10(4096))))
+    index = gaussian_closed_form(nu, *line)
+    re, im, sigma = index.real, index.imag, 0.0
+    if i % 2:
+        sigma = 10.0 ** rng.uniform(-9.0, -4.0)
+        re, im = re + sigma * rng.standard_normal(nu.size), im + sigma * rng.standard_normal(nu.size)
+    return line, sigma, ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), re, im)
+
+
+def gaussian_sweep() -> tuple[int, float]:
+    """(failed draws, max interior re-from-im error of the clean draws)."""
+    failed, err = 0, 0.0
+    for i in range(GAUSSIAN_DRAWS):
+        line, sigma, spec = gaussian_draw(i)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verdict = audit(spec).dichotomy
+        except Exception as exc:
+            verdict = "".join(traceback.format_exception_only(type(exc), exc)).strip()
+        if verdict is not Dichotomy.CONSISTENT_WITH_UNITY:
+            failed += 1
+            print(f"gaussian draw {i} (A, nu0, s = {', '.join(f'{x:.4g}' for x in line)}, "
+                  f"n {spec.grid.size}, sigma {sigma:.3g}): {verdict}", flush=True)
+        elif not sigma:  # the audit's round trip is the cached transform
+            inside = interior_mask(spec.grid)
+            want = gaussian_closed_form(spec.grid.values, *line).real
+            err = max(err, float(np.max(np.abs(kk_re_from_im(spec).spectrum.re - want)[inside])))
+    return failed, err
+
+
 def run() -> int:
     failures = 0
     with tempfile.TemporaryDirectory() as tmp:
@@ -114,7 +168,10 @@ def run() -> int:
                       + "; ".join(f"{what} {e:.6g}" for what, e in sorted(err.items())),
                       flush=True)
             failures += failed
-    return 1 if failures else 0
+    failed, err = gaussian_sweep()
+    print(f"gaussian: {failed} failed of {GAUSSIAN_DRAWS} draws; re-from-im interior error "
+          f"max {err:.6g} over the clean draws", flush=True)
+    return 1 if failures + failed else 0
 
 
 if __name__ == "__main__":
