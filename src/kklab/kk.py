@@ -55,15 +55,11 @@ the full-axis Simpson panels break at 0, the result is the full-axis
 rule's. Its tails on the two half-axes sum to the even part of the tail
 series.
 Data grids are extended at both ends before integrating: below the first
-positive node by one head model, odd (linear) or even (parabolic), on 4
+positive node by one head model, odd (linear) or even (parabolic), on 3
 nodes that take the place of a sampled nu = 0, and up to 4x the top node
 with the fitted power-law tail, so every positive grid node is a strictly
 interior pole and every transform's pole block starts right after the
-head. Beyond the extension the tail is summed in closed form. The folded
-transforms' error estimates add a tail term to the Simpson pair's: how far
-the tail's contribution moves when the power law is refitted on parts of
-the top decade (:func:`_tail_spread`), an error no refinement of the grid
-removes.
+head. Beyond the extension the tail is summed in closed form.
 
 An audit's round trip is the transform its caller asks for next, so
 :func:`kk_subtracted_at_infinity` keeps its last two results, keyed on the
@@ -89,7 +85,6 @@ from .pvquad import (  # noqa: F401 (pv_integrate, tail_integral)
     _NODE_RTOL,
     TailModel,
     _fit_tail,
-    _line_fit,
     difference_quotient,
     fit_tail,
     noise_floor,
@@ -114,16 +109,8 @@ __all__ = [
 
 _TOP_EXTENSION_FACTOR = 4.0
 _TOP_EXTENSION_NODES = 48
-# nodes of the head model below the first positive node: 0, w_1/4, w_1/2 and
-# 3 w_1/4. With w_1 they close two even Simpson panels, and the data's own
-# panels start at w_1. Three head nodes left the panel (w_1/2, w_1, w_1 r),
-# of fixed width: its error did not fall under refinement (1.38e-5 at
-# nu = 0.0316 in im-from-re of Lorentz (2, 1, 0.12) from 4096 to 16384 nodes).
-_HEAD_NODES = 4
-# the tail term's refit windows, as fractions of the top node, and the powers
-# of x^2 <= 1/4 its series sums: (1/4)^6 leaves 2.4e-4 of the term
-_REFIT_WINDOWS = ((0.1, 0.5), (0.2, 1.0))
-_SPREAD_TERMS = 6
+# nodes of the head model below the first positive node: 0, w_1/4 and w_1/2
+_HEAD_NODES = 3
 # results of kk_subtracted_at_infinity kept at once (about 128 KB each at 4096
 # nodes): "audit, then transform the same spectrum" needs one, so two suffice
 _RESULT_CACHE_SIZE = 2
@@ -161,7 +148,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | Non
     refusing p <= 1, or with ``subtracted`` only p <= 0) and that tail
     restarted at the extension cutoff, where the series completion takes
     over. Below the first positive node w_1 one head model, on the nodes 0,
-    w_1/4, w_1/2 and 3 w_1/4, takes the place of a sampled w = 0: ``odd`` -> the
+    w_1/4 and w_1/2, takes the place of a sampled w = 0: ``odd`` -> the
     line through (0, f(0)) and (w_1, f(w_1)), f(0) = 0 unless the grid
     samples it; ``even`` -> the zero-slope parabola through the first two
     samples. So every pole block starts at node _HEAD_NODES, with >= 2
@@ -174,7 +161,7 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | Non
 
     first = int(nu[0] == 0.0)  # index of the first positive node
     w1 = nu[first]
-    head_nu = w1 * np.array([0.0, 0.25, 0.5, 0.75])
+    head_nu = np.array([0.0, w1 / 4.0, w1 / 2.0])
     if kind == "odd":
         f0 = f[0] if first else 0.0
         head_f = f0 + ((f[first] - f0) / w1) * head_nu
@@ -188,51 +175,6 @@ def _extend_axis(nu: np.ndarray, f: np.ndarray, kind: str, tail: TailModel | Non
     nu_e = np.concatenate([head_nu, nu[first:], hi_nodes])
     f_e = np.concatenate([head_f, f[first:], tail.amplitude * hi_nodes ** (-tail.exponent)])
     return nu_e, f_e, tail, TailModel(tail.exponent, tail.amplitude, cutoff)
-
-
-def _tail_spread(nu: np.ndarray, f: np.ndarray, tail: TailModel, odd: bool) -> np.ndarray:
-    """Tail term of a folded transform's error estimate at every node w of
-    nu (no 2/pi): the largest change, over refits of the power law to the
-    samples above the fit's floor on [nu_max/10, nu_max/2] and on
-    [nu_max/5, nu_max], of the fitted ``tail``'s integral
-
-        int_{nu_max}^inf f(nu) k(nu, w) dnu,   k = nu / (nu^2 - w^2), or with
-                                               ``odd``, w / (nu^2 - w^2),
-
-    as :func:`~kklab.pvquad.tail_parity`'s series from nu_max, in the model
-    difference, with x = w / nu_max held at 1/2 or below: the rows above,
-    in the top half-decade, take the value at nu_max/2. A refit needs 2
-    samples and a decaying power. The top decade's departure from one power
-    law (on a Lorentz its 1/nu^4 term) biases the fit by about as much
-    everywhere on the grid, and the Simpson pair cannot see it."""
-    top = nu[-1]
-    floor = max(noise_floor(nu, f), _EPS * np.max(np.abs(f)))
-    # the top decade's samples above the floor, in logs; the windows lie in it
-    start = int(np.searchsorted(nu, top / 10.0))
-    keep = np.abs(f[start:]) > floor
-    log_nu, log_f = np.log(nu[start:][keep]), np.log(np.abs(f[start:][keep]))
-    powers = int(odd) + 2.0 * np.arange(_SPREAD_TERMS)
-    fitted = tail.amplitude / top ** tail.exponent  # the tail at nu_max
-    coef = []
-    for lo, hi in _REFIT_WINDOWS:
-        window = slice(np.searchsorted(log_nu, math.log(lo * top)),
-                       np.searchsorted(log_nu, math.log(hi * top), "right"))
-        if window.stop - window.start < 2:
-            continue
-        intercept, slope, _, _ = _line_fit(log_nu[window], log_f[window])
-        if slope < 0.0:
-            refit = math.copysign(math.exp(intercept + slope * math.log(top)), tail.amplitude)
-            coef.append(refit / (powers - slope) - fitted / (powers + tail.exponent))
-    if not coef:
-        return np.zeros(nu.size)
-    # the series in x^2 against every refit's coefficients at once
-    x = np.minimum(nu / top, 0.5)
-    series = np.empty((_SPREAD_TERMS, nu.size))
-    series[0] = x if odd else 1.0
-    y = x * x
-    for k in range(1, _SPREAD_TERMS):
-        np.multiply(series[k - 1], y, series[k])
-    return np.max(np.abs(np.array(coef) @ series), axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -264,9 +206,7 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     on the grid and Im n of these bytes, with the tail it used."""
     nu, g = np.frombuffer(nu_bytes), np.frombuffer(im_bytes)
     re_inf, im_inf = float.fromhex(re_inf_hex), float.fromhex(im_inf_hex)
-    fitted = tail is None
     nu_e, g_e, tail, series_tail = _extend_axis(nu, g, "odd", tail)
-    spread = _tail_spread(nu, g, tail, odd=False) if fitted else np.zeros(nu.size)
     cutoff = series_tail.cutoff
 
     # per node: P int_0^inf [nu g - w im_inf]/(nu^2 - w^2) dnu (no 2/pi)
@@ -280,12 +220,12 @@ def _at_infinity(nu_bytes: bytes, im_bytes: bytes, re_inf_hex: str, im_inf_hex: 
     out = np.empty(nu.size)
     errs = np.empty(nu.size)
     out[first:] = re_inf + (2.0 / math.pi) * val
-    errs[first:] = (2.0 / math.pi) * (err + spread[first:])
+    errs[first:] = (2.0 / math.pi) * err
     if first:
         # kernel degenerates to g(nu)/nu, regular when g is odd
         val0, err0 = simpson_estimate(difference_quotient(nu_e, g_e, 0.0, 0.0), nu_e)
         out[0] = re_inf + (2.0 / math.pi) * (val0 + s_even[0])
-        errs[0] = (2.0 / math.pi) * (err0 + spread[0])
+        errs[0] = (2.0 / math.pi) * err0
     out.flags.writeable = errs.flags.writeable = False
     return out, errs, tail
 
@@ -309,9 +249,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, tail: TailModel | None = None) -> Tr
     the fitted exponent is not integrable.
     """
     nu = re.grid.values
-    fitted = tail is None
     nu_e, h_e, tail, series_tail = _extend_axis(nu, re.re - 1.0, "even", tail)
-    spread = _tail_spread(nu, re.re - 1.0, tail, odd=True) if fitted else np.zeros(nu.size)
 
     first = int(nu[0] == 0.0)  # the positive nodes are nu[first:]
     w = nu[first:]
@@ -320,7 +258,7 @@ def kk_im_from_re(re: ComplexIndexSpectrum, tail: TailModel | None = None) -> Tr
     out = np.zeros(nu.size)
     errs = np.zeros(nu.size)
     out[first:] = -(2.0 / math.pi) * (val + s_odd)
-    errs[first:] = (2.0 / math.pi) * (err + spread[first:])
+    errs[first:] = (2.0 / math.pi) * err
 
     spec = ComplexIndexSpectrum(re.grid, re.re, out)
     return TransformResult(spec, errs, tail, ("im_odd_assumed", "re_even_assumed"))
@@ -358,7 +296,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     negative-frequency half is synthesized from G(-nu) = conj(G(nu)).
 
     Per node: w == w0 returns Re G(w0) by continuity, and so does a node
-    within 1e-13 max|nu| of w0, where K takes its stencil slope as on w0's
+    within 1e-13 max|nu| of w0, where K takes its cubic slope as on w0's
     own node. For a w0 between nodes, 0 < |w - w0| below two local grid
     spacings is the ill-conditioned collision zone, which raises
     :class:`PoleCollisionError` by default or, with
@@ -397,7 +335,7 @@ def kk_subtracted(g: ComplexIndexSpectrum, omega0: float, g0_re: float, g0_im: f
     kern = difference_quotient(nu_full, gi_full, w0, g0_im)
 
     dr = nu - w0
-    # the nodes that K treats as w0's own, with its stencil slope
+    # the nodes that K treats as w0's own, with its cubic slope
     node = np.abs(dr) <= _NODE_RTOL * np.max(np.abs(nu_full))
     gaps = np.diff(nu)  # local spacing: to the node below (above, for the first)
     collide = ~np.any(node) & (np.abs(dr) < 2.0 * np.concatenate([gaps[:1], gaps]))

@@ -20,16 +20,15 @@ nu - w and the pole-free numerator h over nu + w.
 (nu a + w b)/(nu + w), whose partial fractions are g = (a + b)/2 and h =
 (a - b)/2: those of :mod:`kklab.kk`'s folded transforms and, by parity, of
 its subtracted relation on the full axis. Every operator takes its poles
-as one block of nodes nu[lo:hi], which kk starts after its 4 head nodes. On a
+as one block of nodes nu[lo:hi], which kk starts after its 3 head nodes. On a
 geometric block it takes the far part of its sums as FFT convolutions, in
 O(M log M) instead of O(N M), sums the near part directly, and caches the
 block's grid-only setup; any other grid goes to :func:`pv_at_nodes`. Of
 the near part, the top-extension nodes lie above every pole: on the rows
 up to a quarter of the lowest of them their kernels are power series in
 the pole, the far-field expansion of fast multipole methods, summed
-against the data's moments. All of them take g'(w) on a pole's own node
-as the slope of the quartic through the five nodes centred on it, g(w)
-between nodes (:func:`pv_integrate` alone) from the cubic through its four
+against the data's moments. All of them take g(w) and g'(w) at the pole
+from one cubic rule, the Lagrange value and slope weights of its four
 nearest nodes, h / (nu + w) at its exact value on every node, and give
 one error estimate (:func:`simpson_estimate`): the full-grid Simpson sum
 less the every-other-node one, taken as one sum against the difference of
@@ -74,7 +73,7 @@ _EPS = np.finfo(float).eps
 _BLOCK_ELEMENTS = 1 << 16
 _NOISE_SIGMAS = 5.0
 # a node within this distance of a pole, relative to the largest |nu|, is the
-# pole's own node: its quotient takes the stencil slope there
+# pole's own node: its quotient takes the cubic slope there
 _NODE_RTOL = 1e-13
 # A pole block is geometric when every node lies within this relative
 # distance of nu_0 r^j. Log grids, read back from CSV or not, deviate by up to
@@ -198,7 +197,7 @@ class QuadratureResult:
 
 
 # ---------------------------------------------------------------------------
-# Local interpolation: a pole's value between nodes, its slope on a node
+# Local cubic interpolation (pole value / derivative between or at nodes)
 # ---------------------------------------------------------------------------
 
 def _stencil(nu: np.ndarray, x: float) -> slice:
@@ -207,52 +206,47 @@ def _stencil(nu: np.ndarray, x: float) -> slice:
     lo = max(0, min(i - 2, nu.size - 4))
     return slice(lo, lo + 4)
 
-def _cubic_weights(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _cubic_weights(xs: np.ndarray, x: np.ndarray, slope: bool) -> np.ndarray:
     """(4, N) weights at the points x (N,) of the cubic through the stencils
     xs (4, N), a row per stencil node: the Lagrange basis l_j(x) = prod_{m != j}
-    (x - xs_m)/(xs_j - xs_m), the product over m in ascending order."""
+    (x - xs_m)/(xs_j - xs_m) or, with ``slope``, its slope l_j'(x) =
+    sum_{m != j} 1/(xs_j - xs_m) prod_{k != j, m} (x - xs_k)/(xs_j - xs_k).
+    Every difference is taken once, on contiguous rows; the products and the
+    sum run over m and k in ascending order."""
     to_x = x - xs  # x - xs_k
-    out = np.ones(xs.shape)
+    apart = xs[:, None] - xs  # xs_j - xs_m
+    # x on stencil node k on every row, as on the pole rows of the operators:
+    # the slope terms with the factor x - xs_k are 0, and adding 0 moves no sum
+    zero = [not np.any(row) for row in to_x] if slope else None
+    out = np.zeros(xs.shape) if slope else np.ones(xs.shape)
     for j in range(4):
-        for m in range(4):
-            if m != j:
-                out[j] *= to_x[m] / (xs[j] - xs[m])
-    return out
-
-def _slope_weights(xs: np.ndarray, c: int) -> np.ndarray:
-    """Weights of the slope at the node xs[c] of the polynomial through the
-    stencils xs (S, N): a row per other stencil node j, in order,
-
-        l_j'(x_c) = 1/(x_j - x_c) prod_{k != j, c} (x_c - x_k)/(x_j - x_k).
-
-    With every weight l_c'(x_c) = -sum_j l_j'(x_c), a slope is summed
-    against f - f(x_c), and x_c's own term drops out."""
-    others = [j for j in range(xs.shape[0]) if j != c]
-    out = np.empty((len(others),) + xs.shape[1:])
-    for row, j in zip(out, others):
-        row[...] = 1.0 / (xs[j] - xs[c])
-        for k in others:  # ascending, a factor then a divisor at a time
-            if k != j:
-                row *= xs[c] - xs[k]
-                row /= xs[j] - xs[k]
+        others = [m for m in range(4) if m != j]
+        for m in others:
+            rest = [k for k in others if k != m]
+            if not slope:
+                out[j] *= to_x[m] / apart[j, m]
+            elif not any(zero[k] for k in rest):
+                term = 1.0 / apart[j, m]
+                for k in rest:
+                    term *= to_x[k]
+                    term /= apart[j, k]
+                out[j] += term
     return out
 
 def local_cubic_value(nu: np.ndarray, f: np.ndarray, x: float) -> float:
     """Cubic Lagrange interpolation of f at x through the 4 nearest nodes."""
     sl = _stencil(nu, x)
-    return float(_cubic_weights(nu[sl, None], np.array([x]))[:, 0] @ f[sl])
+    return float(_cubic_weights(nu[sl, None], np.array([x]), slope=False)[:, 0] @ f[sl])
 
-def node_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
-    """Derivative of f at the node nearest x, of the quartic through the 5
-    nodes centred on it (clipped to the array; all of them on 4 nodes),
-    summed as :func:`pv_at_nodes` sums g's slope on its pole nodes: against
-    f less its value there, left to right."""
-    c = int(np.argmin(np.abs(nu - x)))
-    lo = max(0, min(c - 2, nu.size - 5))
-    sl = slice(lo, lo + 5)
-    fs = f[sl] - f[c]
-    weights = _slope_weights(nu[sl, None], c - lo)[:, 0]
-    return float(np.sum(weights * np.delete(fs, c - lo)))
+def local_cubic_slope(nu: np.ndarray, f: np.ndarray, x: float) -> float:
+    """Derivative at x of the cubic through the 4 nearest nodes, summed as
+    :func:`pv_at_nodes` sums g's slope on its pole nodes: the weights sum to
+    0, so they take the stencil values less the third, the node at or just
+    above x unless the stencil is clipped at an end."""
+    sl = _stencil(nu, x)
+    fs = f[sl]
+    return float(np.sum(_cubic_weights(nu[sl, None], np.array([x]), slope=True)[:, 0]
+                        * (fs - fs[2])))
 
 
 # ---------------------------------------------------------------------------
@@ -314,15 +308,13 @@ def _finish(full, diff, abs_sum, offset):
 def _pole_rows(nu: np.ndarray, lo: int, hi: int):
     """Estimator weights (3, M), stencil slope weights (N, 4) and log terms
     ln|(b - w)/(a - w)| of the poles w = nu[k], lo <= k < hi, each with >= 2
-    nodes on each side and the centred stencil nu[k - 2:k + 3]: the slope
-    weights of its nodes k - 2, k - 1, k + 1 and k + 2 (:func:`_slope_weights`).
-    They are column-major: :func:`_pole_slopes` reads them a stencil column
-    at a time."""
+    nodes on each side and the stencil nu[k - 2:k + 2]. The slope weights are
+    column-major: :func:`_pole_slopes` reads them a stencil column at a time."""
     if lo < 2 or hi > nu.size - 2:
         raise PoleLocationError("every pole must be bracketed by >= 2 nodes on each side")
     poles = nu[lo:hi]
-    stencils = np.stack([nu[lo + i:hi + i] for i in range(-2, 3)])
-    slope_w = _slope_weights(stencils, 2).T
+    stencils = np.stack([nu[lo + i:hi + i] for i in range(-2, 2)])
+    slope_w = _cubic_weights(stencils, poles, slope=True).T
     return (_estimator_weights(nu), slope_w,
             np.log(np.abs((nu[-1] - poles) / (nu[0] - poles))))
 
@@ -344,12 +336,12 @@ def simpson_estimate(q: np.ndarray, nu: np.ndarray,
 
 def difference_quotient(nu: np.ndarray, f: np.ndarray, x: float, fx: float) -> np.ndarray:
     """(f - fx)/(nu - x), the regular integrand of the singularity-subtracted
-    rule, with the slope at x (:func:`node_slope`) on every node within
-    1e-13 max|nu| of x, where :func:`pv_integrate` puts a pole on a node."""
+    rule, with the cubic slope at x (:func:`local_cubic_slope`) on every node
+    within 1e-13 max|nu| of x, where :func:`pv_integrate` puts a pole on a node."""
     dist = nu - x
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (f - fx) / dist
-    q[np.abs(dist) <= _NODE_RTOL * np.max(np.abs(nu))] = node_slope(nu, f, x)
+    q[np.abs(dist) <= _NODE_RTOL * np.max(np.abs(nu))] = local_cubic_slope(nu, f, x)
     return q
 
 
@@ -395,15 +387,15 @@ def pv_integrate(f: PoleIntegrand) -> QuadratureResult:
 
 def _pole_slopes(g, lo, hi, slope_w) -> np.ndarray:
     """The stencil slope of g at each pole w = nu[lo:hi] (:func:`_pole_rows`).
-    The weights sum to 0, so they are summed against g - g(w), where the
-    pole's own node drops out: at the lowest data node they reach about 1e5
-    and would magnify the rounding of g itself into the slope."""
+    The weights sum to 0, so they are summed against g - g(w): at the lowest
+    data node they reach about 1e5 and would magnify the rounding of g
+    itself into the slope."""
     g_at = g[lo:hi]
     # a stencil column, a shifted slice of g, at a time, summed left to right
     # as np.sum sums the rows of an (N, 4) array
     slope = (g[lo - 2:hi - 2] - g_at) * slope_w[:, 0]
-    for col, i in enumerate((-1, 1, 2), start=1):
-        slope += (g[lo + i:hi + i] - g_at) * slope_w[:, col]
+    for i in range(1, 4):
+        slope += (g[lo + i - 2:hi + i - 2] - g_at) * slope_w[:, i]
     return slope
 
 
@@ -714,7 +706,7 @@ def pv_folded_at_nodes(nu: np.ndarray, a, b, lo: int, hi: int,
     4 decades, 16 at 8192 and 32 from 16384 up. kk_subtracted takes
     _BAND_SPAN, twice as wide. For 0 < |m| <= B the a and b kernels carry
     the pole-free h part, +-(1/nu) / (2 (1 + r^m)); the g part there, the
-    pole rows and the nodes below the block (kk's 4 head nodes) are summed
+    pole rows and the nodes below the block (kk's 3 head nodes) are summed
     directly by :func:`_near_sums`, and the nodes above it (kk's 48
     top-extension nodes) by their moments (:func:`_top_sums`).
     The full and the full-minus-half Simpson weights enter as their own

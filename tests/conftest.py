@@ -3,7 +3,7 @@ import pytest
 
 import kklab
 from kklab.kk import _at_infinity
-from kklab.pvquad import _slope_weights, local_cubic_value, simpson_weights
+from kklab.pvquad import _cubic_weights, _stencil, local_cubic_value, simpson_weights
 
 STD_PARAMS = kklab.LorentzOscillatorParams(omega_p=1.0, omega_res=1.0, gamma_d=0.1)
 
@@ -39,9 +39,9 @@ def rule_in_40_digits(nu, g, poles, h=None):
     and sum taken in 40 digits: the full Simpson sum of (g - g(w)) / (nu - w),
     plus h / (nu + w) when ``h`` is given, plus the log term
     g(w) ln|(nu[-1] - w)/(nu[0] - w)|. A pole on a node takes g's value
-    there, and that node takes the slope of g - g(w) on the five nodes
-    centred on it in place of the first quotient; a pole between nodes takes
-    the local cubic's value and no slope. The Simpson and slope weights are the operators' own floats.
+    there, and that node takes the stencil slope of g - g(w) in place of the
+    first quotient; a pole between nodes takes the local cubic's value and
+    no slope. The Simpson and slope weights are the operators' own floats.
     Skips the test when mpmath is missing."""
     mpmath = pytest.importorskip("mpmath")
     mpf = mpmath.mpf
@@ -58,10 +58,10 @@ def rule_in_40_digits(nu, g, poles, h=None):
             if hs is not None:
                 terms += [w_j * h_j / (x_j + w) for w_j, h_j, x_j in zip(full, hs, x)]
             if k.size:
-                c = k[0]
-                slope_w = _slope_weights(nu[c - 2:c + 3, None], 2)[:, 0]
-                terms += [full[c] * mpf(s) * (gs[i] - g_w)
-                          for s, i in zip(slope_w, (c - 2, c - 1, c + 1, c + 2))]
+                sl = _stencil(nu, pole)
+                slope_w = _cubic_weights(nu[sl, None], np.array([pole]), slope=True)[:, 0]
+                terms += [full[k[0]] * mpf(s) * (gs[i] - g_w)
+                          for s, i in zip(slope_w, range(sl.start, sl.stop))]
             log = mpmath.log(abs((x[-1] - w) / (x[0] - w)))
             values.append(float(mpmath.fsum(terms) + g_w * log))
     return np.array(values)

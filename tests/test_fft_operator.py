@@ -156,22 +156,21 @@ def test_blocked_branch_keeps_the_lowest_rows_of_the_split(monkeypatch, tmp_path
 
 def _long_double_row(nu, g, h, k):
     """Row k of pv_at_nodes' rule in long double: the full Simpson sum of
-    (g - g(w)) / (nu - w) + h / (nu + w), w = nu[k], with the slope of g of
-    the quartic through nu[k - 2:k + 3] plus h(w) / 2w at the pole node,
-    plus the log term
+    (g - g(w)) / (nu - w) + h / (nu + w), w = nu[k], with the cubic slope of
+    g plus h(w) / 2w at the pole node, plus the log term
     g(w) ln|(nu[-1] - w)/(nu[0] - w)|. The Simpson weights are the
     operator's; the slope weights sum to 0 to long-double rounding."""
     x, g, h = (np.asarray(v, dtype=np.longdouble) for v in (nu, g, h))
     w = x[k]
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (g - g[k]) / (x - w) + h / (x + w)
-    xs = x[k - 2:k + 3]
-    fs = g[k - 2:k + 3]
+    xs = x[k - 2:k + 2]
+    fs = g[k - 2:k + 2]
     q[k] = h[k] / (2 * w)
-    for j in range(5):
-        for m in set(range(5)) - {j}:
+    for j in range(4):
+        for m in set(range(4)) - {j}:
             term = 1.0 / (xs[j] - xs[m])
-            for i in set(range(5)) - {j, m}:
+            for i in set(range(4)) - {j, m}:
                 term = term * (w - xs[i]) / (xs[j] - xs[i])
             q[k] += term * fs[j]
     weights = simpson_weights(nu).astype(np.longdouble)
@@ -182,7 +181,7 @@ def _long_double_row(nu, g, h, k):
                     reason="long double is double on this platform")
 def test_lowest_pole_rows_keep_their_digits(tmp_path):
     # im-from-re on a 16384-node CSV grid: the stencils of rows 0-1 reach the
-    # head nodes nu_0/2 and 3 nu_0/4, so their slope weights are about 1e5;
+    # head nodes nu_0/4 and nu_0/2, so their slope weights are about 1e5;
     # summed against g itself rather than g - g(w) they magnified its
     # rounding to 4e-12-5e-12 on either path
     spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
@@ -288,9 +287,8 @@ def test_subtracted_plan_arrays_are_read_only(std_lorentz, fresh_plans):
 
 def _reference_plan(nu, lo, hi, log_r, band):
     """_folded_plan's members by their first formulas: the estimator weights
-    stacked from a scattered half grid, the slope weights at the centre of
-    (N, 5) stencils summed over every term of the Lagrange derivative, with
-    every difference taken afresh, the kernel rows filled
+    stacked from a scattered half grid, the slope weights summed on (N, 4)
+    stencils with every difference taken afresh, the kernel rows filled
     through masks over the whole FFT length, and conv_nu multiplied by a
     fancy-indexed copy of its kernel rows."""
     ci = np.append(np.arange(0, nu.size - 1, 2), nu.size - 1)
@@ -299,19 +297,17 @@ def _reference_plan(nu, lo, hi, log_r, band):
     h = np.diff(nu)
     weights = np.stack([full, full - half, 0.5 * (np.append(h, 0.0) + np.insert(h, 0, 0.0))])
     hits = np.arange(lo, hi)
-    xs, poles = nu[hits[:, None] + np.arange(-2, 3)], nu[hits]
+    xs, poles = nu[hits[:, None] + np.arange(-2, 2)], nu[hits]
     slope_w = np.zeros(xs.shape)
-    for j in range(5):
-        for m in range(5):
+    for j in range(4):
+        for m in range(4):
             if m == j:
                 continue
             term = 1.0 / (xs[:, j] - xs[:, m])
-            for k in range(5):
+            for k in range(4):
                 if k != j and k != m:
                     term = term * (poles - xs[:, k]) / (xs[:, j] - xs[:, k])
             slope_w[:, j] += term
-    # the centre's own weight multiplies g(w) - g(w) = 0: it is not kept
-    slope_w = np.asfortranarray(slope_w[:, [0, 1, 3, 4]])
     n = hi - lo
     size = 1 << (2 * n - 2).bit_length()
     m = np.arange(size)
@@ -511,7 +507,7 @@ def _column_loop(nu, a, b, lo, hi, span=_FOLDED_BAND_SPAN):
     n, w = hi - lo, nu[lo:hi]
     f_at = g[lo:hi]
 
-    stencil = np.arange(lo, hi)[:, None] + np.array([-2, -1, 1, 2])
+    stencil = np.arange(lo, hi)[:, None] + np.arange(-2, 2)
     slope = np.sum((g[stencil] - f_at[:, None]) * slope_w, axis=1) + h[lo:hi] / (2.0 * w)
     sums = weights[:, lo:hi] * np.stack([slope, slope, np.abs(slope)])
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
 
@@ -20,7 +20,7 @@ from kklab import (
     lorentz_index,
     roundtrip_residual,
 )
-from kklab.kk import _extend_axis, _tail_spread
+from kklab.kk import _extend_axis
 from conftest import gaussian_closed_form, interior_mask, lorentz_closed_form
 
 
@@ -53,11 +53,11 @@ def test_odd_head_is_one_line_whether_or_not_the_grid_samples_zero(nodes, bottom
     # Im n(0) = 0 sampled at a node of its own gives the same head
     nu_z, f_z, _, _ = _extend_axis(np.r_[0.0, nu], np.r_[0.0, f], "odd", GIVEN_TAIL)
     np.testing.assert_array_equal(nu_z, nu_e)
-    np.testing.assert_array_equal(f_z[4:], f_e[4:])
-    np.testing.assert_allclose(f_z[:4], f_e[:4], rtol=4e-16, atol=0.0)
+    np.testing.assert_array_equal(f_z[3:], f_e[3:])
+    np.testing.assert_allclose(f_z[:3], f_e[:3], rtol=4e-16, atol=0.0)
     # the line through (0, 0) and the first positive node
-    np.testing.assert_array_equal(nu_e[:5], nu[0] * np.array([0.0, 0.25, 0.5, 0.75, 1.0]))
-    np.testing.assert_allclose(f_e[:4], f[0] * np.array([0.0, 0.25, 0.5, 0.75]),
+    np.testing.assert_array_equal(nu_e[:4], nu[0] * np.array([0.0, 0.25, 0.5, 1.0]))
+    np.testing.assert_allclose(f_e[:3], f[0] * np.array([0.0, 0.25, 0.5]),
                                rtol=4e-16, atol=0.0)
 
 
@@ -70,14 +70,12 @@ def test_even_head_is_one_zero_slope_parabola(nodes, bottom, ratio, seed, at_zer
     nu_e, f_e, _, _ = _extend_axis(nu, f, "even", GIVEN_TAIL)
     w1 = nu[1] if at_zero else nu[0]
     a = w1 / 4.0
-    np.testing.assert_array_equal(nu_e[:4], [0.0, a, 2.0 * a, 3.0 * a])
-    np.testing.assert_array_equal(nu_e[4:nu.size + 4 - at_zero], nu[at_zero:])
-    y0, y1, y2, y3 = f_e[:4]
-    scale = max(np.max(np.abs(f_e[:4])), np.max(np.abs(f[:2])))
-    # the parabola y0 + b x + c x^2 through the head: b = 0, and the fourth
-    # head node on it too
+    np.testing.assert_array_equal(nu_e[:3], [0.0, a, 2.0 * a])
+    np.testing.assert_array_equal(nu_e[3:nu.size + 3 - at_zero], nu[at_zero:])
+    y0, y1, y2 = f_e[:3]
+    scale = max(np.max(np.abs(f_e[:3])), np.max(np.abs(f[:2])))
+    # the parabola y0 + b x + c x^2 through the head: b = 0
     assert abs(4.0 * y1 - y2 - 3.0 * y0) <= 1e-13 * scale
-    assert abs(y3 - 9.0 * y1 + 8.0 * y0) <= 1e-13 * scale
     # and it passes through the first two samples
     curv = (y2 - 2.0 * y1 + y0) / (2.0 * a * a)
     np.testing.assert_allclose(y0 + curv * nu[:2] ** 2, f[:2], rtol=0.0, atol=1e-12 * scale)
@@ -206,73 +204,6 @@ def test_error_estimates_finite_nonnegative(std_transform):
     assert np.all(std_transform.error_estimate >= 0.0)
 
 
-FOLDED = [(kk_re_from_im, "re", False), (kk_im_from_re, "im", True)]
-
-
-@pytest.mark.parametrize("transform, part, odd", FOLDED, ids=["re-from-im", "im-from-re"])
-def test_tail_term_is_the_move_under_a_refitted_tail(transform, part, odd):
-    # the estimate's tail term is the largest change, over refits of the tail
-    # on [nu_max/10, nu_max/2] and on [nu_max/5, nu_max], of the tail's
-    # integral from nu_max; rows above nu_max/2 take its value there
-    from scipy.integrate import quad
-
-    g = FrequencyGrid.log_spaced(1e-2, 1e2, 2048, GridUnit.NORMALIZED)
-    s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1), g)
-    nu, f = g.values, (s.re - 1.0 if odd else s.im)
-    top = nu[-1]
-    base = transform(s)
-    fitted = base.tail
-    refits = [kklab.fit_tail(nu[sel], f[sel]) for sel in
-              ((nu >= 0.1 * top) & (nu <= 0.5 * top), nu >= 0.2 * top)]
-    term = _tail_spread(nu, f, fitted, odd)
-    for k in np.searchsorted(nu, [0.05, 1.0, 10.0, 40.0, 80.0]):
-        w = min(nu[k], top / 2.0)
-
-        def moved(v, t):
-            kernel = (w if odd else v) / (v * v - w * w)
-            return (t.amplitude * v ** -t.exponent
-                    - fitted.amplitude * v ** -fitted.exponent) * kernel
-
-        want = max(abs(quad(moved, top, np.inf, args=(t,), epsabs=0.0, epsrel=1e-12,
-                            limit=400)[0]) for t in refits)
-        assert term[k] == pytest.approx(want, rel=1e-3)
-    # the transforms move by that much less the first extension interval,
-    # where the data's top sample stays: 4-6 % on this grid
-    moves = [np.abs(getattr(transform(s, tail=t).spectrum, part) - getattr(base.spectrum, part))
-             for t in refits]
-    rows = nu <= top / 2.0
-    np.testing.assert_allclose((2.0 / np.pi) * term[rows], np.max(moves, axis=0)[rows],
-                               rtol=0.1)
-
-
-@pytest.mark.parametrize("n", [2048, 4096])
-@pytest.mark.parametrize("params", [(1.0, 1.0, 0.1), (0.6, 2.0, 0.12)])
-def test_estimate_covers_the_top_interior_half_decade(n, params):
-    # there the error is the tail fit's, which the Simpson pair cannot see:
-    # without the tail term 122-512 of these nodes had errors of up to 14x
-    # their estimate; with it the worst reads 0.73x
-    g = FrequencyGrid.log_spaced(1e-2, 1e2, n, GridUnit.NORMALIZED)
-    s = lorentz_index(LorentzOscillatorParams(*params), g)
-    nu = g.values
-    band = (nu >= nu[-1] / 10.0) & interior_mask(g)
-    for transform, part, _ in FOLDED:
-        r = transform(s)
-        err = np.abs(getattr(r.spectrum, part) - getattr(s, part))
-        assert np.all(err[band] <= r.error_estimate[band])
-
-
-def test_given_tail_adds_no_tail_term(std_lorentz):
-    # a tail the caller gives is not refitted: the estimate is the Simpson
-    # pair's alone, as with the fitted tail less its term
-    fitted = kk_re_from_im(std_lorentz)
-    given_tail = kk_re_from_im(std_lorentz, tail=fitted.tail)
-    nu = std_lorentz.grid.values
-    term = (2.0 / np.pi) * _tail_spread(nu, std_lorentz.im, fitted.tail, odd=False)
-    np.testing.assert_array_equal(given_tail.spectrum.re, fitted.spectrum.re)
-    np.testing.assert_allclose(given_tail.error_estimate + term, fitted.error_estimate,
-                               rtol=1e-12)
-
-
 def test_tail_override_is_used(std_lorentz):
     override = kklab.TailModel(exponent=3.0, amplitude=0.05, cutoff=100.0)
     r = kk_re_from_im(std_lorentz, override)
@@ -380,7 +311,7 @@ def test_collision_zone_raises_by_default(std_grid):
 
 
 def test_subtracted_at_a_sampled_zero_has_no_collision_zone():
-    # at a node w0 K takes its stencil slope, so the nodes next to it are as
+    # at a node w0 K takes its cubic slope, so the nodes next to it are as
     # accurate as the rest of the bottom of the grid
     nu = np.r_[0.0, np.geomspace(1e-2, 1e2, 2047)]
     s = lorentz_index(LorentzOscillatorParams(1.0, 1.0, 0.1),
@@ -392,7 +323,7 @@ def test_subtracted_at_a_sampled_zero_has_no_collision_zone():
 
 
 def test_subtracted_one_ulp_off_a_node_has_no_collision_zone(std_lorentz):
-    # K takes its stencil slope on a node within 1e-13 max|nu| of w0, so a w0
+    # K takes its cubic slope on a node within 1e-13 max|nu| of w0, so a w0
     # one ulp above node 1000 is that node's w0: no collision zone, and its
     # neighbours as accurate as when w0 is the node itself
     nu = std_lorentz.grid.values
@@ -543,28 +474,9 @@ def _interior_errors(params, n):
 # doubling (10.4x the worst seen); on broad oscillators it stops falling
 @settings(max_examples=25, deadline=None)
 @given(omega_p=st.floats(0.2, 2.0), omega_res=st.floats(1.0, 2.0), gamma=st.floats(0.08, 0.12))
-# two narrow resonances where a pole node's one-sided cubic slope, which
-# carried nearly all the error there, fell 7.9x
-@example(omega_p=1.0, omega_res=1.939453125, gamma=0.08203125)
-@example(omega_p=1.0, omega_res=1.88671875, gamma=0.080078125)
-# the box's corner where the 3-node head's floor, 1.38e-5 at nu = 0.0316 in
-# im-from-re, stopped the fall (4.3x) once the slope was centred
-@example(omega_p=2.0, omega_res=1.0, gamma=0.12)
 def test_interior_error_falls_under_refinement(omega_p, omega_res, gamma):
     params = (omega_p, omega_res, gamma)
     assert np.all(_interior_errors(params, 4096) <= _interior_errors(params, 2048) / 8.0)
-
-
-def test_lowest_interior_half_decade_has_no_head_floor():
-    # (2, 0.5, 0.5) at 4096 nodes: the 3-node head's panel (w1/2, w1, w1 r)
-    # left 5.6e-5 in im-from-re and 3.8e-6 in re-from-im; the 4-node head
-    # reads 1.2e-6 and 6.3e-7
-    g = FrequencyGrid.log_spaced(1e-2, 1e2, 4096, GridUnit.NORMALIZED)
-    s = lorentz_index(LorentzOscillatorParams(2.0, 0.5, 0.5), g)
-    nu = g.values
-    low = interior_mask(g) & (nu <= 0.1)
-    assert np.max(np.abs(kk_im_from_re(s).spectrum.im - s.im)[low]) <= 2e-6
-    assert np.max(np.abs(kk_re_from_im(s).spectrum.re - s.re)[low]) <= 1e-6
 
 
 @pytest.mark.parametrize("n", [512, 2048, 16384])

@@ -34,7 +34,7 @@ from kklab import (
     pv_integrate,
     tail_integral,
 )
-from kklab.kk import _extend_axis, _tail_spread
+from kklab.kk import _extend_axis
 from kklab.pvquad import (difference_quotient, pv_at_nodes, simpson_estimate, simpson_weights,
                           tail_parity)
 from conftest import lorentz_closed_form
@@ -47,7 +47,7 @@ ERROR_RTOL = 1e-4
 
 def _ref_rule(nu, g, h, w):
     """(value, estimate) of P int [g/(nu - w) + h/(nu + w)] dnu at the node
-    w: g's subtracted quotient, with its stencil slope on w's node, plus
+    w: g's subtracted quotient, with its cubic slope on w's node, plus
     h / (nu + w), which has no pole, and the log term
     g(w) ln|(nu[-1] - w)/(nu[0] - w)|."""
     g_w = g[np.searchsorted(nu, w)]
@@ -57,9 +57,7 @@ def _ref_rule(nu, g, h, w):
 
 def _ref_at_infinity(s, re_inf, im_inf):
     nu = s.grid.values
-    nu_e, g_e, tail, st_ = _extend_axis(nu, s.im, "odd", None)
-    # the estimate's tail term, which no quadrature loop reproduces
-    spread = _tail_spread(nu, s.im, tail, odd=False)
+    nu_e, g_e, _, st_ = _extend_axis(nu, s.im, "odd", None)
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
         if w == 0.0:
@@ -69,14 +67,13 @@ def _ref_at_infinity(s, re_inf, im_inf):
         val = value + 0.5 * (tail_integral(st_, w) + tail_integral(st_, -w))
         val += 0.5 * im_inf * math.log((st_.cutoff - w) / (st_.cutoff + w))
         out[j] = re_inf + (2.0 / math.pi) * val
-        errs[j] = (2.0 / math.pi) * (error + spread[j])
+        errs[j] = (2.0 / math.pi) * error
     return out, errs
 
 
 def _ref_im_from_re(s):
     nu = s.grid.values
-    nu_e, h_e, tail, st_ = _extend_axis(nu, s.re - 1.0, "even", None)
-    spread = _tail_spread(nu, s.re - 1.0, tail, odd=True)
+    nu_e, h_e, _, st_ = _extend_axis(nu, s.re - 1.0, "even", None)
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)
     for j, w in enumerate(nu):
         if w == 0.0:
@@ -85,7 +82,7 @@ def _ref_im_from_re(s):
         value, error = _ref_rule(nu_e, 0.5 * h_e, -0.5 * h_e, w)
         s_odd = 0.5 * (tail_integral(st_, w) - tail_integral(st_, -w))
         out[j] = -(2.0 / math.pi) * (value + s_odd)
-        errs[j] = (2.0 / math.pi) * (error + spread[j])
+        errs[j] = (2.0 / math.pi) * error
     return out, errs
 
 
@@ -105,7 +102,7 @@ def _ref_subtracted(s, w0, g0_re, g0_im, full_axis=False):
     hit0 = np.abs(dist0) <= 1e-13 * cutoff
     with np.errstate(divide="ignore", invalid="ignore"):
         kern = (gi_full - g0_im) / dist0
-    kern[hit0] = kklab.pvquad.node_slope(nu_full, gi_full, w0)
+    kern[hit0] = kklab.pvquad.local_cubic_slope(nu_full, gi_full, w0)
     k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
     on_node = w0 in nu
     out, errs = np.full(nu.size, np.nan), np.full(nu.size, np.nan)

@@ -24,9 +24,8 @@ from kklab import (
     save_spectrum,
     tail_integral,
 )
-from kklab.pvquad import (_cubic_weights, _line_fit, _slope_weights, difference_quotient,
-                          local_cubic_value, node_slope, noise_floor, simpson_weights,
-                          tail_parity, top_decade)
+from kklab.pvquad import (_cubic_weights, _line_fit, difference_quotient, local_cubic_slope,
+                          local_cubic_value, noise_floor, simpson_weights, tail_parity, top_decade)
 from conftest import gaussian_closed_form, lorentz_closed_form, rule_in_40_digits
 
 VALUE_ATOL = 1e-12  # the operators' bound against the rule in 40 digits
@@ -418,62 +417,40 @@ def test_semi_infinite_identity():
     assert res.tail_contribution > 0.0
 
 
-# --- local cubic value and node slope --------------------------------------------
+# --- local cubic rule -----------------------------------------------------------
 
 _gap = st.floats(0.2, 1.0)
-
-
-def _exact(xs, poly, x):
-    """poly in the stencil's own coordinate u = (x - xs[0]) / (xs[-1] - xs[0]),
-    evaluated exactly at x and rounded once, so that the samples and the
-    reference values carry no rounding of their own: a float evaluation of
-    u^2 - u^3 near u = 1 cancels to 1.11e-16 where the cubic is 1.48e-16."""
-    u = (Fraction(x) - Fraction(xs[0])) / Fraction(xs[-1] - xs[0])
-    return float(sum(Fraction(c) * u ** i for i, c in enumerate(poly.coef)))
-
-
-def _assert_node_slopes(xs, poly):
-    """node_slope on every node of the stencil xs reproduces poly's
-    derivative to rounding, and its weights reproduce a line's slope."""
-    f = np.array([_exact(xs, poly, x) for x in xs])
-    h = xs[-1] - xs[0]
-    for c, x in enumerate(xs):
-        weights = _slope_weights(xs[:, None], c)[:, 0]
-        apart = np.delete(xs - x, c)
-        # every node's weight, x's own minus the others' sum
-        slope = np.insert(weights, c, -np.sum(weights))
-        assert node_slope(xs, f, x) == pytest.approx(
-            _exact(xs, poly.deriv(), x) / h, rel=0,
-            abs=1e-13 * np.sum(np.abs(slope * f)) + 1e-300)
-        assert abs(weights @ apart - 1.0) <= 1e-13 * np.sum(np.abs(weights * apart))
 
 
 @given(st.floats(-10.0, 10.0), st.tuples(_gap, _gap, _gap), st.floats(1e-3, 1e3),
        st.floats(0.0, 1.0), st.tuples(*[st.floats(-2.0, 2.0)] * 4))
 def test_cubic_rule_reproduces_cubics(x0, gaps, scale, t, coef):
     # a strictly increasing 4-node stencil, any point between its ends or
-    # on one of its nodes, and any cubic: the value weights reproduce it to
-    # rounding, and on its nodes the slope, of the cubic through all four,
-    # its derivative
+    # on one of its nodes, and any cubic: the value and slope weights
+    # reproduce it and its derivative to rounding
     xs = x0 + scale * np.concatenate([[0.0], np.cumsum(gaps)])
     h = xs[-1] - xs[0]
+    # the cubic in the stencil's own coordinate, evaluated exactly and
+    # rounded once, so that the samples and the reference values carry no
+    # rounding of their own: a float evaluation of u^2 - u^3 near u = 1
+    # cancels to 1.11e-16 where the cubic is 1.48e-16
     cubic = np.polynomial.Polynomial(coef)
-    f = np.array([_exact(xs, cubic, x) for x in xs])
+
+    def exact(poly, x):
+        u = (Fraction(x) - Fraction(xs[0])) / Fraction(h)
+        return float(sum(Fraction(c) * u ** i for i, c in enumerate(poly.coef)))
+
+    f = np.array([exact(cubic, x) for x in xs])
     for x in [*xs, xs[0] + t * h]:
-        value = _cubic_weights(xs[:, None], np.array([x]))[:, 0]
+        value, slope = (_cubic_weights(xs[:, None], np.array([x]), s)[:, 0]
+                        for s in (False, True))
         assert local_cubic_value(xs, f, x) == pytest.approx(
-            _exact(xs, cubic, x), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
+            exact(cubic, x), rel=0, abs=1e-13 * np.sum(np.abs(value * f)) + 1e-300)
+        assert local_cubic_slope(xs, f, x) == pytest.approx(
+            exact(cubic.deriv(), x) / h, rel=0,
+            abs=1e-13 * np.sum(np.abs(slope * f)) + 1e-300)
         assert abs(np.sum(value) - 1.0) <= 1e-13 * np.sum(np.abs(value))
-    _assert_node_slopes(xs, cubic)
-
-
-@given(st.floats(-10.0, 10.0), st.tuples(_gap, _gap, _gap, _gap), st.floats(1e-3, 1e3),
-       st.tuples(*[st.floats(-2.0, 2.0)] * 5))
-def test_node_slope_reproduces_quartics(x0, gaps, scale, coef):
-    # a strictly increasing 5-node stencil, the centred one of every pole
-    # node, and any quartic: the slope on each node is its derivative
-    xs = x0 + scale * np.concatenate([[0.0], np.cumsum(gaps)])
-    _assert_node_slopes(xs, np.polynomial.Polynomial(coef))
+        assert abs(np.sum(slope)) <= 1e-13 * np.sum(np.abs(slope))
 
 
 # --- singular difference quotient ---------------------------------------------
@@ -489,7 +466,7 @@ def reference_quotient(nu, f, x, fx):
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (f - fx) / dist
     for idx in hit:
-        q[idx] = node_slope(nu, f, x)
+        q[idx] = local_cubic_slope(nu, f, x)
     return q
 
 
@@ -497,7 +474,7 @@ def reference_quotient_at_zero(nu, g):
     """kk_subtracted_at_infinity's quotient g/nu at its w = 0 node, nu[0] = 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
         q = g / nu
-    q[0] = node_slope(nu, g, 0.0)
+    q[0] = local_cubic_slope(nu, g, 0.0)
     return q
 
 
