@@ -1,3 +1,8 @@
+"""Shared oracles and fixtures: closed forms, the Lorentz spectrum on given
+nodes (:func:`lorentz_on`), the operators' rule in 40 digits and the standard
+spectrum. ``tools/gate_sweep.py`` imports ``gaussian_closed_form`` and
+``interior_mask`` from here."""
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,20 @@ def interior_mask(grid: kklab.FrequencyGrid) -> np.ndarray:
 
 def lorentz_closed_form(omega, omega_p=1.0, omega_res=1.0, gamma_d=0.1):
     return 1.0 + (omega_p ** 2 / 2.0) / (omega_res ** 2 - omega ** 2 - 1j * gamma_d * omega)
+
+
+def lorentz_on(nu, path=None, sigma=0.0):
+    """The Lorentz spectrum on the nodes nu, plus white noise of ``sigma``
+    on both parts (drawn from ``np.random.default_rng(nu.size)``), read back
+    from a CSV file at ``path`` when one is given."""
+    idx = lorentz_closed_form(nu)
+    noise = sigma * np.random.default_rng(nu.size).standard_normal((2, nu.size))
+    spec = kklab.ComplexIndexSpectrum(kklab.FrequencyGrid(nu, kklab.GridUnit.NORMALIZED),
+                                      idx.real + noise[0], idx.imag + noise[1])
+    if path is None:
+        return spec
+    kklab.save_spectrum(spec, path)
+    return kklab.load_spectrum(path)
 
 
 def gaussian_closed_form(omega, amplitude, centre, width):

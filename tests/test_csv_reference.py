@@ -1,18 +1,28 @@
 """The spectrum CSV reader and writer against row-by-row references.
 
-``spectra._parse_csv`` converts every data cell in one pass and
+``spectra._parse_csv`` converts every data cell in one pass with numpy's C
+parser, or where that refuses them with ``float`` row by row, and
 ``save_spectrum`` formats the whole body at once. The references below are
 the row-by-row reader and writer they replaced. Both sides read cells with
 ``float`` and write them with ``%.17g``, so arrays must be bit-identical,
-files byte-identical, and a rejected text must give the same message.
+files byte-identical, and a rejected text must give the same message and no
+warning, from ``_parse_csv`` and through ``load_spectrum`` alike. The reader
+is fuzzed on free texts and on bodies: three float formats, padded cells,
+comments between rows, a trailing unit tag, and now and then a cell that
+only ``float`` reads (``1_0``, Arabic-Indic digits) or that neither reads,
+U+001F around a cell (numpy and ``str.strip`` drop it, ``float`` refuses
+it), or a row of the wrong width.
 """
 
+import warnings
+
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, SpectrumFormatError
-from kklab.spectra import CSV_HEADER, _parse_csv, save_spectrum
+from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit, SpectrumFormatError, load_spectrum
+from kklab.spectra import CSV_HEADER, _parse_csv, _validate_loaded, save_spectrum
 
 
 def reference_parse(text: str, unit):
@@ -61,13 +71,21 @@ def reference_text(s: ComplexIndexSpectrum) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _outcome(parse, text, unit):
-    try:
-        omega, re_n, im_n, unit = parse(text, unit)
-    except SpectrumFormatError as exc:
-        return "error", str(exc)
+def _outcome(read):
+    """The arrays and unit that ``read()`` returns, or its error message;
+    a warning is an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            *arrays, unit = read()
+        except SpectrumFormatError as exc:
+            return "error", str(exc)
     # bit patterns, so that -0.0 and the sign of nan count
-    return [np.asarray(a, dtype=float).tobytes() for a in (omega, re_n, im_n)], unit
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays], unit
+
+
+def _parts(s: ComplexIndexSpectrum):
+    return s.grid.values, s.re, s.im, s.grid.unit
 
 
 EXTREMES = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -94,8 +112,8 @@ def test_writer_and_reader_match_references(tmp_path_factory, spec):
     save_spectrum(spec, path)
     text = reference_text(spec)
     assert path.read_bytes() == text.encode()
-    got = _outcome(_parse_csv, text, None)
-    assert got == _outcome(reference_parse, text, None)
+    got = _outcome(lambda: _parse_csv(text, None))
+    assert got == _outcome(lambda: reference_parse(text, None))
     assert got[0] == [spec.grid.values.tobytes(), spec.re.tobytes(), spec.im.tobytes()]
 
 
@@ -135,7 +153,62 @@ def texts(draw):
     return newline.join(lines) + draw(st.sampled_from(["", newline]))
 
 
-@settings(max_examples=400, deadline=None)
-@given(texts(), UNITS)
-def test_reader_matches_reference_on_generated_texts(text, unit):
-    assert _outcome(_parse_csv, text, unit) == _outcome(reference_parse, text, unit)
+FORMATS = (lambda x: f"{x:.17g}", repr, lambda x: f"{x:.6e}")
+PAD = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0"])
+RARE_CELL = st.sampled_from(["1_0", "\u0661", "\u0661.5", "2_5e-1", "\x1f1.5", "2\x1f",
+                             "", "abc", "1.0.0", "0x10", "1e", "--1", "1 2"])
+UNIT_TAG = st.sampled_from([f"# unit: {u.value}" for u in GridUnit] + ["#unit:normalized"])
+BETWEEN = st.sampled_from(["", "   ", "# a comment", "## note, with commas", "#"])
+
+
+def _rare(draw, times=40):
+    """True about once in ``times`` draws."""
+    return draw(st.integers(1, times)) == 1
+
+
+@st.composite
+def bodies(draw):
+    n = draw(st.integers(0, 30))
+    omega = sorted(draw(st.lists(st.floats(0.0, 1e6), min_size=n, max_size=n, unique=True)))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    re = draw(st.lists(finite, min_size=n, max_size=n))
+    im = draw(st.lists(finite, min_size=n, max_size=n))
+    lines = [draw(UNIT_TAG)] if draw(st.booleans()) else []
+    lines.append(CSV_HEADER)
+    for row in zip(omega, re, im):
+        cells = [draw(RARE_CELL) if _rare(draw) else draw(st.sampled_from(FORMATS))(x)
+                 for x in row]
+        if _rare(draw):
+            cells = cells[:2] if draw(st.booleans()) else [*cells, "0"]
+        lines.append(",".join(draw(PAD) + c + draw(PAD) for c in cells))
+        if _rare(draw, 4):
+            lines.append(draw(BETWEEN))
+    if draw(st.booleans()):
+        lines.append(draw(UNIT_TAG))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=700, deadline=None)
+@given(st.one_of(bodies(), texts()), UNITS)
+@example(f"{CSV_HEADER}\n1,\x1f2,3\n4,5,6\n", None)
+@example(f"{CSV_HEADER}\n1,1_0,3\n4,\u0665,6\n", None)
+def test_reader_matches_reference_on_generated_texts(tmp_path_factory, text, unit):
+    # most texts fail validation: only the parse compares their arrays
+    assert _outcome(lambda: _parse_csv(text, unit)) == _outcome(lambda: reference_parse(text, unit))
+    path = tmp_path_factory.getbasetemp() / "body.csv"
+    path.write_text(text, encoding="utf-8")
+    assert (_outcome(lambda: _parts(load_spectrum(path, unit=unit)))
+            == _outcome(lambda: _parts(_validate_loaded(*reference_parse(text, unit)))))
+
+
+@pytest.mark.parametrize("text", [
+    f"{CSV_HEADER}\n",
+    f"# unit: normalized\n{CSV_HEADER}\n# a comment\n\n# unit: si_rad_per_s\n",
+], ids=["header only", "comments only"])
+def test_no_data_rows_raise_too_few_samples_without_a_warning(tmp_path, text):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SpectrumFormatError, match="need >= 2 samples"):
+            load_spectrum(path)

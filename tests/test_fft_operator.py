@@ -2,26 +2,29 @@
 
 ``pv_folded_at_nodes`` takes the far part of its sums by FFT when its poles
 form a geometric block and calls ``pv_at_nodes`` otherwise. Both run here on
-the extended grids of log-spaced Lorentz spectra that went through a CSV
-file, for both folded integrands. 2896 and 5793 nodes give an odd and an
+the operands of the operator's four callers, built as kk builds them
+(:func:`_operands`): re-from-im, im-from-re, and kk_subtracted's K at w0 and
+its D(w), which fold the full-axis integrand onto the same operator at twice
+the band span. The grids are the extended grids of log-spaced Lorentz
+spectra that went through a CSV file. 2896 and 5793 nodes give an odd and an
 even extended node count, 2897 an even one, so Simpson's Cartwright last
 interval is covered; 2048 and 4096 nodes give the narrowest direct bands,
 4 and 8 nodes, and 8192 nodes the band furthest below kk_subtracted's,
-16 nodes against 32. Values must agree to 1e-12 absolute.
+16 nodes against 32; a 2048-node grid that samples omega = 0 starts the
+pole block above it. Values must agree to 1e-12 absolute.
 Error estimates must agree to 1e-3 relative where the blocked estimate is
 at least 1e-12 of the largest |value|: below that both are rounding noise. Both take
 |full - half| as one sum against the full-minus-half Simpson weights, so
 what separates them is FFT rounding and the far pairs' bound on the rounding
-floor. An unbracketed pole block is refused on either path. The FFT path's
+floor. An unbracketed pole block is refused on either path, and every caller
+takes the FFT path exactly on the grids that have one. The FFT path's
 per-grid plan cache must give warm calls the bits of cold ones, share one
 plan between the odd and the even transform of a spectrum, key on the
 grid's exact bytes, stay within its bound and hold nothing for a grid that
-runs the blocked operator, and every plan member must keep the bits of a
-build by the plan's first, masked formulas. Last, both paths are held to
-the same discrete rule summed in 40 digits, on every row of small grids and
-sampled rows of large ones. kk_subtracted folds its full-axis integrand onto the same
-operator at twice the band span, and its section holds that caller to the
-same checks.
+runs the blocked operator, and every plan member, at either band span, must
+keep the bits of a build by the plan's first, masked formulas. Last, both
+paths are held to the same discrete rule summed in 40 digits, on every row
+of small grids and sampled rows of large ones.
 """
 
 import numpy as np
@@ -31,13 +34,13 @@ from hypothesis import strategies as st
 
 import kklab
 from kklab import ComplexIndexSpectrum, FrequencyGrid, GridUnit
-from kklab.kk import _HEAD_NODES, _at_infinity, _extend_axis
+from kklab.kk import _HEAD_NODES, _TOP_EXTENSION_NODES, _at_infinity, _extend_axis
 from kklab.pvquad import (_PLAN_CACHE_SIZE, _folded_plan, _geometric_log_ratio, pv_at_nodes,
                           pv_folded_at_nodes)
 from kklab.pvquad import (_BAND_SPAN, _FFT_BAND, _FOLDED_BAND_SPAN, _band, _estimator_weights,
                           _finish, _top_plan, _top_sums, _TopPlan,
                           difference_quotient, simpson_estimate, simpson_weights)
-from conftest import lorentz_closed_form, rule_in_40_digits
+from conftest import lorentz_closed_form, lorentz_on, rule_in_40_digits
 
 VALUE_ATOL = 1e-12
 ERROR_RTOL = 1e-3
@@ -46,45 +49,67 @@ IM_INF = 1e-3
 FLOOR_SLACK = 8.0
 
 
-def _folded(spec, direction):
-    """Extended nodes, a, b and the pole block of a folded transform."""
+# samples omega = 0 below a log grid, as tools/lib_digests.py's ZERO_GRID does
+ZERO_GRID = np.r_[0.0, np.geomspace(1e-2, 1e2, 2047)]
+W0S = (0.0, 0.5, 2.0)
+
+
+def _full_axis_kernel(spec, w0):
+    """The full axis of kk_subtracted at w0 and K(nu) = [Im G(nu) -
+    Im G(w0)]/(nu - w0) on it, with the extended half axis."""
+    nu_e, g_e, _, _ = _extend_axis(spec.grid.values, spec.im, "odd", None, subtracted=True)
+    nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
+    g_full = np.concatenate([-g_e[:0:-1], g_e])
+    kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)
+    return nu_full, kern, nu_e
+
+
+def _operands(spec, caller):
+    """pv_folded_at_nodes' arguments (nu_e, a, b, lo, hi, span) as kk builds
+    them for ``caller``: "re-from-im" (a = Im n, b = -IM_INF), "im-from-re"
+    (a = 0, b = Re n - 1), or kk_subtracted's "K w0" (a = K(nu) - K(-nu),
+    b = K(nu) + K(-nu), :func:`_full_axis_kernel`) and "D" (a = 1, b = -1) at
+    _BAND_SPAN. The poles are the nodes from _HEAD_NODES to the top extension."""
     nu = spec.grid.values
-    if direction == "re-from-im":
+    kind, *w0 = caller.split()
+    if kind == "re-from-im":
         nu_e, g_e, _, _ = _extend_axis(nu, spec.im, "odd", None)
-        a, b = g_e, -IM_INF
-    else:
+        a, b, span = g_e, -IM_INF, _FOLDED_BAND_SPAN
+    elif kind == "im-from-re":
         nu_e, g_e, _, _ = _extend_axis(nu, spec.re - 1.0, "even", None)
-        a, b = 0.0, g_e
-    lo = int(np.searchsorted(nu_e, nu[0]))
-    return nu_e, a, b, lo, lo + nu.size
+        a, b, span = 0.0, g_e, _FOLDED_BAND_SPAN
+    elif kind == "K":
+        _, kern, nu_e = _full_axis_kernel(spec, float(*w0))
+        k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
+        a, b, span = k_pos - k_neg, k_pos + k_neg, _BAND_SPAN
+    else:  # "D"
+        nu_e = _extend_axis(nu, spec.im, "odd", None, subtracted=True)[0]
+        a, b, span = 1.0, -1.0, _BAND_SPAN
+    return nu_e, a, b, _HEAD_NODES, nu_e.size - _TOP_EXTENSION_NODES, span
 
 
-def _blocked(nu_e, a, b, lo, hi):
-    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
-    return pv_at_nodes(nu_e, (a + b) / 2, (a - b) / 2, lo, hi)
+def _split(nu, a, b):
+    """The singular part g = (a + b)/2 and the pole-free h = (a - b)/2."""
+    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu.shape) for x in (a, b))
+    return 0.5 * (a + b), 0.5 * (a - b)
 
 
-@pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
-                                        (2896, 3e-7), (2897, 3e-7), (5793, 3e-7),
-                                        (2048, 0.0), (2048, 3e-7), (4096, 0.0), (4096, 3e-7),
-                                        (8192, 0.0), (8192, 3e-7)],
-                ids=lambda p: f"{p[0]}-sigma{p[1]:g}")
-def csv_lorentz(request, tmp_path_factory):
-    n, sigma = request.param
-    nu = np.geomspace(1e-2, 1e2, n)
-    rng = np.random.default_rng(n)
-    idx = lorentz_closed_form(nu)
-    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED),
-                                idx.real + sigma * rng.standard_normal(n),
-                                idx.imag + sigma * rng.standard_normal(n))
-    path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
-    kklab.save_spectrum(spec, path)
-    return kklab.load_spectrum(path)
+def _blocked(nu_e, a, b, lo, hi, span=None):
+    """The blocked operator on pv_folded_at_nodes' arguments; it has no band."""
+    return pv_at_nodes(nu_e, *_split(nu_e, a, b), lo, hi)
 
 
-@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
-def test_fft_path_matches_blocked_operator(csv_lorentz, direction):
-    args = _folded(csv_lorentz, direction)
+def _subtracted(spec, w0):
+    """kk_subtracted of G = n - 1 at w0, G(w0) from the closed form."""
+    g0 = lorentz_closed_form(w0) - 1.0
+    g = ComplexIndexSpectrum(spec.grid, spec.re - 1.0, spec.im)
+    return kklab.kk_subtracted(g, w0, g0.real, g0.imag, on_collision="continuity")
+
+
+def _assert_matches_blocked(args):
+    """The FFT path on pv_folded_at_nodes' arguments ``args`` against the
+    blocked operator: values to VALUE_ATOL, and error estimates to ERROR_RTOL
+    on the resolved rows, which must be most of them."""
     values, errors = pv_folded_at_nodes(*args)
     ref_values, ref_errors = _blocked(*args)
     np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
@@ -92,6 +117,22 @@ def test_fft_path_matches_blocked_operator(csv_lorentz, direction):
     resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
     assert np.count_nonzero(resolved) > 0.5 * resolved.size
     np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+
+
+@pytest.fixture(scope="module", params=[(2896, 0.0), (2897, 0.0), (5793, 0.0),
+                                        (2896, 3e-7), (2897, 3e-7), (5793, 3e-7),
+                                        (2048, 0.0), (2048, 3e-7), (4096, 0.0), (4096, 3e-7),
+                                        (8192, 0.0), (8192, 3e-7), ("0+2048", 0.0)],
+                ids=lambda p: f"{p[0]}-sigma{p[1]:g}")
+def csv_lorentz(request, tmp_path_factory):
+    n, sigma = request.param
+    nu = ZERO_GRID if n == "0+2048" else np.geomspace(1e-2, 1e2, n)
+    return lorentz_on(nu, tmp_path_factory.mktemp("csv") / "lorentz.csv", sigma)
+
+
+@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
+def test_fft_path_matches_blocked_operator(csv_lorentz, direction):
+    _assert_matches_blocked(_operands(csv_lorentz, direction))
 
 
 MEMBERS = st.sampled_from(["array", "scalar", "zero"])
@@ -134,9 +175,7 @@ def test_fft_path_is_linear_and_matches_blocked_operator(poles, pads, decades, k
 def test_grid_off_geometric_runs_blocked_operator(direction):
     nu = np.geomspace(1e-2, 1e2, 2896)
     nu[1::2] *= 1.0 + 1e-9
-    idx = lorentz_closed_form(nu)
-    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
-    args = _folded(spec, direction)
+    args = _operands(lorentz_on(nu), direction)
     for got, want in zip(pv_folded_at_nodes(*args), _blocked(*args)):
         np.testing.assert_array_equal(got, want)
 
@@ -146,8 +185,8 @@ def test_blocked_branch_keeps_the_lowest_rows_of_the_split(monkeypatch, tmp_path
     # path: the blocked branch sums the split quotients too, so rows 2-13,
     # where the folded quotient (nu a + w b)/(nu + w) lost digits, agree
     # with the FFT path (both within 1e-13 of a long-double evaluation)
-    spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
-    args = _folded(spec, "im-from-re")
+    spec = lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
+    args = _operands(spec, "im-from-re")
     fft_values = pv_folded_at_nodes(*args)[0]
     monkeypatch.setattr(kklab.pvquad, "_geometric_log_ratio", lambda x: None)
     blocked_values = pv_folded_at_nodes(*args)[0]
@@ -184,9 +223,9 @@ def test_lowest_pole_rows_keep_their_digits(tmp_path):
     # head nodes nu_0/4 and nu_0/2, so their slope weights are about 1e5;
     # summed against g itself rather than g - g(w) they magnified its
     # rounding to 4e-12-5e-12 on either path
-    spec = _lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
-    nu_e, a, b, lo, hi = _folded(spec, "im-from-re")
-    g, h = 0.5 * (a + b), 0.5 * (a - b)
+    spec = lorentz_on(np.geomspace(1e-2, 1e2, 16384), tmp_path / "lorentz.csv")
+    nu_e, a, b, lo, hi, _ = _operands(spec, "im-from-re")
+    g, h = _split(nu_e, a, b)
     want = [_long_double_row(nu_e, g, h, lo + k) for k in range(2)]
     for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi)[0][:2],
                 pv_at_nodes(nu_e, g, h, lo, lo + 2)[0]):
@@ -198,9 +237,7 @@ def test_grid_near_geometric_agrees_with_blocked_operator():
     # off here, so such a grid must not count as geometric
     nu = np.geomspace(1e-2, 1e2, 16384)
     nu *= 1.0 + 5e-14 * np.random.default_rng(16384).uniform(-1.0, 1.0, nu.size)
-    idx = lorentz_closed_form(nu)
-    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
-    args = _folded(spec, "re-from-im")
+    args = _operands(lorentz_on(nu), "re-from-im")
     np.testing.assert_allclose(pv_folded_at_nodes(*args)[0], _blocked(*args)[0],
                                rtol=0.0, atol=VALUE_ATOL)
 
@@ -212,7 +249,7 @@ def test_far_floor_bounds_the_rounding_floor(monkeypatch, csv_lorentz):
     # small factor of it
     monkeypatch.setattr(kklab.pvquad, "_EPS", 1.0)
     for direction in ("re-from-im", "im-from-re"):
-        args = _folded(csv_lorentz, direction)
+        args = _operands(csv_lorentz, direction)
         errors, ref_errors = pv_folded_at_nodes(*args)[1], _blocked(*args)[1]
         assert np.all(errors >= ref_errors * (1.0 - 1e-9))
         assert np.all(errors <= FLOOR_SLACK * ref_errors)
@@ -238,7 +275,7 @@ def _bits(arrays):
 
 @pytest.mark.parametrize("direction", ["re-from-im", "im-from-re"])
 def test_warm_plan_gives_the_bits_of_a_cold_one(csv_lorentz, fresh_plans, direction):
-    nu_e, *rest = _folded(csv_lorentz, direction)
+    nu_e, *rest = _operands(csv_lorentz, direction)
     pv_folded_at_nodes(nu_e, *rest)
     # another array with the same values finds the plan
     warm = pv_folded_at_nodes(nu_e.copy(), *rest)
@@ -254,35 +291,21 @@ def test_odd_and_even_transforms_share_a_plan(std_lorentz, fresh_plans):
     assert fresh_plans.cache_info()[:2] == (1, 1)
 
 
-def _plan_arrays(members):
-    """Every array of a plan's members, those of its top-extension setup too."""
-    *arrays, top = members
-    assert isinstance(top, _TopPlan)
-    return arrays + [x for x in top if isinstance(x, np.ndarray)]
-
-
-def _assert_plan_read_only(std_lorentz, fresh_plans, span):
-    nu_e, _, _, lo, hi = _folded(std_lorentz, "re-from-im")
-    log_r = _geometric_log_ratio(nu_e[lo:hi])
-    size, *members = fresh_plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
-    arrays = _plan_arrays(members)
-    # 6 of the FFT path, 5 of the top extension's: w/c of the series
-    # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
-    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
-    for arr in arrays:
-        with pytest.raises(ValueError, match="read-only"):
-            arr.flat[0] = 0.0
-    assert fresh_plans.cache_info().currsize == 1
-
-
 def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
-    # the plan of the folded transforms' band
-    _assert_plan_read_only(std_lorentz, fresh_plans, _FOLDED_BAND_SPAN)
-
-
-def test_subtracted_plan_arrays_are_read_only(std_lorentz, fresh_plans):
-    # the plan of kk_subtracted's wider band
-    _assert_plan_read_only(std_lorentz, fresh_plans, _BAND_SPAN)
+    # the plans of the folded transforms' band and of kk_subtracted's wider one
+    nu_e, _, _, lo, hi, _ = _operands(std_lorentz, "re-from-im")
+    log_r = _geometric_log_ratio(nu_e[lo:hi])
+    for plans, span in enumerate((_FOLDED_BAND_SPAN, _BAND_SPAN), 1):
+        size, *arrays, top = fresh_plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
+        assert isinstance(top, _TopPlan)
+        arrays += [x for x in top if isinstance(x, np.ndarray)]
+        # 6 of the FFT path, 5 of the top extension's: w/c of the series
+        # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
+        assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr.flat[0] = 0.0
+        assert fresh_plans.cache_info().currsize == plans
 
 
 def _reference_plan(nu, lo, hi, log_r, band):
@@ -346,17 +369,15 @@ def plan_grid(request, tmp_path_factory):
     "csv"; "0+log" samples omega = 0 below it, as tools/lib_digests.py's
     ZERO_GRID does."""
     kind, n = request.param.split()
-    nu = np.geomspace(1e-2, 1e2, int(n) - (kind == "0+log"))
     if kind == "0+log":
-        return _lorentz_on(np.r_[0.0, nu])
-    return _lorentz_on(nu, tmp_path_factory.mktemp("csv") / "l.csv" if kind == "csv" else None)
+        return lorentz_on(ZERO_GRID)
+    nu = np.geomspace(1e-2, 1e2, int(n))
+    return lorentz_on(nu, tmp_path_factory.mktemp("csv") / "l.csv" if kind == "csv" else None)
 
 
 @pytest.mark.parametrize("span", [_FOLDED_BAND_SPAN, _BAND_SPAN], ids=["folded", "subtracted"])
 def test_plan_members_keep_their_bits(plan_grid, fresh_plans, span):
-    nu = plan_grid.grid.values
-    nu_e = _extend_axis(nu, plan_grid.im, "odd", None)[0]
-    lo, hi = _HEAD_NODES, _HEAD_NODES + int(np.count_nonzero(nu > 0.0))
+    nu_e, _, _, lo, hi, _ = _operands(plan_grid, "re-from-im")
     log_r = _geometric_log_ratio(nu_e[lo:hi])
     args = nu_e, lo, hi, log_r, _band(log_r, span)
     got, want = _folded_plan(nu_e.tobytes(), *args[1:]), _reference_plan(*args)
@@ -367,7 +388,7 @@ def test_plan_members_keep_their_bits(plan_grid, fresh_plans, span):
 
 
 def test_grid_one_ulp_off_builds_its_own_plan(std_lorentz, fresh_plans):
-    nu_e, a, b, lo, hi = _folded(std_lorentz, "re-from-im")
+    nu_e, a, b, lo, hi, _ = _operands(std_lorentz, "re-from-im")
     pv_folded_at_nodes(nu_e, a, b, lo, hi)
     nudged = nu_e.copy()
     nudged[lo + 1000] = np.nextafter(nudged[lo + 1000], np.inf)
@@ -382,10 +403,9 @@ def test_cache_holds_only_plans(fresh_plans):
     # a batch alternating between two log grids and two linear grids: the
     # linear grids run the blocked operator and take no slot, so the two
     # plans survive every round
-    params = kklab.LorentzOscillatorParams(1.0, 1.0, 0.1)
     grids = [*_log_grids([600, 700]),
              *(FrequencyGrid.linear(0.5, 100.0, n, GridUnit.NORMALIZED) for n in (600, 700))]
-    spectra = [kklab.lorentz_index(params, grid) for grid in grids]
+    spectra = [lorentz_on(grid.values) for grid in grids]
     for _ in range(3):
         _at_infinity.cache_clear()  # every round runs the operator again
         for spec in spectra:
@@ -463,16 +483,18 @@ def test_band_spans_a_fixed_node_ratio():
     (_log_grids([4096], 1e-3, 1e3), True, True),
 ], ids=["log 128", "log 127", "lin 512", "ladder", "ladder csv", "one-off", "log 1e-3 csv"])
 def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, via_csv):
-    # the FFT path needs a geometric block of at least four bands of poles
+    # the FFT path needs a geometric block of at least four bands of poles,
+    # for the folded transforms and for kk_subtracted at each w0
     monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
+    transforms = [kklab.kk_re_from_im, kklab.kk_im_from_re,
+                  *(lambda spec, w0=w0: _subtracted(spec, w0) for w0 in W0S)]
     for grid in grids:
-        spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
-        if via_csv:
-            kklab.save_spectrum(spec, tmp_path / "s.csv")
-            spec = kklab.load_spectrum(tmp_path / "s.csv")
-        for transform in (kklab.kk_re_from_im, kklab.kk_im_from_re):
+        spec = lorentz_on(grid.values, tmp_path / "s.csv" if via_csv else None)
+        for transform in transforms:
             if fast:
-                assert np.all(np.isfinite(transform(spec).spectrum.re))
+                result = transform(spec)
+                assert np.all(np.isfinite(result.spectrum.re))
+                assert np.all(np.isfinite(result.error_estimate))
             else:
                 with pytest.raises(AssertionError, match="blocked operator"):
                     transform(spec)
@@ -537,23 +559,12 @@ def _column_loop(nu, a, b, lo, hi, span=_FOLDED_BAND_SPAN):
     return _finish(*sums, f_at * logs)
 
 
-def _lorentz_on(nu, path=None):
-    """The Lorentz spectrum on the nodes nu, read back from a CSV file at
-    ``path`` when one is given."""
-    idx = lorentz_closed_form(nu)
-    spec = ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED), idx.real, idx.imag)
-    if path is None:
-        return spec
-    kklab.save_spectrum(spec, path)
-    return kklab.load_spectrum(path)
-
-
 @pytest.fixture(scope="module", params=["csv 16384", "log 2896"])
 def direct_part_spectrum(request, tmp_path_factory):
     if request.param == "csv 16384":
         path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
-        return _lorentz_on(np.geomspace(1e-2, 1e2, 16384), path)
-    return _lorentz_on(np.geomspace(1e-2, 1e2, 2896))
+        return lorentz_on(np.geomspace(1e-2, 1e2, 16384), path)
+    return lorentz_on(np.geomspace(1e-2, 1e2, 2896))
 
 
 @pytest.mark.parametrize("transform", [
@@ -600,20 +611,17 @@ def _check_top_sums(nu, lo, hi, g, h):
     return got
 
 
-@pytest.mark.parametrize("kind", ["re-from-im", "im-from-re", "subtracted"])
-def test_top_sums_match_a_column_loop(direct_part_spectrum, kind):
+@pytest.mark.parametrize("caller", ["re-from-im", "im-from-re", "K 0.5"],
+                         ids=["re-from-im", "im-from-re", "subtracted"])
+def test_top_sums_match_a_column_loop(direct_part_spectrum, caller):
     # both regimes on each grid: the rows up to a quarter of the lowest top
     # node take the series, the rows above it the quotient block; re-from-im
     # has Im n(inf) = 1e-3, so g_j and g(w) nearly cancel on the upper rows;
     # kk_subtracted's g = K(nu) and h = -K(-nu) at w0 = 0.5
-    if kind == "subtracted":
-        nu, a, b, lo, hi = _subtracted_operands(direct_part_spectrum, 0.5)
-    else:
-        nu, a, b, lo, hi = _folded(direct_part_spectrum, kind)
-    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu.shape) for x in (a, b))
+    nu, a, b, lo, hi, _ = _operands(direct_part_spectrum, caller)
     series = nu[lo:hi] <= 0.25 * nu[hi]
     assert 0 < np.count_nonzero(series) < hi - lo
-    _check_top_sums(nu, lo, hi, 0.5 * (a + b), 0.5 * (a - b))
+    _check_top_sums(nu, lo, hi, *_split(nu, a, b))
 
 
 @pytest.mark.parametrize("decades, unit, powers", [
@@ -649,61 +657,6 @@ def test_top_sums_in_small_blocks(monkeypatch):
 
 # --- the subtracted relation, folded onto the half axis --------------------------
 
-W0S = (0.0, 0.5, 2.0)
-
-
-def _subtracted(spec, w0):
-    """kk_subtracted of G = n - 1 at w0, G(w0) from the closed form."""
-    g0 = lorentz_closed_form(w0) - 1.0
-    g = ComplexIndexSpectrum(spec.grid, spec.re - 1.0, spec.im)
-    return kklab.kk_subtracted(g, w0, g0.real, g0.imag, on_collision="continuity")
-
-
-def _full_axis_kernel(spec, w0):
-    """The full axis of kk_subtracted at w0 and K(nu) = [Im G(nu) -
-    Im G(w0)]/(nu - w0) on it, with the extended half axis."""
-    nu_e, g_e, _, _ = _extend_axis(spec.grid.values, spec.im, "odd", None, subtracted=True)
-    nu_full = np.concatenate([-nu_e[:0:-1], nu_e])
-    g_full = np.concatenate([-g_e[:0:-1], g_e])
-    kern = difference_quotient(nu_full, g_full, w0, (lorentz_closed_form(w0) - 1.0).imag)
-    return nu_full, kern, nu_e
-
-
-def _subtracted_operands(spec, w0):
-    """The extended half axis, a, b and the pole block (lo, hi) of
-    kk_subtracted at w0: K(nu) on the full axis (:func:`_full_axis_kernel`),
-    a = K(nu) - K(-nu), b = K(nu) + K(-nu), and every positive grid node."""
-    nu = spec.grid.values
-    _, kern, nu_e = _full_axis_kernel(spec, w0)
-    k_pos, k_neg = kern[nu_e.size - 1:], kern[nu_e.size - 1::-1]
-    lo = int(np.searchsorted(nu_e, nu[nu > 0.0][0]))
-    return nu_e, k_pos - k_neg, k_pos + k_neg, lo, lo + int(np.count_nonzero(nu > 0.0))
-
-
-@pytest.mark.parametrize("grids, fast, via_csv", [
-    (_log_grids(LADDER), True, False),
-    (_log_grids(LADDER), True, True),
-    (_log_grids([127]), False, False),
-    ([FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)], False, False),
-], ids=["ladder", "ladder csv", "log 127", "lin 512"])
-def test_subtracted_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path,
-                                          grids, fast, via_csv):
-    monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
-    for grid in grids:
-        spec = kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid)
-        if via_csv:
-            kklab.save_spectrum(spec, tmp_path / "s.csv")
-            spec = kklab.load_spectrum(tmp_path / "s.csv")
-        for w0 in W0S:
-            if fast:
-                result = _subtracted(spec, w0)
-                assert np.all(np.isfinite(result.spectrum.re))
-                assert np.all(np.isfinite(result.error_estimate))
-            else:
-                with pytest.raises(AssertionError, match="blocked operator"):
-                    _subtracted(spec, w0)
-
-
 @pytest.fixture(scope="module")
 def csv_subtracted_grids(tmp_path_factory):
     """CSV Lorentz spectra on 4-decade log grids of 2048, 2896, 4096, 5793
@@ -711,23 +664,15 @@ def csv_subtracted_grids(tmp_path_factory):
     kk_subtracted's span. At 2896 and 5793 nodes the FFT length is not 2n
     but the next power of two above it."""
     path = tmp_path_factory.mktemp("csv") / "lorentz.csv"
-    return [_lorentz_on(np.geomspace(1e-2, 1e2, n), path)
+    return [lorentz_on(np.geomspace(1e-2, 1e2, n), path)
             for n in (2048, 2896, 4096, 5793, 8192)]
 
 
-@pytest.mark.parametrize("w0", W0S)
-def test_subtracted_path_matches_blocked_operator(csv_subtracted_grids, w0):
-    # K's operands and D's, a = 1 and b = -1, at kk_subtracted's span
+@pytest.mark.parametrize("caller", [*(f"K {w0}" for w0 in W0S), "D"], ids=[*map(str, W0S), "D"])
+def test_subtracted_path_matches_blocked_operator(csv_subtracted_grids, caller):
+    # K's operands at each w0, and D's, a = 1 and b = -1, at kk_subtracted's span
     for spec in csv_subtracted_grids:
-        nu_e, a, b, lo, hi = _subtracted_operands(spec, w0)
-        for args in ((nu_e, a, b, lo, hi), (nu_e, 1.0, -1.0, lo, hi)):
-            values, errors = pv_folded_at_nodes(*args, _BAND_SPAN)
-            ref_values, ref_errors = _blocked(*args)
-            np.testing.assert_allclose(values, ref_values, rtol=0.0, atol=VALUE_ATOL)
-            assert np.all(np.isfinite(errors)) and np.all(errors >= 0.0)
-            resolved = ref_errors >= ERROR_LEVEL * np.max(np.abs(ref_values))
-            assert np.count_nonzero(resolved) > 0.5 * resolved.size
-            np.testing.assert_allclose(errors[resolved], ref_errors[resolved], rtol=ERROR_RTOL)
+        _assert_matches_blocked(_operands(spec, caller))
 
 
 def test_warm_subtracted_plan_gives_the_bits_of_a_cold_one(std_lorentz, fresh_plans):
@@ -743,7 +688,7 @@ def test_subtracted_shares_the_bounded_plan_cache(fresh_plans):
     # on these grids kk_subtracted's band is twice the folded transforms',
     # so each grid takes two plans of the one cache
     for n in range(2048, 2048 + _PLAN_CACHE_SIZE):
-        spec = _lorentz_on(np.geomspace(1e-2, 1e2, n))
+        spec = lorentz_on(np.geomspace(1e-2, 1e2, n))
         _subtracted(spec, 0.5)
         kklab.kk_re_from_im(spec)
     info = fresh_plans.cache_info()
@@ -753,7 +698,7 @@ def test_subtracted_shares_the_bounded_plan_cache(fresh_plans):
 
 def test_non_geometric_subtracted_takes_no_plan_slot(fresh_plans):
     for grid in (*_log_grids([127]), FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)):
-        _subtracted(kklab.lorentz_index(kklab.LorentzOscillatorParams(1.0, 1.0, 0.1), grid), 0.5)
+        _subtracted(lorentz_on(grid.values), 0.5)
     info = fresh_plans.cache_info()
     assert (info.hits, info.misses, info.currsize) == (0, 0, 0)
 
@@ -763,7 +708,7 @@ def test_zero_frequency_row_takes_the_scalar_rule(monkeypatch, fresh_plans):
     # axis, at the pole 0 of K, and the positive nodes on the FFT path; the
     # blocked operator runs on none of them. The reference runs the
     # positive nodes blocked.
-    spec = _lorentz_on(np.concatenate([[0.0], np.geomspace(1e-2, 1e2, 2047)]))
+    spec = lorentz_on(ZERO_GRID)
     monkeypatch.setattr(kklab.kk, "pv_folded_at_nodes", lambda *args: _blocked(*args[:5]))
     ref = _subtracted(spec, 0.5)
     monkeypatch.undo()
@@ -798,15 +743,16 @@ def csv_lorentz_rows(request, tmp_path_factory):
     resonance's centre and half-width points (omega_res 1, gamma / 2 =
     0.05)."""
     n = request.param
-    spec = _lorentz_on(np.geomspace(1e-2, 1e2, n), tmp_path_factory.mktemp("csv") / "l.csv")
+    spec = lorentz_on(np.geomspace(1e-2, 1e2, n), tmp_path_factory.mktemp("csv") / "l.csv")
     if n <= 300:
         return spec, np.arange(n)
     resonance = np.searchsorted(spec.grid.values, [0.95, 1.0, 1.05])
     return spec, np.unique(np.r_[np.linspace(0, n - 1, 8).astype(int), resonance])
 
 
-@pytest.mark.parametrize("direction", ["re-from-im", "im-from-re", "subtracted", "subtracted 0.5"])
-def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
+@pytest.mark.parametrize("caller", ["re-from-im", "im-from-re", "K 0", "K 0.5"],
+                         ids=["re-from-im", "im-from-re", "subtracted", "subtracted 0.5"])
+def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, caller):
     # the FFT path and the blocked operator against the rule they both
     # round: on the folded transforms the FFT path sat up to 1.0e-13 off it
     # at the resonance and 2.4e-14 elsewhere, the blocked operator 6.1e-15.
@@ -819,14 +765,9 @@ def test_folded_rows_match_the_rule_in_40_digits(csv_lorentz_rows, direction):
     # every row of the 128- and 300-node grids the FFT path sat up to
     # 2.9e-14 off the rule, the blocked operator 1.1e-14.
     spec, rows = csv_lorentz_rows
-    if direction.startswith("subtracted"):
-        w0 = 0.5 if direction.endswith("0.5") else 0.0
-        (nu_e, a, b, lo, hi), span = _subtracted_operands(spec, w0), _BAND_SPAN
-    else:
-        (nu_e, a, b, lo, hi), span = _folded(spec, direction), _FOLDED_BAND_SPAN
+    nu_e, a, b, lo, hi, span = _operands(spec, caller)
     assert _geometric_log_ratio(nu_e[lo:hi]) is not None  # the FFT path runs
-    a, b = (np.broadcast_to(np.asarray(x, dtype=float), nu_e.shape) for x in (a, b))
-    g, h = 0.5 * (a + b), 0.5 * (a - b)
+    g, h = _split(nu_e, a, b)
     want = rule_in_40_digits(nu_e, g, nu_e[lo + rows], h)
     # the blocked operator on each row as a block of one
     for got in (pv_folded_at_nodes(nu_e, a, b, lo, hi, span)[0][rows],

@@ -322,6 +322,21 @@ def test_subtracted_at_a_sampled_zero_has_no_collision_zone():
     assert np.max(err[1:5]) <= 2.0 * np.max(err[(nu >= nu[5]) & (nu <= 0.1)])
 
 
+@pytest.mark.parametrize("fraction", [0.1, 0.25, 0.4, 0.5, 0.9])
+def test_subtraction_point_inside_the_head(std_lorentz, fraction):
+    # w0 between 0 and the first node nu_0, on the head nodes nu_0/4 and
+    # nu_0/2 or off them: K's full-axis stencil crosses 0, yet the bottom
+    # decade is as accurate as at w0 = 0 (5.0e-8; 2.6e-9 to 6.7e-8 here)
+    nu = std_lorentz.grid.values
+    g = ComplexIndexSpectrum(std_lorentz.grid, std_lorentz.re - 1.0, std_lorentz.im)
+    errs = []
+    for w0 in (0.0, fraction * nu[0]):
+        G0 = lorentz_closed_form(w0) - 1.0
+        r = kk_subtracted(g, w0, G0.real, G0.imag)
+        errs.append(np.max(np.abs(r.spectrum.re - g.re)[nu <= 0.1]))
+    assert errs[1] <= 2.0 * errs[0]
+
+
 def test_subtracted_one_ulp_off_a_node_has_no_collision_zone(std_lorentz):
     # K takes its cubic slope on a node within 1e-13 max|nu| of w0, so a w0
     # one ulp above node 1000 is that node's w0: no collision zone, and its

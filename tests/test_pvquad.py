@@ -8,9 +8,6 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from kklab import (
-    ComplexIndexSpectrum,
-    FrequencyGrid,
-    GridUnit,
     NonIntegrableTailError,
     PoleIntegrand,
     PoleLocationError,
@@ -18,15 +15,13 @@ from kklab import (
     TailFitError,
     TailModel,
     fit_tail,
-    load_spectrum,
     pv_integrate,
     pv_semi_infinite,
-    save_spectrum,
     tail_integral,
 )
 from kklab.pvquad import (_cubic_weights, _line_fit, difference_quotient, local_cubic_slope,
                           local_cubic_value, noise_floor, simpson_weights, tail_parity, top_decade)
-from conftest import gaussian_closed_form, lorentz_closed_form, rule_in_40_digits
+from conftest import gaussian_closed_form, lorentz_on, rule_in_40_digits
 
 VALUE_ATOL = 1e-12  # the operators' bound against the rule in 40 digits
 
@@ -106,12 +101,7 @@ def test_non_uniform_log_grid():
 @pytest.fixture(scope="module")
 def csv_lorentz_300(tmp_path_factory):
     """The Lorentz spectrum on a 300-node log grid, read back from a CSV file."""
-    nu = np.geomspace(1e-2, 1e2, 300)
-    idx = lorentz_closed_form(nu)
-    path = tmp_path_factory.mktemp("csv") / "l.csv"
-    save_spectrum(ComplexIndexSpectrum(FrequencyGrid(nu, GridUnit.NORMALIZED),
-                                       idx.real, idx.imag), path)
-    return load_spectrum(path)
+    return lorentz_on(np.geomspace(1e-2, 1e2, 300), tmp_path_factory.mktemp("csv") / "l.csv")
 
 
 @pytest.mark.parametrize("part", ["re", "im"])
