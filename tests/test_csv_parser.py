@@ -1,10 +1,10 @@
-"""The spectrum reader's one-pass conversion against its row loop.
+"""The spectrum reader on generated CSV bodies against its row loop.
 
-``spectra._parse_rows`` converts the data rows with numpy's C parser, and
-where that refuses them, converts them with ``float`` row by row. The
-reference is that row loop: ``reference_parse`` of test_csv_reference. On
-generated CSV bodies ``load_spectrum`` must give the reference's bits and
-unit, or its error message, and never a warning. The bodies mix three float
+The reference is the row loop ``reference_parse`` of test_csv_reference, and
+the check is that module's ``assert_matches_reference``: ``_parse_csv`` and
+``load_spectrum`` must give the reference's bits and unit, or its error
+message, and never a warning. test_csv_reference draws free texts, most of
+which fail validation; the bodies here mostly pass it. They mix three float
 formats, whitespace around cells, blank and comment lines between rows and
 a unit tag after the data; now and then a cell that only ``float`` reads
 (``1_0``, Arabic-Indic digits) or that neither reads, U+001F around a cell
@@ -12,15 +12,12 @@ a unit tag after the data; now and then a cell that only ``float`` reads
 the wrong width.
 """
 
-import warnings
-
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kklab import GridUnit, SpectrumFormatError, load_spectrum
-from kklab.spectra import CSV_HEADER, _validate_loaded
-from test_csv_reference import reference_parse
+from kklab import GridUnit
+from kklab.spectra import CSV_HEADER
+from test_csv_reference import UNITS, assert_matches_reference
 
 FORMATS = (lambda x: f"{x:.17g}", repr, lambda x: f"{x:.6e}")
 PAD = st.sampled_from(["", "", " ", "  ", "\t", "\u00a0"])
@@ -57,36 +54,9 @@ def bodies(draw):
     return "\n".join(lines) + "\n"
 
 
-def _outcome(load):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        try:
-            s = load()
-        except SpectrumFormatError as exc:
-            return "error", str(exc)
-    # bit patterns, so that -0.0 counts
-    return [a.tobytes() for a in (s.grid.values, s.re, s.im)], s.grid.unit
-
-
 @settings(max_examples=300, deadline=None)
-@given(bodies())
-@example(f"{CSV_HEADER}\n1,\x1f2,3\n4,5,6\n")
-@example(f"{CSV_HEADER}\n1,1_0,3\n4,\u0665,6\n")
-def test_load_spectrum_matches_the_row_loop(tmp_path_factory, text):
-    path = tmp_path_factory.getbasetemp() / "body.csv"
-    path.write_text(text, encoding="utf-8")
-    got = _outcome(lambda: load_spectrum(path))
-    assert got == _outcome(lambda: _validate_loaded(*reference_parse(text, None)))
-
-
-@pytest.mark.parametrize("text", [
-    f"{CSV_HEADER}\n",
-    f"# unit: normalized\n{CSV_HEADER}\n# a comment\n\n# unit: si_rad_per_s\n",
-], ids=["header only", "comments only"])
-def test_no_data_rows_raise_too_few_samples_without_a_warning(tmp_path, text):
-    path = tmp_path / "s.csv"
-    path.write_text(text)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(SpectrumFormatError, match="need >= 2 samples"):
-            load_spectrum(path)
+@given(bodies(), UNITS)
+@example(f"{CSV_HEADER}\n1,\x1f2,3\n4,5,6\n", None)
+@example(f"{CSV_HEADER}\n1,1_0,3\n4,\u0665,6\n", None)
+def test_load_spectrum_matches_the_row_loop(tmp_path_factory, text, unit):
+    assert_matches_reference(tmp_path_factory, text, unit)

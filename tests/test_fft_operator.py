@@ -291,21 +291,29 @@ def test_odd_and_even_transforms_share_a_plan(std_lorentz, fresh_plans):
     assert fresh_plans.cache_info()[:2] == (1, 1)
 
 
-def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
-    # the plans of the folded transforms' band and of kk_subtracted's wider one
-    nu_e, _, _, lo, hi, _ = _operands(std_lorentz, "re-from-im")
+def _assert_plan_read_only(spec, plans, span):
+    nu_e, _, _, lo, hi, _ = _operands(spec, "re-from-im")
     log_r = _geometric_log_ratio(nu_e[lo:hi])
-    for plans, span in enumerate((_FOLDED_BAND_SPAN, _BAND_SPAN), 1):
-        size, *arrays, top = fresh_plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
-        assert isinstance(top, _TopPlan)
-        arrays += [x for x in top if isinstance(x, np.ndarray)]
-        # 6 of the FFT path, 5 of the top extension's: w/c of the series
-        # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
-        assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
-        for arr in arrays:
-            with pytest.raises(ValueError, match="read-only"):
-                arr.flat[0] = 0.0
-        assert fresh_plans.cache_info().currsize == plans
+    size, *arrays, top = plans(nu_e.tobytes(), lo, hi, log_r, _band(log_r, span))
+    assert isinstance(top, _TopPlan)
+    arrays += [x for x in top if isinstance(x, np.ndarray)]
+    # 6 of the FFT path, 5 of the top extension's: w/c of the series
+    # rows, weights, series kernels of both signs, nu_j - w and nu_j + w
+    assert size >= 2 * (hi - lo) - 1 and len(arrays) == 11
+    for arr in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 0.0
+    assert plans.cache_info().currsize == 1
+
+
+def test_plan_arrays_are_read_only(std_lorentz, fresh_plans):
+    # the plan of the folded transforms' band
+    _assert_plan_read_only(std_lorentz, fresh_plans, _FOLDED_BAND_SPAN)
+
+
+def test_subtracted_plan_arrays_are_read_only(std_lorentz, fresh_plans):
+    # the plan of kk_subtracted's wider band
+    _assert_plan_read_only(std_lorentz, fresh_plans, _BAND_SPAN)
 
 
 def _reference_plan(nu, lo, hi, log_r, band):
@@ -473,7 +481,7 @@ def test_band_spans_a_fixed_node_ratio():
             assert band == _FFT_BAND or (band * log_r >= span > (band - 1) * log_r)
 
 
-@pytest.mark.parametrize("grids, fast, via_csv", [
+PATH_GRIDS = pytest.mark.parametrize("grids, fast, via_csv", [
     (_log_grids([128]), True, False),
     (_log_grids([127]), False, False),
     ([FrequencyGrid.linear(0.5, 100.0, 512, GridUnit.NORMALIZED)], False, False),
@@ -482,12 +490,11 @@ def test_band_spans_a_fixed_node_ratio():
     (_log_grids(ONE_OFF), True, False),
     (_log_grids([4096], 1e-3, 1e3), True, True),
 ], ids=["log 128", "log 127", "lin 512", "ladder", "ladder csv", "one-off", "log 1e-3 csv"])
-def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, via_csv):
-    # the FFT path needs a geometric block of at least four bands of poles,
-    # for the folded transforms and for kk_subtracted at each w0
+
+
+def _assert_path_follows(monkeypatch, tmp_path, grids, fast, via_csv, transforms):
+    # the FFT path needs a geometric block of at least four bands of poles
     monkeypatch.setattr(kklab.pvquad, "pv_at_nodes", _refuse)
-    transforms = [kklab.kk_re_from_im, kklab.kk_im_from_re,
-                  *(lambda spec, w0=w0: _subtracted(spec, w0) for w0 in W0S)]
     for grid in grids:
         spec = lorentz_on(grid.values, tmp_path / "s.csv" if via_csv else None)
         for transform in transforms:
@@ -498,6 +505,20 @@ def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, 
             else:
                 with pytest.raises(AssertionError, match="blocked operator"):
                     transform(spec)
+
+
+@PATH_GRIDS
+def test_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path, grids, fast, via_csv):
+    _assert_path_follows(monkeypatch, tmp_path, grids, fast, via_csv,
+                         [kklab.kk_re_from_im, kklab.kk_im_from_re])
+
+
+@PATH_GRIDS
+def test_subtracted_path_follows_the_grid(monkeypatch, fresh_plans, tmp_path,
+                                          grids, fast, via_csv):
+    # kk_subtracted at each w0, on the same grid sets
+    _assert_path_follows(monkeypatch, tmp_path, grids, fast, via_csv,
+                         [lambda spec, w0=w0: _subtracted(spec, w0) for w0 in W0S])
 
 
 # --- the direct part, bit for bit ---------------------------------------------
